@@ -150,8 +150,10 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     """Seeded instance families used for the scaling table.
 
     wp: one random reduced word of length n.
-    pow: u = v^2 with |u|+|v| about n (the solver must certify via the
-      commutator word problem, the expensive path).
+    pow: u = v^2 c with |v| about n/3 and c a random word of F^(d), so
+      u = v^2 in S_{r,d} while [u, v] is not freely trivial: the solver
+      must certify k = 2 via the commutator word problem, the expensive
+      path.
     conj: conjugate pair perturbed by a commutator: abelianizations match
       but the pair is generically not conjugate for d >= 2, so the shift
       loop runs in full.
@@ -160,7 +162,9 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
         return (random_reduced_word(rng, n, r),)
     if problem == "pow":
         v = random_reduced_word(rng, max(1, n // 3), r)
-        return (v ** 2, v)
+        # F^(1) serves d = 0, where every word is trivial
+        c = random_trivial_word(rng, r, max(d, 1))
+        return (v ** 2 * c, v)
     if problem == "conj":
         x = random_reduced_word(rng, max(1, n // 3), r)
         z = random_reduced_word(rng, max(1, n // 6), r)

@@ -6,12 +6,13 @@ labeling (depth 0, the trivial group), each refinement step
 
   1. numbers the edges of the quotient support graph at depth d-1,
   2. walks the prefixes, maintaining the flow vector incrementally,
-  3. ranks the per-prefix flow data,
+  3. groups the prefixes by their flow data,
 
-and the ranks are the labels at depth d.  The deterministic step ranks
-whole flow tuples lexicographically; the Monte Carlo step ranks exact
-squared distances to a random anchor point, trading a small one-sided
-error for quasi-linear work.
+and the group ids are the labels at depth d.  The deterministic step
+gives each prefix flow a canonical id in a hash-consed persistent segment
+tree, so equal flows get equal ids exactly, at O(log m) work per prefix;
+the Monte Carlo step ranks exact squared distances to a random anchor
+point, trading a small one-sided error for vectorized integer work.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .words import Word
-from .xdigraph import PrefixTree, number_tree_edges
+from .xdigraph import PrefixTree
 
 DEFAULT_MAX_LEN = 1 << 20
-
-# below this many tree nodes the deterministic step materializes plain
-# tuples; above it, a batched column-wise radix refinement is used
-_TUPLE_PATH_MAX = 512
-_BATCH_COLUMNS = 16
 
 
 class LengthGuardError(ValueError):
@@ -43,7 +39,8 @@ class Distinguisher:
     For labelings produced by the deterministic chain, equal labels are
     exactly equality of prefixes in S_{r,depth}.  Randomized candidates
     satisfy only the coarse direction: truly equal prefixes always share
-    a label.
+    a label.  Label values are dense class ids in no particular order;
+    only equality between them carries meaning.
     """
 
     word: Word
@@ -172,6 +169,10 @@ class SupportChain:
     # -- refinement ------------------------------------------------------
 
     def labels_at(self, depth: int) -> np.ndarray:
+        """Per-node labels at this depth: equal labels mean equal elements.
+
+        Refined labels are dense class ids 0..C-1 in no particular order.
+        """
         while len(self._labels) <= depth:
             prev_depth = len(self._labels) - 1
             if self.mode == "det":
@@ -182,82 +183,48 @@ class SupportChain:
         return self._labels[depth]
 
     def _refine_det(self, depth: int) -> np.ndarray:
-        m, eid, dirs = self.numbering_at(depth)
-        if self.V <= _TUPLE_PATH_MAX:
-            return self._det_tuples(m, eid, dirs)
-        return self._det_batched(m, eid, dirs)
+        """Give every prefix flow a canonical id and label nodes by it.
 
-    def _det_tuples(self, m, eid, dirs) -> np.ndarray:
-        """Materialize per-node flow tuples and rank them lexicographically."""
-        nodes, downs, _ = self._euler_tour()
-        cur = [0] * m
-        snaps: list[tuple] = [()] * self.V
-        snaps[0] = tuple(cur)
-        eid_l, dirs_l = eid.tolist(), dirs.tolist()
-        for v, down in zip(nodes.tolist(), downs.tolist()):
-            j = eid_l[v]
-            cur[j] += dirs_l[v] * down
-            if down > 0:
-                snaps[v] = tuple(cur)
-        rank = {t: i for i, t in enumerate(sorted(set(snaps)))}
-        return np.array([rank[t] for t in snaps], dtype=np.int64)
-
-    def _det_batched(self, m, eid, dirs) -> np.ndarray:
-        """Rank flow tuples without materializing them all at once.
-
-        Column-wise most-significant-first radix refinement: the group id
-        carried across batches is the lexicographic rank over the columns
-        consumed so far.  Once all ranks are distinct they are final (the
-        remaining columns can only break ties that no longer exist), so
-        later batches skip the sort; the column scan itself always runs,
-        keeping the Theta(V * m) work profile of the tuple path.
+        The flow vectors live in one persistent segment tree over the m
+        quotient edge ids, hash-consed: a leaf is interned on its value,
+        an inner node on (left id, right id), so two flows are equal iff
+        their roots have the same id.  PrefixTree appends each child
+        after its parent, so in index order a node's root is one
+        path-copy update of its parent's root: O(log m) per node.
         """
-        nodes, downs, entry = self._euler_tour()
-        S = len(nodes)
-        V = self.V
-        K = _BATCH_COLUMNS
-        step_eid = eid[nodes]
-        step_delta = (dirs[nodes] * downs).astype(np.int32)
-        by_edge = np.argsort(step_eid, kind="stable")
-        sorted_eid = step_eid[by_edge]
-        bounds = np.searchsorted(sorted_eid, np.arange(m + 1))
-        group = np.zeros(V, dtype=np.int64)
-        # flow values fit int32 (|value| <= |w| < 2^20); one row per batch
-        # column so the cumsums run over contiguous memory
-        delta = np.zeros(K * (S + 1), dtype=np.int32)  # touched at events only
-        csum = np.empty((K, S + 1), dtype=np.int32)
-        order = np.arange(V, dtype=np.int64)
-        discrete = V == 1
-        for lo in range(0, m, K):
-            hi = min(lo + K, m)
-            kk = hi - lo
-            idx = by_edge[bounds[lo]:bounds[hi]]
-            flat = (sorted_eid[bounds[lo]:bounds[hi]] - lo) * (S + 1) + (idx + 1)
-            delta[flat] = step_delta[idx]
-            np.cumsum(delta.reshape(K, S + 1), axis=1, out=csum)
-            arr = csum[:kk, :][:, entry]  # (kk, V) flow values per node
-            delta[flat] = 0
-            if discrete:
-                continue
-            # rows stay ordered by current group; only tied runs need sorting
-            a_o = arr[:, order]
-            g_o = group[order]
-            cut = np.flatnonzero(g_o[1:] != g_o[:-1]) + 1
-            starts = np.concatenate(([0], cut))
-            ends = np.concatenate((cut, [V]))
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                if e - s < 2:
-                    continue
-                sub = np.lexsort(tuple(a_o[k, s:e] for k in range(kk - 1, -1, -1)))
-                order[s:e] = order[s:e][sub]
-                a_o[:, s:e] = a_o[:, s:e][:, sub]
-            neq = (g_o[1:] != g_o[:-1]) | (a_o[:, 1:] != a_o[:, :-1]).any(axis=0)
-            ranks = np.empty(V, dtype=np.int64)
-            ranks[0] = 0
-            np.cumsum(neq, out=ranks[1:])
-            group[order] = ranks
-            discrete = int(ranks[-1]) + 1 == V
-        return group
+        m, eid, dirs = self.numbering_at(depth)
+        height = max(m - 1, 0).bit_length()
+        # node id -> leaf value or (left id, right id), and its inverse;
+        # ids 0..height are the all-zero tree, bottom up
+        key: list = [0] + [(h, h) for h in range(height)]
+        ids = {k: i for i, k in enumerate(key)}
+        roots = [height] * self.V
+        parents = self.tree.parents
+        path: list = [None] * height  # path[b]: the pair branching on bit b
+        down, up = range(height - 1, -1, -1), range(height)
+        get = ids.get
+        for v, j, step in zip(range(1, self.V), eid[1:].tolist(),
+                              dirs[1:].tolist()):
+            x = roots[parents[v]]
+            for b in down:
+                pair = path[b] = key[x]
+                x = pair[(j >> b) & 1]
+            k = key[x] + step  # the new leaf, then its ancestors
+            x = get(k)
+            if x is None:
+                x = ids[k] = len(key)
+                key.append(k)
+            for b in up:
+                left, right = path[b]
+                k = (left, x) if (j >> b) & 1 else (x, right)
+                x = get(k)
+                if x is None:
+                    x = ids[k] = len(key)
+                    key.append(k)
+            roots[v] = x
+        _, labels = np.unique(np.array(roots, dtype=np.int64),
+                              return_inverse=True)
+        return labels.astype(np.int64)
 
     def _refine_mc(self, depth: int) -> np.ndarray:
         """Rank exact squared distances from a random anchor (one per node).
@@ -266,12 +233,13 @@ class SupportChain:
         update.  The vectorized path tracks the distance offset from its
         start value in two 32-bit limbs (ranks ignore the shared start);
         the plain path uses Python integers and also materializes the
-        Fingerprint.  Both produce identical labels for the same stream.
+        Fingerprint.  Both produce identical labels for the same stream,
+        so the plain path runs only where the limbs could overflow or a
+        Fingerprint is asked for.
         """
         m, eid, dirs = self.numbering_at(depth)
         B = self.cube_bound
-        if (self.V <= _TUPLE_PATH_MAX or B > (1 << 59)
-                or self.want_fingerprint):
+        if B > (1 << 59) or self.want_fingerprint:
             return self._mc_python(m, eid, dirs, B)
         return self._mc_vectorized(m, eid, dirs, B)
 
@@ -405,5 +373,10 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     else:
         B = None
     chain = SupportChain(PrefixTree([w]), mode=mode, rng=rng, cube_bound=B)
-    labels = chain.labels_at(d)
-    return bool(labels[0] == labels[-1])
+    # S_{r,k} is a quotient of S_{r,d}, and Monte Carlo labels never split
+    # equal prefixes, so a split at any depth k < d already settles False
+    for k in range(1, d + 1):
+        labels = chain.labels_at(k)
+        if labels[0] != labels[-1]:
+            return False
+    return True

@@ -1,9 +1,12 @@
 import json
+from random import Random
 
 import pytest
 
-from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, main,
-                          run_bench, run_selftest)
+from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
+                          bench_instance, main, run_bench, run_selftest)
+from freesolv.power import power_solve
+from freesolv.words import commutator
 
 
 def run(capsys, *argv):
@@ -97,6 +100,17 @@ def test_bench_monotone_when_sizes_spread():
     table = run_bench("wp", [64, 512, 4096], 2, 2, "det", seed=5, trials=3)
     meds = [row["median_s"] for row in table["rows"]]
     assert meds[0] <= meds[1] <= meds[2]
+
+
+def test_bench_pow_reaches_commutator_check():
+    # [v^2, v] reduces freely to 1; the factor c keeps the timed check alive
+    for n in (6, 48, 300):
+        for d in (1, 2, 3):
+            for seed in range(3):
+                u, v = bench_instance("pow", n, 2, d, Random(seed))
+                assert len(commutator(u, v)) > 0, (n, d, seed)
+                if n <= 48:
+                    assert power_solve(u, v, 2, d).k == 2, (n, d, seed)
 
 
 def test_bench_rejects_unsorted(capsys):

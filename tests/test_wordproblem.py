@@ -10,7 +10,8 @@ from freesolv.wordproblem import (Distinguisher, LengthGuardError,
                                   SupportChain, fingerprint, nu0,
                                   refine_deterministic, refine_randomized,
                                   word_problem)
-from freesolv.xdigraph import PrefixTree, quotient_by_labeling
+from freesolv.xdigraph import (PrefixTree, number_tree_edges,
+                               quotient_by_labeling)
 
 C = commutator(parse("x1"), parse("x2"))
 
@@ -176,17 +177,76 @@ def test_distinguisher_validation():
         Distinguisher(C, 0, (0, 0))
 
 
-def test_batched_and_tuple_paths_agree(rng):
-    import freesolv.wordproblem as wp
-    for _ in range(10):
-        w = random_reduced_word(rng, rng.randrange(20, 120), 2)
-        chains = []
-        old = wp._TUPLE_PATH_MAX
-        try:
-            for forced in (10 ** 9, 0):
-                wp._TUPLE_PATH_MAX = forced
-                chain = SupportChain(PrefixTree([w]), "det")
-                chains.append(chain.labels_at(2))
-        finally:
-            wp._TUPLE_PATH_MAX = old
-        assert np.array_equal(chains[0], chains[1])
+def tuple_reference_labels(tree, depth):
+    """Labels at depths 1..depth by lexicographic rank of flow tuples.
+
+    Shares no code with SupportChain: edges are numbered by
+    xdigraph.number_tree_edges from the reference's own labels, and each
+    flow is its parent's flow plus one edge (parents precede children).
+    """
+    labels, out = [0] * len(tree), []
+    for _ in range(depth):
+        m, eid, dirs = number_tree_edges(tree, labels)
+        flows = [(0,) * m]
+        for v in range(1, len(tree)):
+            f = list(flows[tree.parents[v]])
+            f[eid[v]] += dirs[v]
+            flows.append(tuple(f))
+        rank = {t: i for i, t in enumerate(sorted(set(flows)))}
+        labels = [rank[t] for t in flows]
+        out.append(labels)
+    return out
+
+
+def same_partition(a, b):
+    pairs = set(zip(a, b))
+    return len(pairs) == len(set(a)) == len(set(b))
+
+
+def test_engine_partition_matches_tuple_reference(rng):
+    # label values are class ids in no set order: compare partitions only
+    cases = [[random_reduced_word(rng, n, 2)] for n in (19, 150, 700, 1499)]
+    for n in (10, 40, 300):
+        u = random_reduced_word(rng, n, 2)
+        v = random_reduced_word(rng, n // 3, 2)
+        cases.append([u, v, commutator(u, v)])
+    for words in cases:
+        tree = PrefixTree(words)
+        assert 20 <= len(tree) <= 1500
+        # the engine updates each node's flow from its parent's
+        assert all(p < v for v, p in enumerate(tree.parents) if v)
+        chain = SupportChain(tree, "det")
+        for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
+            assert same_partition(chain.labels_at(d).tolist(), ref), \
+                (len(tree), len(words), d)
+
+
+def test_randomized_labels_rank_fingerprint_distances(rng):
+    # refine_randomized and fingerprint draw the same anchors from a seed
+    for n in (1, 2, 3, 10, 100, 700):
+        for seed in range(3):
+            w = random_reduced_word(rng, n, 2)
+            for nu in (nu0(w), refine_deterministic(w, nu0(w))):
+                cand = refine_randomized(w, nu, random.Random(seed))
+                fp = fingerprint(w, nu, random.Random(seed))
+                rank = {x: i for i, x in enumerate(sorted(set(fp.d2)))}
+                assert list(cand.labels) == [rank[x] for x in fp.d2]
+
+
+def test_word_problem_exits_at_first_split_depth(monkeypatch):
+    # nonzero abelianization splits the end from the root at depth 1
+    built = []
+    labels_at = SupportChain.labels_at
+
+    def spy(self, depth):
+        built.append(depth)
+        return labels_at(self, depth)
+
+    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    w = parse("x1 x2 x1 X2") ** 500  # abelianization (1000, 0)
+    assert not word_problem(w, 2, 3)
+    assert max(built) == 1
+    for seed in range(20):
+        built.clear()
+        assert not word_problem(w, 2, 3, mode="mc", rng=random.Random(seed))
+        assert max(built) == 1

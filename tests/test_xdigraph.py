@@ -169,25 +169,54 @@ def test_fold_check_at_construction():
         XDigraph(3, 0, [(1, 0, 1), (2, 0, 1)])  # two x1-edges into 0
 
 
+def traced_words(g, r, max_len):
+    """Yield (letters, flow) for every nonempty reduced word over x1..xr
+    of length <= max_len that traces in g, by a DFS over g's steps.
+
+    A word traces iff all its prefixes do, so pruning at the first
+    untraceable letter visits exactly the traceable words.  Both yielded
+    lists are live state: read them before resuming.
+    """
+    letters: list[int] = []
+    flow = [0] * len(g.edges)
+
+    def walk(v):
+        for s in range(-r, r + 1):
+            if s == 0 or (letters and letters[-1] == -s):
+                continue
+            hit = g.step(v, s)
+            if hit is None:
+                continue
+            t, eid, d = hit
+            letters.append(s)
+            flow[eid] += d
+            yield letters, flow
+            if len(letters) < max_len:
+                yield from walk(t)
+            flow[eid] -= d
+            letters.pop()
+
+    yield from walk(g.root)
+
+
 def test_girth_and_zero_flow_words():
     # zero-flow nontrivial traceable words are at least three times the
     # shortest cycle: exhaustively over small graphs and |w| <= 9
     double_cycle = XDigraph(2, 0, [(0, 1, 1), (1, 0, 2), (0, 1, 3)])
     grid = quotient_by_labeling(prefix_tree([C]), abelianized_labels(C))
+    counts = []
     for g in (bouquet(2), double_cycle, grid):
         m = g.shortest_cycle()
         assert m is not None
-        for w in oracle.reduced_words(3, 9):
-            if len(w) == 0:
-                continue
-            tr = g.trace(w)
-            if tr is None:
-                continue
-            vals = {}
-            for eid, d in tr[1]:
-                vals[eid] = vals.get(eid, 0) + d
-            if all(v == 0 for v in vals.values()):
-                assert len(w) >= 3 * m, (w.serialize(), m)
+        traced = zero = 0
+        for letters, flow in traced_words(g, 3, 9):
+            traced += 1
+            if not any(flow):
+                zero += 1
+                assert len(letters) >= 3 * m, (letters, m)
+        counts.append((traced, zero))
+    # the same coverage as filtering all reduced rank-3 words of length <= 9
+    assert counts == [(39364, 360), (1533, 12), (18, 0)]
 
 
 def test_language_iota_recovers_prefix_tree(rng):
