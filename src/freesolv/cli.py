@@ -149,7 +149,10 @@ def cmd_conj(args) -> int:
 def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     """Seeded instance families used for the scaling table.
 
-    wp: one random reduced word of length n.
+    wp: a product of random words of F^(d-1) (of F^(1) for d <= 1), of
+      about n letters.  Its abelianization is zero, so for d >= 2 the
+      word problem does not stop at depth 1 and runs the refinement up
+      to depth d; a uniform random word splits at depth 1 almost surely.
     pow: u = v^2 c with |v| about n/3 and c a random word of F^(d), so
       u = v^2 in S_{r,d} while [u, v] is not freely trivial: the solver
       must certify k = 2 via the commutator word problem, the expensive
@@ -157,9 +160,15 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     conj: conjugate pair perturbed by a commutator: abelianizations match
       but the pair is generically not conjugate for d >= 2, so the shift
       loop runs in full.
+    All families need r >= 2: every commutator in rank 1 is trivial.
     """
+    if r < 2:
+        raise ValueError("bench instances need rank >= 2")
     if problem == "wp":
-        return (random_reduced_word(rng, n, r),)
+        w = Word((), rank=r, _reduced=True)
+        while len(w) < n:
+            w = w * random_trivial_word(rng, r, max(d - 1, 1))
+        return (w,)
     if problem == "pow":
         v = random_reduced_word(rng, max(1, n // 3), r)
         # F^(1) serves d = 0, where every word is trivial

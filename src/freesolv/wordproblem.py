@@ -5,14 +5,17 @@ labels mean equal group elements in S_{r,d}.  Starting from the constant
 labeling (depth 0, the trivial group), each refinement step
 
   1. numbers the edges of the quotient support graph at depth d-1,
-  2. walks the prefixes, maintaining the flow vector incrementally,
+  2. follows the prefixes, each one edge beyond its parent,
   3. groups the prefixes by their flow data,
 
 and the group ids are the labels at depth d.  The deterministic step
 gives each prefix flow a canonical id in a hash-consed persistent segment
-tree, so equal flows get equal ids exactly, at O(log m) work per prefix;
-the Monte Carlo step ranks exact squared distances to a random anchor
-point, trading a small one-sided error for vectorized integer work.
+tree, so equal flows get equal ids exactly, at O(log m) work per prefix.
+The Monte Carlo step ranks exact squared distances to a random anchor
+point, trading a small one-sided error for vectorized integer work: the
+distances are running sums along the root paths of the tree's words,
+split into 30-bit anchor limbs so that every sum is an exact int64 for
+any cube bound.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .words import Word
 from .xdigraph import PrefixTree
 
 DEFAULT_MAX_LEN = 1 << 20
+_LIMB = 30  # bits per anchor limb in Monte Carlo refinement
+_LIMB_MASK = (1 << _LIMB) - 1
 
 
 class LengthGuardError(ValueError):
@@ -92,36 +97,26 @@ class SupportChain:
         self._letters = np.array(tree.letters, dtype=np.int64)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._euler: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._paths: tuple[np.ndarray, np.ndarray] | None = None
         self.last_fingerprint: Fingerprint | None = None
         self.want_fingerprint = False
 
     # -- tree traversal ------------------------------------------------
 
     def _euler_tour(self):
-        """Steps (node, +-1) of a depth-first walk; +1 enters, -1 leaves."""
-        if self._euler is None:
-            kids = self.tree.children()
-            nodes: list[int] = []
-            downs: list[int] = []
-            entry = np.zeros(self.V, dtype=np.int64)
-            stack: list[tuple[int, bool]] = [(0, True)]
-            while stack:
-                v, entering = stack.pop()
-                if entering:
-                    if v:
-                        nodes.append(v)
-                        downs.append(1)
-                        entry[v] = len(nodes)  # index into 1-offset cumsums
-                    stack.append((v, False))
-                    for c in reversed(kids[v]):
-                        stack.append((c, True))
-                elif v:
-                    nodes.append(v)
-                    downs.append(-1)
-            self._euler = (np.array(nodes, dtype=np.int64),
-                           np.array(downs, dtype=np.int64), entry)
-        return self._euler
+        """Root paths of the tree's words, concatenated: (nodes, starts).
+
+        The name is historical; there is no tour any more.  Every node of
+        a PrefixTree is a prefix of one of its words, so these paths
+        cover the tree with down-steps only.  Path i, without its root,
+        is nodes[starts[i]:starts[i + 1]].
+        """
+        if self._paths is None:
+            paths = [np.array(p[1:], dtype=np.int64)
+                     for p in self.tree.word_nodes.values()]
+            starts = np.cumsum([0] + [len(p) for p in paths])
+            self._paths = (np.concatenate([starts[:0], *paths]), starts)
+        return self._paths
 
     # -- quotient edge numbering ----------------------------------------
 
@@ -229,78 +224,73 @@ class SupportChain:
     def _refine_mc(self, depth: int) -> np.ndarray:
         """Rank exact squared distances from a random anchor (one per node).
 
-        The running distance follows the +-(2|a|+1) single-component
-        update.  The vectorized path tracks the distance offset from its
-        start value in two 32-bit limbs (ranks ignore the shared start);
-        the plain path uses Python integers and also materializes the
-        Fingerprint.  Both produce identical labels for the same stream,
-        so the plain path runs only where the limbs could overflow or a
-        Fingerprint is asked for.
+        With f_v the flow of node v and a the anchor, m components drawn
+        uniformly from [0, B] in edge order,
+
+          |f_v - a|^2 - |a|^2 = |f_v|^2 - 2 sum_k 2^(30k) <f_v, a_k>,
+
+        where a_k are the K = ceil(bits(B)/30) limbs of 30 bits of a.
+        Along the root paths of _euler_tour each step moves one flow
+        component by +-1, so |f_v|^2 is the running sum of 2 s c + 1 (s
+        the step's sign, c the count its edge had before on the same
+        path) and <f_v, a_k> the running sum of s a_k[edge].  The sums
+        run over all S steps at once and take off each path's start: a
+        term is at most 2 S + 1 or 2^30 in size, so every partial sum and
+        every limb L_k of the difference stays below S (2 S + 1) + S 2^31,
+        an exact int64 while S < 2^30 (below 2^52 for one word under the
+        2^20 length guard).  Carries bring L_0..L_{K-2} into [0, 2^30);
+        then one lexsort of the limbs, top limb first, ranks the exact
+        distances.  The Fingerprint is |a|^2 + sum_k L_k 2^(30k), in
+        Python integers.
         """
         m, eid, dirs = self.numbering_at(depth)
         B = self.cube_bound
-        if B > (1 << 59) or self.want_fingerprint:
-            return self._mc_python(m, eid, dirs, B)
-        return self._mc_vectorized(m, eid, dirs, B)
-
-    def _mc_python(self, m, eid, dirs, B) -> np.ndarray:
         rng = self.rng
         anchor = [rng.randrange(B + 1) for _ in range(m)]
-        rel = [-a for a in anchor]  # flow minus anchor, flow starts at zero
-        d2 = sum(a * a for a in anchor)
-        out: list[int] = [0] * self.V
-        out[0] = d2
-        nodes, downs, _ = self._euler_tour()
-        eid_l, dirs_l = eid.tolist(), dirs.tolist()
-        for v, down in zip(nodes.tolist(), downs.tolist()):
-            j = eid_l[v]
-            delta = dirs_l[v] * down
-            old = rel[j]
-            rel[j] = old + delta
-            d2 += 2 * old * delta + 1
-            if down > 0:
-                out[v] = d2
-        self.last_fingerprint = Fingerprint(tuple(anchor), tuple(out), B)
-        rank = {x: i for i, x in enumerate(sorted(set(out)))}
-        return np.array([rank[x] for x in out], dtype=np.int64)
-
-    def _mc_vectorized(self, m, eid, dirs, B) -> np.ndarray:
-        nodes, downs, entry = self._euler_tour()
-        S = len(nodes)
-        rng = self.rng
-        anchor = np.array([rng.randrange(B + 1) for _ in range(m)],
-                          dtype=np.int64)
+        K = max(1, -(-B.bit_length() // _LIMB))
+        nodes, starts = self._euler_tour()
+        lens = np.diff(starts)
         step_eid = eid[nodes]
-        step_dir = dirs[nodes] * downs
-        order = np.argsort(step_eid, kind="stable")
-        se = step_eid[order]
-        sd = step_dir[order]
-        # exclusive per-edge traversal counts before each step
-        incl = np.cumsum(sd)
-        excl = incl - sd
-        starts = np.searchsorted(se, np.arange(m + 1))
-        sizes = np.diff(starts)
-        base = np.repeat(excl[starts[:-1]], sizes)
-        pre = excl - base
-        rel_before = pre - anchor[se]
-        delta_sorted = 2 * sd * rel_before + 1
-        delta = np.empty(S, dtype=np.int64)
-        delta[order] = delta_sorted
-        # two-limb exact cumulative sums: |delta| <= 2(B + S) + 1 < 2^61
-        hi = delta >> 32
-        lo = delta & 0xFFFFFFFF
-        chi = np.concatenate(([0], np.cumsum(hi)))
-        clo = np.concatenate(([0], np.cumsum(lo)))
-        hi_at = chi[entry] + (clo[entry] >> 32)
-        lo_at = clo[entry] & 0xFFFFFFFF
-        order2 = np.lexsort((lo_at, hi_at))
-        h_s, l_s = hi_at[order2], lo_at[order2]
-        neq = (h_s[1:] != h_s[:-1]) | (l_s[1:] != l_s[:-1])
-        ranks = np.empty(self.V, dtype=np.int64)
-        ranks[0] = 0
-        np.cumsum(neq, out=ranks[1:])
+        sd = dirs[nodes]
+        # exclusive count of each step's edge before it on the same path
+        key = np.repeat(np.arange(len(lens)), lens) * m + step_eid
+        by_edge = np.argsort(key, kind="stable")
+        ks, sds = key[by_edge], sd[by_edge]
+        excl = np.cumsum(sds) - sds
+        first = np.flatnonzero(np.diff(ks, prepend=-1))  # keys are >= 0
+        pre = np.empty(len(nodes), dtype=np.int64)
+        pre[by_edge] = excl - np.repeat(excl[first],
+                                      np.diff(np.append(first, len(ks))))
+
+        def path_sums(terms):
+            total = np.cumsum(terms)
+            before = np.concatenate(([0], total))[starts[:-1]]
+            return total - np.repeat(before, lens)
+
+        limbs = np.zeros((K, len(nodes)), dtype=np.int64)
+        limbs[0] = path_sums(2 * sd * pre + 1)
+        for k in range(K):
+            a_k = np.array([(a >> (_LIMB * k)) & _LIMB_MASK for a in anchor],
+                           dtype=np.int64)
+            limbs[k] -= 2 * path_sums(sd * a_k[step_eid])
+        for k in range(K - 1):
+            carry = limbs[k] >> _LIMB
+            limbs[k] &= _LIMB_MASK
+            limbs[k + 1] += carry
+        at = np.zeros((K, self.V), dtype=np.int64)  # the root sits at 0
+        at[:, nodes] = limbs
+        if self.want_fingerprint:
+            a2 = sum(a * a for a in anchor)
+            d2 = tuple(a2 + sum(x << (_LIMB * k)
+                                for k, x in enumerate(col))
+                       for col in at.T.tolist())
+            self.last_fingerprint = Fingerprint(tuple(anchor), d2, B)
+        order = np.lexsort(at)  # the last row, the top limb, sorts first
+        srt = at[:, order]
+        ranks = np.zeros(self.V, dtype=np.int64)
+        np.cumsum(np.any(srt[:, 1:] != srt[:, :-1], axis=0), out=ranks[1:])
         labels = np.empty(self.V, dtype=np.int64)
-        labels[order2] = ranks
+        labels[order] = ranks
         return labels
 
 

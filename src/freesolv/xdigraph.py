@@ -172,7 +172,8 @@ class PrefixTree:
     def __init__(self, words: Iterable[Word] = ()):
         self.parents: list[int] = [-1]
         self.letters: list[int] = [0]
-        self._child: dict[tuple[int, int], int] = {}
+        # (parent, letter) -> child, built on the first add_word
+        self._child: dict[tuple[int, int], int] | None = None
         self.word_nodes: dict[tuple[int, ...], list[int]] = {}
         self._graph: XDigraph | None = None
         words = list(words)
@@ -182,7 +183,6 @@ class PrefixTree:
             n = len(w)
             self.parents = list(range(-1, n))
             self.letters = [0] + list(w.letters)
-            self._child = {(i, s): i + 1 for i, s in enumerate(w.letters)}
             self.word_nodes[tuple(w.letters)] = list(range(n + 1))
         else:
             for w in words:
@@ -197,6 +197,9 @@ class PrefixTree:
         got = self.word_nodes.get(key)
         if got is not None:
             return got
+        if self._child is None:
+            self._child = {(p, s): v for v, (p, s) in
+                           enumerate(zip(self.parents, self.letters)) if v}
         node = 0
         path = [0]
         for s in w.letters:

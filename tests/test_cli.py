@@ -7,6 +7,7 @@ from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
 from freesolv.power import power_solve
 from freesolv.words import commutator
+from freesolv.wordproblem import SupportChain, word_problem
 
 
 def run(capsys, *argv):
@@ -111,6 +112,33 @@ def test_bench_pow_reaches_commutator_check():
                 assert len(commutator(u, v)) > 0, (n, d, seed)
                 if n <= 48:
                     assert power_solve(u, v, 2, d).k == 2, (n, d, seed)
+
+
+def test_bench_wp_reaches_depth_d(monkeypatch):
+    # words of F^(d-1) do not split at depth 1: the timed solve refines
+    # all the way to depth d
+    built = []
+    labels_at = SupportChain.labels_at
+
+    def spy(self, depth):
+        built.append(depth)
+        return labels_at(self, depth)
+
+    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    for n in (64, 500, 3000):
+        for d in (2, 3):
+            for seed in range(3):
+                (w,) = bench_instance("wp", n, 2, d, Random(seed))
+                # one factor of F^(2) has at most 108 letters
+                assert n <= len(w) < n + 110, (n, d, seed)
+                built.clear()
+                word_problem(w, 2, d)
+                assert max(built) == d, (n, d, seed)
+
+
+def test_bench_rejects_rank_one(capsys):
+    code, _, err = run(capsys, "bench", "wp", "64", "--rank", "1")
+    assert code == EXIT_USAGE and "rank" in err
 
 
 def test_bench_rejects_unsorted(capsys):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesolv import oracle
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
@@ -250,3 +251,74 @@ def test_word_problem_exits_at_first_split_depth(monkeypatch):
         built.clear()
         assert not word_problem(w, 2, 3, mode="mc", rng=random.Random(seed))
         assert max(built) == 1
+
+
+def root_path(tree, v):
+    path = [v]
+    while v:
+        v = tree.parents[v]
+        path.append(v)
+    return path[::-1]
+
+
+def mc_reference_trees(rng):
+    """(u, v, [u,v]) trees and 1-3 words that share a random prefix."""
+    cases = []
+    for n in (4, 40, 90):
+        u = random_reduced_word(rng, n, 2)
+        v = random_reduced_word(rng, max(1, n // 3), 2)
+        cases.append([u, v, commutator(u, v)])
+    for k in (1, 2, 3):
+        for _ in range(2):
+            p = random_reduced_word(rng, rng.randrange(0, 20), 2)
+            cases.append([p * random_reduced_word(rng, rng.randrange(1, 80), 2)
+                          for _ in range(k)])
+    return cases
+
+
+def test_mc_labels_rank_direct_distances_across_limb_counts(rng):
+    # B = 1 .. 2^100 runs the engine on 1, 2, 3 and 4 limbs of 30 bits
+    for words in mc_reference_trees(rng):
+        tree = PrefixTree(words)
+        V = len(tree)
+        # the engine walks only the word paths: they must cover the tree
+        assert {v for p in tree.word_nodes.values() for v in p} == \
+            set(range(V))
+        paths = [root_path(tree, v) for v in range(V)]
+        for B in (1, V ** 3, 2 ** 59 + 7, 2 ** 75 + 1, 2 ** 100):
+            seed = B % 1009
+            chain = SupportChain(tree, "mc", rng=random.Random(seed),
+                                 cube_bound=B)
+            redraw = random.Random(seed)
+            for d in (1, 2):
+                labels = chain.labels_at(d).tolist()
+                m = chain.numbering_at(d - 1)[0]
+                anchor = [redraw.randrange(B + 1) for _ in range(m)]
+                d2 = [sum((x - a) ** 2 for x, a in
+                          zip(chain.flow_vector(d - 1, path).tolist(), anchor))
+                      for path in paths]
+                rank = {x: i for i, x in enumerate(sorted(set(d2)))}
+                assert labels == [rank[x] for x in d2], (V, B, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+       bound=st.sampled_from([1, None, 2 ** 100]))
+def test_mc_never_rejects_trivial_words(seed, d, bound):
+    # one-sided error at every limb count: B = 1, |w|^3 and 2^100
+    w = random_trivial_word(random.Random(seed), 2, d)
+    assert word_problem(w, 2, d, mode="mc", rng=random.Random(seed),
+                        cube_bound=bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       lengths=st.lists(st.integers(0, 120), min_size=1, max_size=3),
+       bound=st.sampled_from([1, 1000, 2 ** 59 + 7, 2 ** 100]))
+def test_mc_labels_repeat_for_a_seed(seed, lengths, bound):
+    g = random.Random(seed)
+    tree = PrefixTree([random_reduced_word(g, n, 2) for n in lengths])
+    runs = [SupportChain(tree, "mc", rng=random.Random(seed), cube_bound=bound)
+            for _ in range(2)]
+    for d in (1, 2, 3):
+        assert runs[0].labels_at(d).tolist() == runs[1].labels_at(d).tolist()

@@ -43,6 +43,21 @@ def test_prefix_tree():
     assert t3.diameter() <= 3 * (len(u) + len(v))
 
 
+def test_add_word_after_single_word_tree(rng):
+    # a one-word tree builds its child index only when a word is added
+    for _ in range(30):
+        w = random_reduced_word(rng, rng.randrange(0, 40), 2)
+        x = w.prefix(rng.randrange(0, len(w) + 1)) * \
+            random_reduced_word(rng, rng.randrange(0, 20), 2)
+        grown = PrefixTree([w])
+        path = grown.add_word(x)
+        both = PrefixTree([w, x])
+        assert grown.parents == both.parents
+        assert grown.letters == both.letters
+        assert grown.word_nodes == both.word_nodes
+        assert path == both.word_nodes[tuple(x.letters)]
+
+
 def test_quotient_constant_labels_gives_bouquet():
     w = parse("x1 x2 X1 X2")
     t = prefix_tree([w])
