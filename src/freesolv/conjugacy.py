@@ -2,7 +2,8 @@
 
 Two nontrivial words are conjugate exactly when some shift gamma of x
 defines the same flow as y on the coset graph of <y> in S_{r,d-1}.  The
-solver builds that coset graph lazily, identifying cosets through the
+solver builds that coset graph lazily, identifying cosets by their image
+in Z^r / Z ab(y) (exact for d <= 2) and, for d >= 3, through the
 cyclic-membership solver, and scans the |x|+1 shifts gamma = y_i x'^{-1}.
 
 A positive answer also carries a verified witness.  The shift that
@@ -48,10 +49,12 @@ def _exponent_vector(w: Word, r: int) -> tuple[int, ...]:
 class SchreierSupport:
     """Lazily built support of traced words in the coset graph of <y>.
 
-    Vertices are right cosets <y>g in S_{r,d-1}, found by membership tests
-    g q^-1 in <y>; candidates are prefiltered by the coset invariant in
-    Z^r / Z ab(y), which is necessary for membership.  Tracing follows
-    existing edges for free and only runs memberships on missing ones.
+    Vertices are right cosets <y>g in S_{r,d-1}, keyed by their image in
+    Z^r / Z ab(y).  Equal keys are necessary for equal cosets at every
+    depth and exact at depth d-1 <= 1, where that quotient is S_{r,d-1}/<y>
+    itself; deeper, a bucket's candidates q are told apart by membership
+    tests g q^-1 in <y>.  Tracing follows existing edges for free and only
+    locates cosets on missing ones.
     """
 
     def __init__(self, y: Word, r: int, d: int, mode: str = "det", rng=None,
@@ -80,8 +83,9 @@ class SchreierSupport:
     # -- coset bookkeeping -------------------------------------------------
 
     def _bucket_key(self, letters: tuple[int, ...]) -> tuple:
-        """Canonical image in Z^r / Z ab(y); equal keys are necessary for
-        equal cosets at every depth."""
+        """Canonical image in Z^r / Z ab(y), or () at depth 0; equal keys
+        are necessary for equal cosets at every depth and sufficient at
+        depth <= 1."""
         if self.depth == 0:
             return ()
         vec = [0] * self.r
@@ -94,10 +98,9 @@ class SchreierSupport:
 
     def _locate_or_add(self, letters: tuple[int, ...]) -> int:
         """Vertex of the coset <y> * letters, creating it if unseen."""
-        if self.depth == 0:
-            return 0
-        key = self._bucket_key(letters)
-        bucket = self.buckets.setdefault(key, [])
+        bucket = self.buckets.setdefault(self._bucket_key(letters), [])
+        if bucket and self.depth <= 1:
+            return bucket[0]  # the key is the coset itself
         hits = []
         for q in bucket:
             gq = Word(concat_reduced(letters,

@@ -1,10 +1,13 @@
 """The power problem u = v^k in S_{r,d}, and cyclic-subgroup membership.
 
 The algorithm compares triviality depths s, t of u and v (the largest
-class where each dies), settles the degenerate orderings outright, and in
-the remaining case s = t < d reads the only possible exponent k off the
-flows of u and v on the common support graph at depth s, then certifies
-it through the commutator test backed by Malcev's centralizer theorem.
+class where each dies, probed no deeper than d, since only min(s, d) is
+read), settles the degenerate orderings outright, and in the remaining
+case s = t < d reads the only possible exponent k off the flows of u and v
+on the common support graph at depth s.  At s = d-1 both words lie in the
+abelian group F^(d-1)/F^(d), so the flows decide alone; for s < d-1 the
+exponent is certified through the commutator test backed by Malcev's
+centralizer theorem.
 """
 
 from __future__ import annotations
@@ -89,12 +92,12 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 9 * n ** 3
-    D = 1 + min(d, _log3_floor(n))
-    tree = PrefixTree([u, v, commutator(u, v)])
+    D = min(d, 1 + _log3_floor(n))
+    tree = PrefixTree([u, v])
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
     u_nodes = tree.word_nodes[tuple(u.letters)]
     v_nodes = tree.word_nodes[tuple(v.letters)]
-    # the cap D never truncates a nonempty word's triviality depth
+    # below d the cap D never truncates a nonempty word's triviality depth
     # (|w| >= 3^s forces s <= log3 |w| < D); the empty word dies at every
     # depth, so clamp its depth to d directly
     s = d if len(u) == 0 else _first_nontrivial_depth(chain, u_nodes[-1], len(u), D)
@@ -120,10 +123,11 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     q, rem = divmod(int(pu[e]), int(pv[e]))
     if rem != 0:
         return FAIL
+    if s == d - 1:
+        # u, v lie in the abelian F^(d-1)/F^(d): [u, v] = 1, flows decide
+        return PowerResult(q) if np.array_equal(pu, q * pv) else FAIL
     if not word_problem(commutator(u, v), r, d, mode=mode, rng=rng,
                         cube_bound=B):
-        return FAIL
-    if s == d - 1 and not np.array_equal(pu, q * pv):
         return FAIL
     return PowerResult(q)
 

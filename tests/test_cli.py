@@ -5,6 +5,7 @@ import pytest
 
 from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
+from freesolv.conjugacy import SchreierSupport, conjugacy_solve
 from freesolv.power import power_solve
 from freesolv.words import commutator
 from freesolv.wordproblem import SupportChain, word_problem
@@ -148,3 +149,22 @@ def test_bench_rejects_unsorted(capsys):
 
 def test_selftest_small():
     assert run_selftest(max_len=4, verbose=False) == 0
+
+
+def test_bench_conj_no_scans_every_shift(monkeypatch):
+    # the perturbed pairs are not conjugate, so the solve traces y once
+    # and then all |x|+1 shifts
+    traces = []
+    trace = SchreierSupport.trace
+
+    def spy(self, w):
+        traces.append(w)
+        return trace(self, w)
+
+    monkeypatch.setattr(SchreierSupport, "trace", spy)
+    for n in (24, 60, 120):
+        for seed in range(5):
+            x, y = bench_instance("conj", n, 2, 2, Random(seed))
+            traces.clear()
+            assert not conjugacy_solve(x, y, 2, 2).conjugate, (n, seed)
+            assert len(traces) == len(x) + 2, (n, seed)

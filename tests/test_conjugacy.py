@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import conjugation_verified, trivial_long
-from freesolv import oracle
+from freesolv import conjugacy, oracle
 from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
                                 conjugacy_solve, schreier_support)
+from freesolv.power import power_solve
 from freesolv.words import Word, commutator, parse, random_reduced_word
 from freesolv.wordproblem import word_problem
 
@@ -166,3 +168,120 @@ def test_mc_seed_determinism():
                             rng=random.Random(3)).witness.letters
             for _ in range(3)}
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_schreier_partition_is_exact_membership(monkeypatch, rng, d):
+    # the coset key decides alone at depth d-1 = 1; at depth 2 the
+    # membership loop still separates the cosets inside one key
+    calls = []
+    member = conjugacy.member_of_cyclic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return member(*args, **kwargs)
+
+    monkeypatch.setattr(conjugacy, "member_of_cyclic", counting)
+    checked = 0
+    for _ in range(6 if d == 2 else 3):
+        y = random_reduced_word(rng, rng.randrange(1, 5), 2)
+        extra = [random_reduced_word(rng, rng.randrange(1, 6), 2)
+                 for _ in range(2)]
+        if d == 3:
+            extra.append(C)  # in F^(1): shares the key of the root coset
+        calls.clear()
+        sup = schreier_support(y, extra, r=2, d=d)
+        if d == 2:
+            assert not calls
+        prefixes = []
+        for w in (y, *extra):
+            path = sup.coset_path(w)
+            prefixes += [(Word(w.letters[:i], rank=2), path[i])
+                         for i in range(len(w) + 1)]
+        for (p, a), (q, b) in itertools.combinations(prefixes, 2):
+            same = power_solve(p * ~q, y, 2, d - 1, mode="det").found
+            assert same == (a == b), (y.serialize(), p.serialize(),
+                                      q.serialize())
+            checked += 1
+        if d == 3:
+            assert calls
+    assert checked > 100
+
+
+# -- an independent certificate for "No": Z_3 wr Z_4 -----------------------
+#
+# Elements (f, a) with f in Z_3^4 and a in Z_4 multiply as
+# (f, a)(g, b) = (f + a.g, a + b), where a.g shifts the coordinates of g
+# by a.  The group is metabelian, so every homomorphism F -> Z_3 wr Z_4
+# factors through S_{r,2} and through each S_{r,d} with d >= 2: if the
+# images of x and y are not conjugate, neither are x and y.
+
+def _wr_mul(g, h):
+    (f, a), (e, b) = g, h
+    return tuple((f[i] + e[(i - a) % 4]) % 3 for i in range(4)), (a + b) % 4
+
+
+def _wr_inv(g):
+    f, a = g
+    return tuple(-f[(i + a) % 4] % 3 for i in range(4)), -a % 4
+
+
+_WR = [(f, a) for f in itertools.product(range(3), repeat=4)
+       for a in range(4)]
+
+
+def _wr_image(w, images):
+    out = ((0, 0, 0, 0), 0)
+    for s in w.letters:
+        g = images[abs(s) - 1]
+        out = _wr_mul(out, g if s > 0 else _wr_inv(g))
+    return out
+
+
+def _wr_not_conjugate(x, y, images) -> bool:
+    X, Y = _wr_image(x, images), _wr_image(y, images)
+    return all(_wr_mul(_wr_mul(g, X), _wr_inv(g)) != Y for g in _WR)
+
+
+def test_wreath_group_laws(rng):
+    one = ((0, 0, 0, 0), 0)
+    for _ in range(200):
+        g, h, k = (rng.choice(_WR) for _ in range(3))
+        assert _wr_mul(_wr_mul(g, h), k) == _wr_mul(g, _wr_mul(h, k))
+        assert _wr_mul(g, _wr_inv(g)) == one == _wr_mul(_wr_inv(g), g)
+        # metabelian: commutators commute
+        c1 = _wr_image(C, (g, h))
+        c2 = _wr_image(C, (k, g))
+        assert _wr_mul(c1, c2) == _wr_mul(c2, c1)
+
+
+def test_no_answers_certified_in_wreath_product(rng):
+    maps = [tuple(rng.choice(_WR) for _ in range(2)) for _ in range(24)]
+    certified = yes = no = 0
+    for trial in range(300):
+        x = random_reduced_word(rng, rng.randrange(1, 13), 2)
+        kind = trial % 3
+        if kind == 0:  # a conjugate, then perturbed by a commutator
+            z = random_reduced_word(rng, rng.randrange(0, 5), 2)
+            a = random_reduced_word(rng, rng.randrange(1, 3), 2)
+            b = random_reduced_word(rng, rng.randrange(1, 3), 2)
+            y = z * x * ~z * commutator(a, b)
+        elif kind == 1:  # the letters of x in another order
+            letters = list(x.letters)
+            rng.shuffle(letters)
+            y = Word(letters, rank=2)
+        else:  # a plain conjugate
+            z = random_reduced_word(rng, rng.randrange(0, 6), 2)
+            y = z * x * ~z
+        if oracle.is_trivial(y, 2, 2):
+            continue
+        res = conjugacy_solve(x, y, 2, 2)
+        if any(_wr_not_conjugate(x, y, m) for m in maps):
+            certified += 1
+            assert not res.conjugate, (x.serialize(), y.serialize())
+        if res.conjugate:
+            yes += 1
+            assert conjugation_verified(res.witness, x, y, 2, 2)
+        else:
+            no += 1
+    assert certified >= 80 and yes >= 100, (certified, yes, no)

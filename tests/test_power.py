@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from freesolv import oracle
+from conftest import form_long, trivial_long
+from freesolv import oracle, power
 from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve, \
     triviality_depth
-from freesolv.words import Word, commutator, parse, random_reduced_word
+from freesolv.wordproblem import SupportChain
+from freesolv.words import Word, commutator, parse, random_reduced_word, \
+    random_trivial_word
 
 C = commutator(parse("x1"), parse("x2"))
 BIG = commutator(commutator(parse("x1"), parse("x2")),
@@ -108,3 +111,77 @@ def test_mc_on_power_instances(rng):
         res = power_solve(u, v, 2, 2, mode="mc", rng=random.Random(trial))
         hits += (res == PowerResult(3))
     assert hits >= 90
+
+
+def _module_ratio(u: Word, v: Word, r: int, d: int) -> int | None:
+    """The m with u = v^m in S_{r,d}, for u, v in F^(d-1) and v != 1 there.
+
+    Their Magnus forms have trivial base, and the module parts add up under
+    multiplication (F^(d-1)/F^(d) is free abelian), so m is a ratio of
+    module rows, or there is none.
+    """
+    fu, fv = form_long(u, r, d), form_long(v, r, d)
+    assert fu.base.is_identity() and fv.base.is_identity()
+    mu, mv = dict(fu.module), dict(fv.module)
+    g, row = next(iter(mv.items()))
+    i = next(j for j, c in enumerate(row) if c)
+    m, rem = divmod(mu.get(g, (0,) * r)[i], row[i])
+    scaled = {h: tuple(m * c for c in rw) for h, rw in mv.items() if m}
+    return m if not rem and scaled == mu else None
+
+
+def test_probes_stop_at_d_and_top_layer_needs_no_commutator(monkeypatch, rng):
+    built = []
+    labels_at = SupportChain.labels_at
+
+    def spy(self, depth):
+        built.append(depth)
+        return labels_at(self, depth)
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("commutator check ran inside F^(d-1)/F^(d)")
+
+    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    # words of F^(d) long enough (>= 3^(d+1) letters) for a probe at d+1
+    for d in (1, 2):
+        for _ in range(6):
+            w = random_trivial_word(rng, 2, d)
+            while len(w) < 3 ** (d + 1):
+                w = w * random_trivial_word(rng, 2, d)
+            v = random_reduced_word(rng, rng.randrange(1, 9), 2)
+            for a, b, want in ((w, v, PowerResult(0)), (v, w, FAIL),
+                               (w, w * w, PowerResult(1))):
+                built.clear()
+                assert power_solve(a, b, 2, d) == want
+                assert max(built, default=0) <= d, (d, len(w))
+
+    # s = t = d-1: v = c and u = c^k c' with c, c' in F^(d-1)
+    monkeypatch.setattr(power, "word_problem", no_check)
+    outcomes = set()
+    for d in (2, 3):
+        for trial in range(12):
+            c = random_trivial_word(rng, 2, d - 1, conjugator_len=1,
+                                    factors=1)
+            if trivial_long(c, 2, d):
+                continue
+            k = rng.randrange(-2, 3)
+            kind = trial % 3
+            if kind == 0:  # c' in F^(d): u = c^k
+                c2 = random_trivial_word(rng, 2, d, conjugator_len=1,
+                                         factors=1)
+            elif kind == 1:  # c' a power of c
+                c2 = c ** rng.randrange(-2, 3)
+            else:  # generic c'
+                c2 = random_trivial_word(rng, 2, d - 1, conjugator_len=1,
+                                         factors=1)
+            u = c ** k * c2
+            built.clear()
+            res = power_solve(u, c, 2, d)
+            assert max(built, default=0) <= d
+            assert res.k == _module_ratio(u, c, 2, d), (d, trial)
+            if res.found:
+                assert trivial_long(u * c ** -res.k, 2, d)
+            else:
+                assert not trivial_long(u * c ** -k, 2, d)
+            outcomes.add((d, res.found))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
