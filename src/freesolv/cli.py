@@ -103,11 +103,9 @@ def cmd_pow(args) -> int:
     r = cfg.rank if cfg.rank is not None else max(u.rank, v.rank)
     rng = Random(cfg.seed)
     n = len(u) + len(v)
-    if n >= cfg.max_len:
-        raise LengthGuardError(f"|u|+|v| = {n} exceeds guard {cfg.max_len}")
     t0 = time.perf_counter()
     results = [power_solve(u, v, r, cfg.degree, mode=cfg.mode, rng=rng,
-                           cube_bound=cfg.cube_bound(n))
+                           cube_bound=cfg.cube_bound(n), max_len=cfg.max_len)
                for _ in range(cfg.trials)]
     res = max(set(results), key=results.count)  # majority across trials
     elapsed = (time.perf_counter() - t0) * 1000

@@ -39,11 +39,27 @@ class ConjugacyResult:
 NO = ConjugacyResult(False, None)
 
 
-def _exponent_vector(w: Word, r: int) -> tuple[int, ...]:
+def _exponent_vector(letters: tuple[int, ...], r: int) -> tuple[int, ...]:
     vec = [0] * r
-    for s in w.letters:
+    for s in letters:
         vec[abs(s) - 1] += 1 if s > 0 else -1
     return tuple(vec)
+
+
+def _ab_height(word_ab, rep_ab, ab_y) -> int | None:
+    """Exponent j with word = y^j * rep in S_{r,1} = Z^r, or None if none.
+
+    That is ab(word) - ab(rep) = j ab(y).  With ab(y) = 0 it is 1 when the
+    difference vanishes and None otherwise, as power_solve reports then.
+    """
+    diff = [a - b for a, b in zip(word_ab, rep_ab)]
+    pivot = next((i for i, c in enumerate(ab_y) if c), None)
+    if pivot is None:
+        return None if any(diff) else 1
+    j, rem = divmod(diff[pivot], ab_y[pivot])
+    if rem or any(a != j * c for a, c in zip(diff, ab_y)):
+        return None
+    return j
 
 
 class SchreierSupport:
@@ -70,7 +86,7 @@ class SchreierSupport:
         self.memo: dict = {}
         self.reps: list[tuple[int, ...]] = [()]
         self.out: dict[tuple[int, int], int] = {}
-        self._ab_y = _exponent_vector(y, r)
+        self._ab_y = _exponent_vector(y.letters, r)
         self._pivot = next((i for i, c in enumerate(self._ab_y) if c), None)
         self.buckets: dict[tuple, list[int]] = {self._bucket_key(()): [0]}
         self.y_path, self.y_flow = self.trace(y)
@@ -88,9 +104,7 @@ class SchreierSupport:
         depth <= 1."""
         if self.depth == 0:
             return ()
-        vec = [0] * self.r
-        for s in letters:
-            vec[abs(s) - 1] += 1 if s > 0 else -1
+        vec = _exponent_vector(letters, self.r)
         if self._pivot is not None:
             k = vec[self._pivot] // self._ab_y[self._pivot]
             vec = [a - k * b for a, b in zip(vec, self._ab_y)]
@@ -193,7 +207,8 @@ def _height(word_letters: tuple[int, ...], rep: tuple[int, ...], y: Word,
     """Exponent j with word = y^j * rep in S_{r,depth}, or None if none.
 
     Exact at every depth via the power solver; heights are unique because
-    free solvable groups are torsion free.
+    free solvable groups are torsion free.  Witness repair calls it at
+    depth >= 2 only: _ab_height gives depth 1 in closed form.
     """
     key = (word_letters, rep)
     if key in memo:
@@ -225,14 +240,28 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         return None  # depth-0 repairs never arise: gamma already verifies
     w = gamma * x * ~gamma
     memo: dict = {}
+    ab_y = _exponent_vector(y.letters, r)
+    rep_ab: dict[int, tuple[int, ...]] = {}
+
+    def ab_height(word_ab, v: int) -> int | None:
+        if v not in rep_ab:
+            rep_ab[v] = _exponent_vector(sup.reps[v], r)
+        return _ab_height(word_ab, rep_ab[v], ab_y)
 
     def cayley_flow(u: Word) -> dict[tuple[int, int, int], int] | None:
         """Flow of u on Cay(S_{r,depth}) keyed (coset, height, letter)."""
         path, _ = sup.trace(u)
         heights = []
+        ab = [0] * r  # exponent vector of the prefix, built incrementally
         for i in range(len(u) + 1):
-            p = tuple(u.letters[:i])
-            j = _height(p, sup.reps[path[i]], y, r, depth, memo)
+            if depth == 1:
+                if i:
+                    s = u.letters[i - 1]
+                    ab[abs(s) - 1] += 1 if s > 0 else -1
+                j = ab_height(ab, path[i])
+            else:
+                j = _height(tuple(u.letters[:i]), sup.reps[path[i]], y, r,
+                            depth, memo)
             if j is None:
                 return None  # coset bookkeeping was wrong (Monte Carlo noise)
             heights.append(j)
@@ -284,8 +313,11 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         # per-edge height shift: rep(v) * x_c = y^shift * rep(v') exactly
         def edge_target(v: int, c: int) -> tuple[int, int] | None:
             vv = sup._step(v, c)
-            j = _height(concat_reduced(sup.reps[v], (c,)), sup.reps[vv],
-                        y, r, depth, memo)
+            if depth == 1:
+                j = ab_height(_exponent_vector(sup.reps[v] + (c,), r), vv)
+            else:
+                j = _height(concat_reduced(sup.reps[v], (c,)), sup.reps[vv],
+                            y, r, depth, memo)
             return None if j is None else (vv, j)
 
         shifts: dict[tuple[int, int], tuple[int, int]] = {}
@@ -369,15 +401,18 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
-    xt = word_problem(x, r, d, mode=mode, rng=rng, cube_bound=B)
-    yt = word_problem(y, r, d, mode=mode, rng=rng, cube_bound=B)
-    if xt and yt:
-        return ConjugacyResult(True, Word((), rank=r, _reduced=True))
-    if xt or yt:
-        return NO
-    if _exponent_vector(x, r) != _exponent_vector(y, r):
+    ab = _exponent_vector(x.letters, r)
+    if ab != _exponent_vector(y.letters, r):
         # conjugation-invariant in the abelianization, so never conjugate
         return NO
+    if not any(ab):
+        # a nonzero abelianization is nontrivial at every depth d >= 1
+        xt = word_problem(x, r, d, mode=mode, rng=rng, cube_bound=B)
+        yt = word_problem(y, r, d, mode=mode, rng=rng, cube_bound=B)
+        if xt and yt:
+            return ConjugacyResult(True, Word((), rank=r, _reduced=True))
+        if xt or yt:
+            return NO
 
     attempts = _MC_RETRIES if mode == "mc" else 1
     last_conflict: Exception | None = None

@@ -18,7 +18,8 @@ import numpy as np
 
 from .words import Word, commutator
 from .xdigraph import PrefixTree
-from .wordproblem import SupportChain, word_problem
+from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
+                          word_problem)
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,22 @@ def triviality_depth(w: Word, r: int, cap: int, mode: str = "det", rng=None,
 
 
 def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
-                rng=None, cube_bound: int | None = None) -> PowerResult:
+                rng=None, cube_bound: int | None = None,
+                max_len: int = DEFAULT_MAX_LEN) -> PowerResult:
     """Find k with u = v^k in S_{r,d}, or Fail if there is none.
 
     Deterministic mode is exact.  Monte Carlo mode is unbiased (errors
     both ways are possible) with success probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default anchor cube
-    [0, 9(|u|+|v|)^3].
+    [0, 9(|u|+|v|)^3].  Raises LengthGuardError when |u|+|v| >= max_len,
+    like word_problem; the guard also keeps the packed (range, position)
+    sort keys of the refinement engines far below 2^63.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
     n = len(u) + len(v)
+    if n >= max_len:
+        raise LengthGuardError(f"|u|+|v| = {n} exceeds guard {max_len}")
     if n == 0:
         return PowerResult(1)  # d <= s, t vacuously: both words die everywhere
     B = None
@@ -127,7 +133,7 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
         # u, v lie in the abelian F^(d-1)/F^(d): [u, v] = 1, flows decide
         return PowerResult(q) if np.array_equal(pu, q * pv) else FAIL
     if not word_problem(commutator(u, v), r, d, mode=mode, rng=rng,
-                        cube_bound=B):
+                        cube_bound=B, max_len=2 * max_len):
         return FAIL
     return PowerResult(q)
 

@@ -9,13 +9,13 @@ labeling (depth 0, the trivial group), each refinement step
   3. groups the prefixes by their flow data,
 
 and the group ids are the labels at depth d.  The deterministic step
-gives each prefix flow a canonical id in a hash-consed persistent segment
-tree, so equal flows get equal ids exactly, at O(log m) work per prefix.
+gives each prefix flow a canonical id in a hash-consed segment tree,
+built one level at a time for all steps of the root paths of the tree's
+words at once, so equal flows get equal ids exactly, with no hashing.
 The Monte Carlo step ranks exact squared distances to a random anchor
 point, trading a small one-sided error for vectorized integer work: the
-distances are running sums along the root paths of the tree's words,
-split into 30-bit anchor limbs so that every sum is an exact int64 for
-any cube bound.
+distances are running sums along the same paths, split into 30-bit
+anchor limbs so that every sum is an exact int64 for any cube bound.
 """
 
 from __future__ import annotations
@@ -74,6 +74,20 @@ def nu0(w: Word) -> Distinguisher:
     return Distinguisher(w, 0, (0,) * (len(w) + 1))
 
 
+def _runs(ranges: np.ndarray, path_start: np.ndarray):
+    """Sort steps by (range, position): (order, new), where new[k] says
+    that order[k] is the first step of its range on its path."""
+    S = len(ranges)
+    sh = S.bit_length()
+    key = np.sort((ranges << sh) | np.arange(S))
+    order = key & ((1 << sh) - 1)
+    run = key - order + path_start[order]  # (range, path start) packed
+    new = np.empty(S, dtype=bool)
+    new[:1] = True
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    return order, new
+
+
 class SupportChain:
     """Distinguisher chain over the prefix tree of a word set.
 
@@ -108,8 +122,9 @@ class SupportChain:
 
         The name is historical; there is no tour any more.  Every node of
         a PrefixTree is a prefix of one of its words, so these paths
-        cover the tree with down-steps only.  Path i, without its root,
-        is nodes[starts[i]:starts[i + 1]].
+        cover the tree with down-steps only; both refinement engines work
+        on these S steps.  Path i, without its root, is
+        nodes[starts[i]:starts[i + 1]].
         """
         if self._paths is None:
             paths = [np.array(p[1:], dtype=np.int64)
@@ -177,48 +192,66 @@ class SupportChain:
             self._labels.append(nxt)
         return self._labels[depth]
 
+    def _path_steps(self, depth: int):
+        """The steps of the _euler_tour paths on the depth-d quotient graph.
+
+        Returns (m, edge, sign, before, path_start): per step, the quotient
+        edge it crosses, its sign, the count that edge had before the step
+        on the same path, and the position where that path starts.
+        """
+        m, eid, dirs = self.numbering_at(depth)
+        nodes, starts = self._euler_tour()
+        path_start = np.repeat(starts[:-1], np.diff(starts))
+        edge, sign = eid[nodes], dirs[nodes]
+        order, new = _runs(edge, path_start)
+        s = sign[order]
+        excl = np.cumsum(s) - s
+        first = np.maximum.accumulate(np.where(new, np.arange(len(s)), 0))
+        before = np.empty_like(excl)
+        before[order] = excl - excl[first]
+        return m, edge, sign, before, path_start
+
     def _refine_det(self, depth: int) -> np.ndarray:
         """Give every prefix flow a canonical id and label nodes by it.
 
-        The flow vectors live in one persistent segment tree over the m
-        quotient edge ids, hash-consed: a leaf is interned on its value,
-        an inner node on (left id, right id), so two flows are equal iff
-        their roots have the same id.  PrefixTree appends each child
-        after its parent, so in index order a node's root is one
-        path-copy update of its parent's root: O(log m) per node.
+        The flows live in a segment tree over the m quotient edge ids,
+        hash-consed: a leaf is identified by its value, an inner node by
+        its (left id, right id) pair, so two flows are equal iff their
+        roots have the same id.  The ids are built one level at a time
+        for all S steps of the _euler_tour paths.  At level 0 a step's id
+        is the count of its edge just after the step.  At level b a step
+        pairs its range's id with the id its sibling range had at the last
+        earlier step of the same path in the parent range (the zero tree's
+        id if none), read off the steps sorted by (parent range, position).
+        Packing a pair as left * nid + right, nid above every id below, is
+        injective and gives the zero tree one id per level, so the ids are
+        exact without hashing; they are made dense by np.unique only when
+        the next packing could pass 2^62.  Each level holds O(S) integers.
         """
-        m, eid, dirs = self.numbering_at(depth)
-        height = max(m - 1, 0).bit_length()
-        # node id -> leaf value or (left id, right id), and its inverse;
-        # ids 0..height are the all-zero tree, bottom up
-        key: list = [0] + [(h, h) for h in range(height)]
-        ids = {k: i for i, k in enumerate(key)}
-        roots = [height] * self.V
-        parents = self.tree.parents
-        path: list = [None] * height  # path[b]: the pair branching on bit b
-        down, up = range(height - 1, -1, -1), range(height)
-        get = ids.get
-        for v, j, step in zip(range(1, self.V), eid[1:].tolist(),
-                              dirs[1:].tolist()):
-            x = roots[parents[v]]
-            for b in down:
-                pair = path[b] = key[x]
-                x = pair[(j >> b) & 1]
-            k = key[x] + step  # the new leaf, then its ancestors
-            x = get(k)
-            if x is None:
-                x = ids[k] = len(key)
-                key.append(k)
-            for b in up:
-                left, right = path[b]
-                k = (left, x) if (j >> b) & 1 else (x, right)
-                x = get(k)
-                if x is None:
-                    x = ids[k] = len(key)
-                    key.append(k)
-            roots[v] = x
-        _, labels = np.unique(np.array(roots, dtype=np.int64),
-                              return_inverse=True)
+        m, edge, sign, before, path_start = self._path_steps(depth)
+        pos = np.arange(len(edge))
+        zero = -int((before + sign).min(initial=0))
+        ids = before + sign + zero
+        nid = int(ids.max(initial=zero)) + 1
+        for _ in range(max(m - 1, 0).bit_length()):
+            if nid * nid > 1 << 62:
+                uniq, inv = np.unique(np.append(ids, zero),
+                                      return_inverse=True)
+                ids, zero, nid = inv[:-1], int(inv[-1]), len(uniq)
+            order, new = _runs(edge >> 1, path_start)
+            odd = (edge[order] & 1).astype(bool)  # in the right half
+            own = ids[order]
+            # each half's last id so far in the run, or zero before its first
+            left = np.where(odd, zero, own)[
+                np.maximum.accumulate(np.where(odd & ~new, 0, pos))]
+            right = np.where(odd, own, zero)[
+                np.maximum.accumulate(np.where(odd | new, pos, 0))]
+            ids[order] = left * nid + right
+            zero, nid = zero * nid + zero, nid * nid
+            edge = edge >> 1
+        roots = np.full(self.V, zero, dtype=np.int64)
+        roots[self._euler_tour()[0]] = ids
+        _, labels = np.unique(roots, return_inverse=True)
         return labels.astype(np.int64)
 
     def _refine_mc(self, depth: int) -> np.ndarray:
@@ -243,29 +276,16 @@ class SupportChain:
         distances.  The Fingerprint is |a|^2 + sum_k L_k 2^(30k), in
         Python integers.
         """
-        m, eid, dirs = self.numbering_at(depth)
+        m, step_eid, sd, pre, path_start = self._path_steps(depth)
         B = self.cube_bound
         rng = self.rng
         anchor = [rng.randrange(B + 1) for _ in range(m)]
         K = max(1, -(-B.bit_length() // _LIMB))
-        nodes, starts = self._euler_tour()
-        lens = np.diff(starts)
-        step_eid = eid[nodes]
-        sd = dirs[nodes]
-        # exclusive count of each step's edge before it on the same path
-        key = np.repeat(np.arange(len(lens)), lens) * m + step_eid
-        by_edge = np.argsort(key, kind="stable")
-        ks, sds = key[by_edge], sd[by_edge]
-        excl = np.cumsum(sds) - sds
-        first = np.flatnonzero(np.diff(ks, prepend=-1))  # keys are >= 0
-        pre = np.empty(len(nodes), dtype=np.int64)
-        pre[by_edge] = excl - np.repeat(excl[first],
-                                      np.diff(np.append(first, len(ks))))
+        nodes = self._euler_tour()[0]
 
         def path_sums(terms):
             total = np.cumsum(terms)
-            before = np.concatenate(([0], total))[starts[:-1]]
-            return total - np.repeat(before, lens)
+            return total - np.concatenate(([0], total))[path_start]
 
         limbs = np.zeros((K, len(nodes)), dtype=np.int64)
         limbs[0] = path_sums(2 * sd * pre + 1)

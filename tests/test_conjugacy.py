@@ -9,7 +9,7 @@ from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
                                 conjugacy_solve, schreier_support)
 from freesolv.power import power_solve
 from freesolv.words import Word, commutator, parse, random_reduced_word
-from freesolv.wordproblem import word_problem
+from freesolv.wordproblem import SupportChain, word_problem
 
 C = commutator(parse("x1"), parse("x2"))
 
@@ -285,3 +285,62 @@ def test_no_answers_certified_in_wreath_product(rng):
         else:
             no += 1
     assert certified >= 80 and yes >= 100, (certified, yes, no)
+
+
+def test_ab_height_matches_power_solve(rng):
+    # the depth-1 height in closed form against power_solve on
+    # word * rep^-1 at d = 1, also for y with ab(y) = 0
+    ys = [C, parse("x1 x2 X1"), parse("x1 x1 X2"), parse("x2 x3 x2")]
+    ys += [random_reduced_word(rng, rng.randrange(1, 6), 3)
+           for _ in range(8)]
+    seen = set()
+    for y in ys:
+        ab_y = conjugacy._exponent_vector(y.letters, 3)
+        for trial in range(40):
+            rep = random_reduced_word(rng, rng.randrange(0, 6), 3)
+            if trial % 2:  # a true height: y^j rep times a commutator
+                j = rng.randrange(-3, 4)
+                w = y ** j * rep * commutator(
+                    random_reduced_word(rng, 2, 3),
+                    random_reduced_word(rng, 2, 3))
+            else:
+                w = random_reduced_word(rng, rng.randrange(0, 12), 3)
+            p = w.letters[:rng.randrange(len(w) + 1)] if trial % 4 == 0 \
+                else w.letters
+            got = conjugacy._ab_height(conjugacy._exponent_vector(p, 3),
+                                       conjugacy._exponent_vector(
+                                           rep.letters, 3), ab_y)
+            want = power_solve(Word(p, rank=3) * ~rep, y, 3, 1).k
+            assert got == want, (y.serialize(), p, rep.serialize())
+            seen.add((any(ab_y), want))
+    assert {(True, None), (False, None), (False, 1)} <= seen
+    assert {k for nz, k in seen if nz} - {None, 0, 1}
+
+
+def test_no_verdicts_with_nonzero_abelianization_skip_refinement(
+        monkeypatch, rng):
+    # a nonzero abelianization is nontrivial in every S_{r,d}, d >= 1, so
+    # No answers at d = 2 build no distinguisher chain at all
+    built = []
+    labels_at = SupportChain.labels_at
+
+    def spy(self, depth):
+        built.append(depth)
+        return labels_at(self, depth)
+
+    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    answers = set()
+    for _ in range(40):
+        x = random_reduced_word(rng, rng.randrange(1, 12), 2)
+        if not any(conjugacy._exponent_vector(x.letters, 2)):
+            continue
+        z = random_reduced_word(rng, 3, 2)
+        y = z * x * ~z * (C if rng.random() < 0.5 else Word((), rank=2))
+        built.clear()
+        res = conjugacy_solve(x, y, 2, 2)
+        if res.conjugate:
+            assert conjugation_verified(res.witness, x, y, 2, 2)
+        else:
+            assert built == []
+        answers.add(res.conjugate)
+    assert answers == {True, False}

@@ -6,7 +6,7 @@ from conftest import form_long, trivial_long
 from freesolv import oracle, power
 from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve, \
     triviality_depth
-from freesolv.wordproblem import SupportChain
+from freesolv.wordproblem import LengthGuardError, SupportChain
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
 
@@ -185,3 +185,11 @@ def test_probes_stop_at_d_and_top_layer_needs_no_commutator(monkeypatch, rng):
                 assert not trivial_long(u * c ** -k, 2, d)
             outcomes.add((d, res.found))
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_length_guard():
+    u, v = parse("x1 x2 x1"), parse("x1")
+    with pytest.raises(LengthGuardError):
+        power_solve(u, v, 2, 2, max_len=4)
+    assert power_solve(u, v, 2, 2, max_len=5) == FAIL
+    assert power_solve(v ** 3, v, 2, 2, max_len=5) == PowerResult(3)

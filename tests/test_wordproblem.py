@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,3 +323,104 @@ def test_mc_labels_repeat_for_a_seed(seed, lengths, bound):
             for _ in range(2)]
     for d in (1, 2, 3):
         assert runs[0].labels_at(d).tolist() == runs[1].labels_at(d).tolist()
+
+
+X1, X2 = parse("x1"), parse("x2")
+
+
+def lattice_loop(m):
+    """A word whose walk in Z^2 (its depth-1 quotient) crosses m edges.
+
+    x1^a x2^b x1^-a x2^-b walks a 2(a+b)-edge rectangle; one more x2^-1
+    adds one edge below the origin.
+    """
+    if m <= 3:
+        return [X1, X1 * X2, X1 * X2 * X2][m - 1]
+    a = m // 4
+    b = m // 2 - a
+    loop = commutator(X1 ** a, X2 ** b)
+    return loop * ~X2 if m % 2 else loop
+
+
+def engine_edge_trees(rng):
+    """(words, depth, m): trees whose depth-`depth` quotient has m edges."""
+    out = [([X1 ** 5], 0, 1), ([X1], 1, 1), ([X1 ** 3, X1 * X1], 0, 1)]
+    for k in range(1, 8):
+        for m in (2 ** k, 2 ** k + 1):
+            out.append(([lattice_loop(m)], 1, m))
+    for m in (8, 16, 32):
+        # the commutator of two loops returns to zero flow at depth 2
+        u, v = lattice_loop(m), ~X2 * lattice_loop(m // 2) * X2
+        out.append(([u, v, commutator(u, v)], 1, None))
+    for n in (120, 400):
+        # long shared prefixes: the path cover repeats the prefix nodes
+        p = random_reduced_word(rng, n, 2)
+        tails = [random_reduced_word(rng, rng.randrange(1, 12), 2)
+                 for _ in range(3)]
+        out.append(([p * t for t in tails[:2]], 1, None))
+        out.append(([p, p * tails[0], p * tails[0] * tails[1]], 1, None))
+        t = random_trivial_word(rng, 2, 2)
+        out.append(([p * t, p * t * ~p, p * ~t], 1, None))
+    return out
+
+
+def test_engine_edge_cases_match_tuple_reference(rng):
+    # m = 1, m = 2^k and 2^k + 1 (sibling ranges past m), shared prefixes
+    # and flows that return to zero, against the tuple reference
+    for words, depth, m in engine_edge_trees(rng):
+        tree = PrefixTree(words)
+        chain = SupportChain(tree, "det")
+        if m is not None:
+            assert chain.numbering_at(depth)[0] == m
+        for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
+            assert same_partition(chain.labels_at(d).tolist(), ref), \
+                ([w.serialize() for w in words], d)
+
+
+def test_zero_flows_get_the_root_label(rng):
+    # a word trivial in S_{r,d} ends on the zero flow at depth d, so the
+    # zero tree must have one canonical id on every level
+    for d in (1, 2, 3):
+        for _ in range(4):
+            w = random_trivial_word(rng, 2, d)
+            p = random_reduced_word(rng, rng.randrange(0, 40), 2)
+            words = [w, p * w * ~p, w * w]
+            tree = PrefixTree(words)
+            labels = SupportChain(tree, "det").labels_at(d)
+            for x in words:
+                end = tree.word_nodes[tuple(x.letters)][-1]
+                assert labels[end] == labels[0], (d, x.serialize())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.integers(0, 60),
+       tails=st.lists(st.tuples(st.integers(0, 90), st.integers(0, 2)),
+                      min_size=1, max_size=3))
+def test_engine_partition_property(seed, prefix, tails):
+    # 1-3 words with a shared prefix; each tail is random or in F^(1)/F^(2)
+    g = random.Random(seed)
+    p = random_reduced_word(g, prefix, 2)
+    words = [p * (random_reduced_word(g, n, 2) if kind == 0
+                  else random_trivial_word(g, 2, kind))
+             for n, kind in tails]
+    tree = PrefixTree(words)
+    chain = SupportChain(tree, "det")
+    for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
+        assert same_partition(chain.labels_at(d).tolist(), ref)
+
+
+def test_word_problem_memory_is_linear():
+    # a 16k-letter word of F^(2) refined to depth 3 stays within 10 MB of
+    # traced allocations (an intern table of tuples needs over twice that)
+    g = random.Random(3)
+    w = Word((), rank=2)
+    while len(w) < 1 << 14:
+        w = w * random_trivial_word(g, 2, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        word_problem(w, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
