@@ -240,13 +240,12 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         return None  # depth-0 repairs never arise: gamma already verifies
     w = gamma * x * ~gamma
     memo: dict = {}
-    ab_y = _exponent_vector(y.letters, r)
     rep_ab: dict[int, tuple[int, ...]] = {}
 
     def ab_height(word_ab, v: int) -> int | None:
         if v not in rep_ab:
             rep_ab[v] = _exponent_vector(sup.reps[v], r)
-        return _ab_height(word_ab, rep_ab[v], ab_y)
+        return _ab_height(word_ab, rep_ab[v], sup._ab_y)
 
     def cayley_flow(u: Word) -> dict[tuple[int, int, int], int] | None:
         """Flow of u on Cay(S_{r,depth}) keyed (coset, height, letter)."""
