@@ -163,10 +163,15 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     if r < 2:
         raise ValueError("bench instances need rank >= 2")
     if problem == "wp":
-        w = Word((), rank=r, _reduced=True)
-        while len(w) < n:
-            w = w * random_trivial_word(rng, r, max(d - 1, 1))
-        return (w,)
+        # w * factor * ... on one reduction stack, in linear time
+        stack: list[int] = []
+        while len(stack) < n:
+            for s in random_trivial_word(rng, r, max(d - 1, 1)).letters:
+                if stack and stack[-1] == -s:
+                    stack.pop()
+                else:
+                    stack.append(s)
+        return (Word(tuple(stack), rank=r, _reduced=True),)
     if problem == "pow":
         v = random_reduced_word(rng, max(1, n // 3), r)
         # F^(1) serves d = 0, where every word is trivial

@@ -10,7 +10,11 @@ A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
 is invisible to the Schreier flow (it lives along the <y>-direction).
 The repair solves h - h^y = delta for the leftover flow delta, realizes
-the solution as a product of based cycle words, and prepends it.
+the solution as a product of based cycle words, and prepends it.  A
+prefix's height over its coset is the sum of the support's edge shifts
+along its trace.  Every step that can answer Yes is exact; Monte Carlo
+mode randomizes only coset membership at d >= 3, so at d <= 2 it gives
+the deterministic answer.
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ def _exponent_vector(letters: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _moved(vec: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Exponent vector of a word times x_s, from the word's vector."""
+    out = list(vec)
+    out[abs(s) - 1] += 1 if s > 0 else -1
+    return tuple(out)
+
+
 def _ab_height(word_ab, rep_ab, ab_y) -> int | None:
     """Exponent j with word = y^j * rep in S_{r,1} = Z^r, or None if none.
 
@@ -71,6 +82,12 @@ class SchreierSupport:
     itself; deeper, a bucket's candidates q are told apart by membership
     tests g q^-1 in <y>.  Tracing follows existing edges for free and only
     locates cosets on missing ones.
+
+    One coset table holds, per vertex v, its representative rep(v) and
+    that word's exponent vector, and, per edge (u, s) to v, the shift j
+    with rep(u) x_s = y^j rep(v) in S_{r,d-1}.  The shift is 0 on an edge
+    that created its target and is computed once, on first use, for an
+    edge that closes onto an existing coset; (v, -s) gets -j.
     """
 
     def __init__(self, y: Word, r: int, d: int, mode: str = "det", rng=None,
@@ -85,10 +102,13 @@ class SchreierSupport:
         self.cube_bound = cube_bound
         self.memo: dict = {}
         self.reps: list[tuple[int, ...]] = [()]
+        self.vecs: list[tuple[int, ...]] = [(0,) * r]
         self.out: dict[tuple[int, int], int] = {}
+        self.shifts: dict[tuple[int, int], int | None] = {}
         self._ab_y = _exponent_vector(y.letters, r)
         self._pivot = next((i for i, c in enumerate(self._ab_y) if c), None)
-        self.buckets: dict[tuple, list[int]] = {self._bucket_key(()): [0]}
+        self.buckets: dict[tuple, list[int]] = {self._bucket_key((0,) * r):
+                                                [0]}
         self.y_path, self.y_flow = self.trace(y)
         if self.y_path[-1] != 0:
             # <y> y = <y>, so a correct construction closes the cycle
@@ -98,21 +118,21 @@ class SchreierSupport:
 
     # -- coset bookkeeping -------------------------------------------------
 
-    def _bucket_key(self, letters: tuple[int, ...]) -> tuple:
-        """Canonical image in Z^r / Z ab(y), or () at depth 0; equal keys
-        are necessary for equal cosets at every depth and sufficient at
-        depth <= 1."""
+    def _bucket_key(self, vec: tuple[int, ...]) -> tuple:
+        """Canonical image of an exponent vector in Z^r / Z ab(y), or ()
+        at depth 0; equal keys are necessary for equal cosets at every
+        depth and sufficient at depth <= 1."""
         if self.depth == 0:
             return ()
-        vec = _exponent_vector(letters, self.r)
         if self._pivot is not None:
             k = vec[self._pivot] // self._ab_y[self._pivot]
-            vec = [a - k * b for a, b in zip(vec, self._ab_y)]
-        return tuple(vec)
+            vec = tuple(a - k * b for a, b in zip(vec, self._ab_y))
+        return vec
 
-    def _locate_or_add(self, letters: tuple[int, ...]) -> int:
+    def _locate_or_add(self, letters: tuple[int, ...],
+                       vec: tuple[int, ...]) -> int:
         """Vertex of the coset <y> * letters, creating it if unseen."""
-        bucket = self.buckets.setdefault(self._bucket_key(letters), [])
+        bucket = self.buckets.setdefault(self._bucket_key(vec), [])
         if bucket and self.depth <= 1:
             return bucket[0]  # the key is the coset itself
         hits = []
@@ -133,6 +153,7 @@ class SchreierSupport:
             return hits[0]
         v = len(self.reps)
         self.reps.append(letters)
+        self.vecs.append(vec)
         bucket.append(v)
         return v
 
@@ -142,7 +163,8 @@ class SchreierSupport:
             return tgt
         p = self.reps[u]
         nxt = p[:-1] if p and p[-1] == -s else p + (s,)
-        tgt = self._locate_or_add(nxt)
+        created = len(self.reps)
+        tgt = self._locate_or_add(nxt, _moved(self.vecs[u], s))
         back = self.out.get((tgt, -s))
         if back is not None and back != u:
             if self.mode == "mc":
@@ -150,7 +172,30 @@ class SchreierSupport:
             raise AssertionError("deterministic support lost foldedness")
         self.out[(u, s)] = tgt
         self.out[(tgt, -s)] = u
+        if tgt == created:  # rep(u) x_s reduces to rep(tgt) itself
+            self.shifts[(u, s)] = self.shifts[(tgt, -s)] = 0
         return tgt
+
+    def arc(self, u: int, s: int) -> tuple[int, int | None]:
+        """Target v of the edge (u, s) and its shift j: rep(u) x_s =
+        y^j rep(v) in S_{r,d-1}, or None (only under Monte Carlo noise).
+
+        A closing edge gets j once: at depth 1 from the exponent vectors
+        (0 if ab(y) = 0: y = 1 in S_{r,1}, any j will do), deeper from one
+        exact power problem."""
+        v = self._step(u, s)
+        if (u, s) not in self.shifts:
+            if self.depth <= 1:
+                j = 0 if self._pivot is None else _ab_height(
+                    _moved(self.vecs[u], s), self.vecs[v], self._ab_y)
+            else:
+                g = concat_reduced(concat_reduced(self.reps[u], (s,)),
+                                   tuple(-c for c in reversed(self.reps[v])))
+                j = power_solve(Word(g, rank=self.r, _reduced=True), self.y,
+                                self.r, self.depth, mode="det").k
+            self.shifts[(u, s)] = j
+            self.shifts[(v, -s)] = None if j is None else -j
+        return v, self.shifts[(u, s)]
 
     # -- tracing -----------------------------------------------------------
 
@@ -201,25 +246,6 @@ def schreier_support(y: Word, extra=(), r: int | None = None, d: int = 2,
 # -- witness construction --------------------------------------------------
 
 
-
-def _height(word_letters: tuple[int, ...], rep: tuple[int, ...], y: Word,
-            r: int, depth: int, memo: dict) -> int | None:
-    """Exponent j with word = y^j * rep in S_{r,depth}, or None if none.
-
-    Exact at every depth via the power solver; heights are unique because
-    free solvable groups are torsion free.  Witness repair calls it at
-    depth >= 2 only: _ab_height gives depth 1 in closed form.
-    """
-    key = (word_letters, rep)
-    if key in memo:
-        return memo[key]
-    g = Word(concat_reduced(word_letters, tuple(-s for s in reversed(rep))),
-             rank=r, _reduced=True)
-    res = power_solve(g, y, r, depth, mode="det")
-    memo[key] = res.k
-    return res.k
-
-
 def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
                     r: int, d: int) -> Word | None:
     """Turn a flow-equality shift gamma into a genuine conjugator.
@@ -227,55 +253,39 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
     gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
     difference flow delta on Cay(S_{r,d-1}) sums to zero along every
     <y>-orbit of edges.  Cayley edges are coordinatized as (coset vertex,
-    height, letter) where g = y^height * rep(coset); translation by y is
-    height + 1, so h with h - h^y = delta comes out of prefix sums along
-    each orbit.  Realizing h as a product of based Eulerian cycle words
-    and prepending it to gamma gives the conjugator.
+    height, letter) where g = y^height * rep(coset); a prefix's height is
+    the running sum of the support's edge shifts along its trace, from 0
+    at the root.  Translation by y is height + 1, so h with h - h^y =
+    delta comes out of prefix sums along each orbit.  Realizing h as a
+    product of based Eulerian cycle words and prepending it to gamma gives
+    the conjugator.
 
     Returns None when the premise fails, which only happens under Monte
     Carlo membership noise; callers treat that as an inconclusive trial.
     """
-    depth = d - 1
-    if depth < 1:
+    if d < 2:
         return None  # depth-0 repairs never arise: gamma already verifies
     w = gamma * x * ~gamma
-    memo: dict = {}
-    rep_ab: dict[int, tuple[int, ...]] = {}
-
-    def ab_height(word_ab, v: int) -> int | None:
-        if v not in rep_ab:
-            rep_ab[v] = _exponent_vector(sup.reps[v], r)
-        return _ab_height(word_ab, rep_ab[v], sup._ab_y)
 
     def cayley_flow(u: Word) -> dict[tuple[int, int, int], int] | None:
-        """Flow of u on Cay(S_{r,depth}) keyed (coset, height, letter)."""
-        path, _ = sup.trace(u)
-        heights = []
-        ab = [0] * r  # exponent vector of the prefix, built incrementally
-        for i in range(len(u) + 1):
-            if depth == 1:
-                if i:
-                    s = u.letters[i - 1]
-                    ab[abs(s) - 1] += 1 if s > 0 else -1
-                j = ab_height(ab, path[i])
-            else:
-                j = _height(tuple(u.letters[:i]), sup.reps[path[i]], y, r,
-                            depth, memo)
+        """Flow of u on Cay(S_{r,d-1}) keyed (coset, height, letter)."""
+        flow: dict[tuple[int, int, int], int] = {}
+        v = height = 0
+        for s in u.letters:
+            nxt, j = sup.arc(v, s)
             if j is None:
                 return None  # coset bookkeeping was wrong (Monte Carlo noise)
-            heights.append(j)
-        flow: dict[tuple[int, int, int], int] = {}
-        for i, s in enumerate(u.letters):
             if s > 0:
-                key = (path[i], heights[i], s)
+                key = (v, height, s)
                 val = flow.get(key, 0) + 1
             else:
-                key = (path[i + 1], heights[i + 1], -s)
+                key = (nxt, height + j, -s)
                 val = flow.get(key, 0) - 1
             if val:
                 flow[key] = val
             else:
                 del flow[key]
+            v, height = nxt, height + j
         return flow
 
     fy = cayley_flow(y)
@@ -309,25 +319,9 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
 
     candidate = gamma
     if h:
-        # per-edge height shift: rep(v) * x_c = y^shift * rep(v') exactly
-        def edge_target(v: int, c: int) -> tuple[int, int] | None:
-            vv = sup._step(v, c)
-            if depth == 1:
-                j = ab_height(_exponent_vector(sup.reps[v] + (c,), r), vv)
-            else:
-                j = _height(concat_reduced(sup.reps[v], (c,)), sup.reps[vv],
-                            y, r, depth, memo)
-            return None if j is None else (vv, j)
-
-        shifts: dict[tuple[int, int], tuple[int, int]] = {}
         adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
         for (v, j, c), val in h.items():
-            if (v, c) not in shifts:
-                tgt = edge_target(v, c)
-                if tgt is None:
-                    return None
-                shifts[(v, c)] = tgt
-            vv, dj = shifts[(v, c)]
+            vv, dj = sup.arc(v, c)  # every edge of h was traced above
             a, b = (v, j), (vv, j + dj)
             arc = (a, b, c) if val > 0 else (b, a, -c)
             for _ in range(abs(val)):
@@ -341,16 +335,11 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         if any(bal.values()):
             return None  # h is not a circulation: premise was noise
 
-        def vertex_word(vj: tuple[int, int]) -> Word:
-            v, j = vj
-            return (y ** j) * Word(sup.reps[v], rank=r, _reduced=True)
-
         z_h = Word((), rank=r, _reduced=True)
         while True:
-            remaining = sorted(a for a, outs in adj.items() if outs)
-            if not remaining:
+            base = min((a for a, outs in adj.items() if outs), default=None)
+            if base is None:
                 break
-            base = remaining[0]
             node_stack = [base]
             letter_stack: list[int] = []
             circuit: list[int] = []
@@ -365,7 +354,8 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
                     if letter_stack and node_stack:
                         circuit.append(letter_stack.pop())
             circuit.reverse()
-            rep = vertex_word(base)
+            rep = y ** base[1] * Word(sup.reps[base[0]], rank=r,
+                                      _reduced=True)
             z_h = z_h * (rep * Word(circuit, rank=r) * ~rep)
         candidate = z_h * gamma
 
@@ -388,7 +378,8 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     """Decide whether x and y are conjugate in S_{r,d}.
 
     Yes answers carry a witness z with z x z^-1 = y, verified
-    deterministically.  Monte Carlo trials that trip over inconsistent
+    deterministically; at d <= 2 both modes give the same answer.  Monte
+    Carlo trials that trip over inconsistent
     membership answers are retried with fresh randomness a bounded number
     of times before the conflict is surfaced.
     """
@@ -405,9 +396,10 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
         # conjugation-invariant in the abelianization, so never conjugate
         return NO
     if not any(ab):
-        # a nonzero abelianization is nontrivial at every depth d >= 1
-        xt = word_problem(x, r, d, mode=mode, rng=rng, cube_bound=B)
-        yt = word_problem(y, r, d, mode=mode, rng=rng, cube_bound=B)
+        # a nonzero abelianization is nontrivial at every depth d >= 1;
+        # exact, since a Monte Carlo "trivial" could be wrong twice over
+        xt = word_problem(x, r, d, mode="det")
+        yt = word_problem(y, r, d, mode="det")
         if xt and yt:
             return ConjugacyResult(True, Word((), rank=r, _reduced=True))
         if xt or yt:

@@ -140,13 +140,12 @@ class SupportChain:
 
         Returns (m, eid, dirs): per non-root node, the edge its parent
         edge maps to and the sign against canonical orientation.  Matches
-        xdigraph.number_tree_edges, vectorized.
+        xdigraph.number_tree_edges, vectorized.  The labels are dense
+        class ids by construction, seeded ones included (_word_chain
+        densifies them), so they pack into edge codes as they are.
         """
         if depth not in self._numberings:
-            raw = self.labels_at(depth)
-            # densify to 0..C-1; monotone, so canonical order is unchanged
-            _, labels = np.unique(raw, return_inverse=True)
-            labels = labels.astype(np.int64)
+            labels = self.labels_at(depth)
             p = self._parents[1:]
             a = labels[p]
             b = labels[1:]
@@ -324,7 +323,9 @@ def _word_chain(w: Word, labels: Sequence[int], mode: str, rng=None,
     seeded = np.asarray(labels, dtype=np.int64)
     if seeded.shape != (len(tree),):
         raise ValueError("labeling length must be |w|+1")
-    chain._labels = [seeded]
+    # densify to 0..C-1; monotone, so canonical edge order is unchanged
+    chain._labels = [np.unique(seeded, return_inverse=True)[1]
+                     .astype(np.int64)]
     return chain
 
 

@@ -7,7 +7,7 @@ from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
 from freesolv.conjugacy import SchreierSupport, conjugacy_solve
 from freesolv.power import power_solve
-from freesolv.words import commutator
+from freesolv.words import Word, commutator, random_trivial_word
 from freesolv.wordproblem import SupportChain, word_problem
 
 
@@ -176,3 +176,16 @@ def test_bench_conj_no_scans_every_shift(monkeypatch):
             traces.clear()
             assert not conjugacy_solve(x, y, 2, 2).conjugate, (n, seed)
             assert len(traces) == len(x) + 2, (n, seed)
+
+
+def test_bench_wp_generator_matches_product_loop():
+    # one reduction stack gives the word of the old product loop
+    for n in (1, 40, 700, 3000):
+        for d in (1, 2, 3):
+            for seed in range(3):
+                rng = Random(seed)
+                w = Word((), rank=2, _reduced=True)
+                while len(w) < n:
+                    w = w * random_trivial_word(rng, 2, max(d - 1, 1))
+                got, = bench_instance("wp", n, 2, d, Random(seed))
+                assert got == w and got.rank == w.rank

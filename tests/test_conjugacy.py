@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import conjugation_verified, trivial_long
 from freesolv import conjugacy, oracle
@@ -10,6 +11,7 @@ from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
 from freesolv.power import power_solve
 from freesolv.words import Word, commutator, parse, random_reduced_word
 from freesolv.wordproblem import SupportChain, word_problem
+from freesolv.xdigraph import FoldConflict
 
 C = commutator(parse("x1"), parse("x2"))
 
@@ -58,18 +60,32 @@ def test_conjugacy_examples():
     assert not conjugacy_solve(parse("x1"), parse("x1 x1"), 2, 2).conjugate
 
 
-def test_witness_repair_wrapped_conjugator():
-    # x = n x1 n^-1 with n in F': the first flow-equal shift is the empty
-    # word, which does not conjugate; the repair must recover one that does
-    n = C
-    x = n * parse("x1") * ~n
-    y = parse("x1")
-    res = conjugacy_solve(x, y, 2, 2)
-    assert res.conjugate
-    assert conjugation_verified(res.witness, x, y, 2, 2)
-    res2 = conjugacy_solve(y, x, 2, 2)
-    assert res2.conjugate
-    assert conjugation_verified(res2.witness, y, x, 2, 2)
+@pytest.mark.parametrize("d", [2, 3])
+def test_witness_repair_wrapped_conjugator(monkeypatch, d):
+    # x = n b n^-1 with n in F^(d-1): the first flow-equal shift need not
+    # conjugate; the repair must recover one that does.  At d = 3 the
+    # shifts of closing edges come from power problems at depth 2
+    repairs = []
+    repair = conjugacy._witness_repair
+
+    def spy(*args):
+        repairs.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(conjugacy, "_witness_repair", spy)
+    if d == 2:
+        n, bases = C, [parse("x1")]
+    else:
+        n = commutator(C, commutator(parse("x1"), parse("X2")))
+        bases = [parse(b) for b in ("x1", "x2", "x1 x2", "x1 X2 x1")]
+    pairs = [(n * b * ~n, b) for b in bases]
+    pairs += [(y, x) for x, y in pairs]
+    for x, y in pairs:
+        res = conjugacy_solve(x, y, 2, d)
+        assert res.conjugate
+        assert conjugation_verified(res.witness, x, y, 2, d)
+    # all but at most one pair need the repair
+    assert len(repairs) >= len(pairs) - 1
 
 
 def test_random_conjugate_pairs_with_witness(rng):
@@ -168,6 +184,62 @@ def test_mc_seed_determinism():
                             rng=random.Random(3)).witness.letters
             for _ in range(3)}
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("says", [True, False])
+def test_mc_membership_noise_is_retried_then_surfaced(monkeypatch, says):
+    # a membership oracle that answers every query alike is noise at
+    # d = 3: "yes" merges cosets (repair finds no shifts), "no" never
+    # closes the base cycle.  Yes answers must still verify, and each
+    # conflict must surface after exactly _MC_RETRIES attempts
+    monkeypatch.setattr(conjugacy, "member_of_cyclic",
+                        lambda *args, **kwargs: says)
+    attempts = []
+    attempt = conjugacy._conjugacy_attempt
+
+    def counting(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(conjugacy, "_conjugacy_attempt", counting)
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(30):
+        x = random_reduced_word(rng, rng.randrange(1, 5), 2)
+        z = random_reduced_word(rng, rng.randrange(0, 4), 2)
+        y = z * x * ~z
+        attempts.clear()
+        try:
+            res = conjugacy_solve(x, y, 2, 3, mode="mc",
+                                  rng=random.Random(trial))
+        except FoldConflict:
+            assert len(attempts) == conjugacy._MC_RETRIES
+            outcomes.add("conflict")
+            continue
+        if res.conjugate:
+            assert conjugation_verified(res.witness, x, y, 2, 3)
+        outcomes.add(res.conjugate)
+    assert outcomes == ({True, "conflict"} if says else {"conflict"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2))
+def test_conjugacy_symmetric_property(seed, kind):
+    # conjugacy is symmetric at d = 2, and every witness verifies
+    g = random.Random(seed)
+    x = random_reduced_word(g, g.randrange(1, 7), 2)
+    z = random_reduced_word(g, g.randrange(0, 5), 2)
+    if kind == 0:
+        y = random_reduced_word(g, g.randrange(1, 7), 2)
+    else:  # a conjugate, perturbed by a commutator for kind 2
+        y = z * x * ~z * (commutator(random_reduced_word(g, 2, 2),
+                                     random_reduced_word(g, 2, 2))
+                          if kind == 2 else Word((), rank=2))
+    there, back = conjugacy_solve(x, y, 2, 2), conjugacy_solve(y, x, 2, 2)
+    assert there.conjugate == back.conjugate
+    if there.conjugate:
+        assert conjugation_verified(there.witness, x, y, 2, 2)
+        assert conjugation_verified(back.witness, y, x, 2, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -315,6 +387,19 @@ def test_ab_height_matches_power_solve(rng):
             seen.add((any(ab_y), want))
     assert {(True, None), (False, None), (False, 1)} <= seen
     assert {k for nz, k in seen if nz} - {None, 0, 1}
+
+
+def test_mc_answer_is_exact_when_both_abelianizations_vanish():
+    # both words die in Z^r, and at cube bound 1 Monte Carlo word
+    # problems call both trivial by mistake: the answer must stay exact
+    x = parse("x2 X1 X2 x1 X2 x1 x2 x2 X1 X2")
+    y = parse("X2 X1 X2 X2 x1 x1 x2 x2 X1 x2")
+    res = conjugacy_solve(x, y, 2, 2, mode="mc", rng=random.Random(145),
+                          cube_bound=1)
+    assert res == conjugacy_solve(x, y, 2, 2)
+    if res.conjugate:
+        z = res.witness
+        assert word_problem(z * x * ~z * ~y, 2, 2, mode="det")
 
 
 def test_no_verdicts_with_nonzero_abelianization_skip_refinement(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import form_long, trivial_long
 from freesolv import oracle, power
@@ -193,3 +194,20 @@ def test_length_guard():
         power_solve(u, v, 2, 2, max_len=4)
     assert power_solve(u, v, 2, 2, max_len=5) == FAIL
     assert power_solve(v ** 3, v, 2, 2, max_len=5) == PowerResult(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-4, 4),
+       in_derived=st.booleans())
+def test_power_of_v_gives_back_k_property(seed, k, in_derived):
+    # v is nonempty and shorter than 3^2, so nontrivial in S_{2,2}; v in
+    # F' takes the abelian top layer, a generic v the commutator check
+    g = random.Random(seed)
+    if in_derived:
+        v = commutator(random_reduced_word(g, 1, 2),
+                       random_reduced_word(g, 1, 2))
+    else:
+        v = random_reduced_word(g, g.randrange(1, 7), 2)
+    if len(v) == 0:
+        v = parse("x1")
+    assert power_solve(v ** k, v, 2, 2) == PowerResult(k)

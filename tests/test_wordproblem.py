@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import form_long
 from freesolv import oracle
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
@@ -65,6 +66,20 @@ def test_true_distinguisher_quotients_fold(rng):
         w = random_reduced_word(rng, rng.randrange(1, 10), 2)
         nu = refine_deterministic(w, nu0(w))
         quotient_by_labeling(PrefixTree([w]), list(nu.labels))
+
+
+def test_seeded_labels_need_not_be_dense(rng):
+    # a seeded labeling is read by its partition only: values too far
+    # apart to pack into edge codes change no refined label and no
+    # fingerprint
+    for trial in range(20):
+        w = random_reduced_word(rng, rng.randrange(2, 30), 2)
+        nu = refine_deterministic(w, nu0(w))
+        sparse = Distinguisher(w, 1, tuple((x << 40) + 3 for x in nu.labels))
+        assert refine_deterministic(w, sparse).labels == \
+            refine_deterministic(w, nu).labels
+        assert fingerprint(w, sparse, random.Random(trial)) == \
+            fingerprint(w, nu, random.Random(trial))
 
 
 def test_fingerprint_increment_matches_direct(rng):
@@ -407,6 +422,21 @@ def test_engine_partition_property(seed, prefix, tails):
     chain = SupportChain(tree, "det")
     for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
         assert same_partition(chain.labels_at(d).tolist(), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2))
+def test_word_problem_matches_oracle_equality_property(seed, kind):
+    # w w'^-1 = 1 in S_{2,2} exactly when w and w' have equal Magnus forms;
+    # w' is random, or w times a word of F^(1) or of F^(2)
+    g = random.Random(seed)
+    w = random_reduced_word(g, g.randrange(0, 9), 2)
+    if kind == 0:
+        w2 = random_reduced_word(g, g.randrange(0, 9), 2)
+    else:
+        w2 = w * random_trivial_word(g, 2, kind, conjugator_len=1)
+    assert word_problem(w * ~w2, 2, 2) == \
+        (form_long(w, 2, 2) == form_long(w2, 2, 2))
 
 
 def test_word_problem_memory_is_linear():
