@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .words import Word, concat_reduced
 from .xdigraph import FoldConflict, XDigraph
-from .wordproblem import word_problem
+from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
 from .power import member_of_cyclic, power_solve
 
 _MC_RETRIES = 5
@@ -374,20 +374,24 @@ def _verified_witness(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
 
 
 def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
-                    rng=None, cube_bound: int | None = None) -> ConjugacyResult:
+                    rng=None, cube_bound: int | None = None,
+                    max_len: int = DEFAULT_MAX_LEN) -> ConjugacyResult:
     """Decide whether x and y are conjugate in S_{r,d}.
 
     Yes answers carry a witness z with z x z^-1 = y, verified
     deterministically; at d <= 2 both modes give the same answer.  Monte
     Carlo trials that trip over inconsistent
     membership answers are retried with fresh randomness a bounded number
-    of times before the conflict is surfaced.
+    of times before the conflict is surfaced.  Raises LengthGuardError
+    when |x|+|y| >= max_len, like word_problem and power_solve.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
+    n = len(x) + len(y)
+    if n >= max_len:
+        raise LengthGuardError(f"|x|+|y| = {n} exceeds guard {max_len}")
     if d == 0:
         return ConjugacyResult(True, Word((), rank=r, _reduced=True))
-    n = len(x) + len(y)
     B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6

@@ -15,7 +15,11 @@ words at once, so equal flows get equal ids exactly, with no hashing.
 The Monte Carlo step ranks exact squared distances to a random anchor
 point, trading a small one-sided error for vectorized integer work: the
 distances are running sums along the same paths, split into 30-bit
-anchor limbs so that every sum is an exact int64 for any cube bound.
+anchor limbs so that every sum is an exact int64 for any cube bound, and
+ranked limb by limb with one argsort each.  The anchors come from one
+getrandbits call of the caller's random.Random per refinement, with the
+components above the cube bound redrawn, so a seed fixes every Monte
+Carlo output independently of the numpy version.
 """
 
 from __future__ import annotations
@@ -257,7 +261,7 @@ class SupportChain:
         """Rank exact squared distances from a random anchor (one per node).
 
         With f_v the flow of node v and a the anchor, m components drawn
-        uniformly from [0, B] in edge order,
+        by _draw_anchors uniformly from [0, B] in edge order,
 
           |f_v - a|^2 - |a|^2 = |f_v|^2 - 2 sum_k 2^(30k) <f_v, a_k>,
 
@@ -270,16 +274,15 @@ class SupportChain:
         term is at most 2 S + 1 or 2^30 in size, so every partial sum and
         every limb L_k of the difference stays below S (2 S + 1) + S 2^31,
         an exact int64 while S < 2^30 (below 2^52 for one word under the
-        2^20 length guard).  Carries bring L_0..L_{K-2} into [0, 2^30);
-        then one lexsort of the limbs, top limb first, ranks the exact
-        distances.  The Fingerprint is |a|^2 + sum_k L_k 2^(30k), in
-        Python integers.
+        2^20 length guard).  Carries bring L_0..L_{K-2} into [0, 2^30).
+        The labels are dense ranks, taken limb by limb from the top: the
+        rank of L_{K-1}, then for each lower limb the rank of
+        (rank << 30) | L_k, an int64 because ranks are below V.  The
+        Fingerprint is |a|^2 + sum_k L_k 2^(30k), in Python integers.
         """
         m, step_eid, sd, pre, path_start = self._path_steps(depth)
-        B = self.cube_bound
-        rng = self.rng
-        anchor = [rng.randrange(B + 1) for _ in range(m)]
-        K = max(1, -(-B.bit_length() // _LIMB))
+        anchor = _draw_anchors(self.rng, self.cube_bound, m)
+        K = len(anchor)
         nodes = self._euler_tour()[0]
 
         def path_sums(terms):
@@ -289,9 +292,7 @@ class SupportChain:
         limbs = np.zeros((K, len(nodes)), dtype=np.int64)
         limbs[0] = path_sums(2 * sd * pre + 1)
         for k in range(K):
-            a_k = np.array([(a >> (_LIMB * k)) & _LIMB_MASK for a in anchor],
-                           dtype=np.int64)
-            limbs[k] -= 2 * path_sums(sd * a_k[step_eid])
+            limbs[k] -= 2 * path_sums(sd * anchor[k][step_eid])
         for k in range(K - 1):
             carry = limbs[k] >> _LIMB
             limbs[k] &= _LIMB_MASK
@@ -299,18 +300,67 @@ class SupportChain:
         at = np.zeros((K, self.V), dtype=np.int64)  # the root sits at 0
         at[:, nodes] = limbs
         if self.want_fingerprint:
-            a2 = sum(a * a for a in anchor)
+            a = [sum(x << (_LIMB * k) for k, x in enumerate(col))
+                 for col in anchor.T.tolist()]
+            a2 = sum(x * x for x in a)
             d2 = tuple(a2 + sum(x << (_LIMB * k)
                                 for k, x in enumerate(col))
                        for col in at.T.tolist())
-            self.last_fingerprint = Fingerprint(tuple(anchor), d2, B)
-        order = np.lexsort(at)  # the last row, the top limb, sorts first
-        srt = at[:, order]
-        ranks = np.zeros(self.V, dtype=np.int64)
-        np.cumsum(np.any(srt[:, 1:] != srt[:, :-1], axis=0), out=ranks[1:])
-        labels = np.empty(self.V, dtype=np.int64)
-        labels[order] = ranks
+            self.last_fingerprint = Fingerprint(tuple(a), d2,
+                                                self.cube_bound)
+        labels = _dense_rank(at[K - 1])
+        for k in range(K - 2, -1, -1):
+            labels = _dense_rank((labels << _LIMB) | at[k])
         return labels
+
+
+def _dense_rank(x: np.ndarray) -> np.ndarray:
+    """Dense ranks 0..C-1 of the values of x, by one argsort."""
+    order = np.argsort(x)
+    srt = x[order]
+    step = np.zeros(len(x), dtype=np.int64)
+    np.not_equal(srt[1:], srt[:-1], out=step[1:])
+    ranks = np.empty(len(x), dtype=np.int64)
+    ranks[order] = np.cumsum(step, out=step)
+    return ranks
+
+
+def _draw_anchors(rng, B: int, m: int) -> np.ndarray:
+    """m anchor components uniform on [0, B], as K rows of 30-bit limbs.
+
+    One rng.getrandbits call gives K 32-bit words per component; the low
+    rows keep 30 bits and the top row the bits of B above 30 (K - 1), so
+    a component is uniform on [0, 2^bits(B)).  The components above B
+    are drawn again, all together, until none is left; each draw is above
+    B with probability below 1/2, since B has its top bit set.  Python's
+    Mersenne Twister keeps its getrandbits stream across versions, so a
+    seed fixes the anchors whatever the numpy version.
+    """
+    K = max(1, -(-B.bit_length() // _LIMB))
+    top = B.bit_length() - _LIMB * (K - 1)
+    b = [(B >> (_LIMB * k)) & _LIMB_MASK for k in range(K)]
+
+    def draw(count):
+        raw = rng.getrandbits(32 * K * count).to_bytes(4 * K * count, "little")
+        a = np.frombuffer(raw, dtype="<u4").reshape(K, count).astype(np.int64)
+        a[:K - 1] &= _LIMB_MASK
+        a[K - 1] &= (1 << top) - 1
+        return a
+
+    def above(a):  # compare limbs top-down against B's
+        gt = np.zeros(a.shape[1], dtype=bool)
+        eq = np.ones(a.shape[1], dtype=bool)
+        for k in range(K - 1, -1, -1):
+            gt |= eq & (a[k] > b[k])
+            eq &= a[k] == b[k]
+        return gt
+
+    anchor = draw(m)
+    redo = np.flatnonzero(above(anchor))
+    while len(redo):
+        anchor[:, redo] = draw(len(redo))
+        redo = redo[above(anchor[:, redo])]
+    return anchor
 
 
 # -- single-word public operations ---------------------------------------
@@ -342,7 +392,9 @@ def refine_randomized(w: Word, nu_prev: Distinguisher, rng,
 
     With anchor components uniform on [0, cube_bound] the candidate is a
     true distinguisher with probability at least 1 - 1/|w| for the
-    default bound |w|^3.
+    default bound |w|^3.  The anchor is drawn from rng in bulk, one
+    getrandbits call for all components plus redraws of those above the
+    bound (see _draw_anchors), so a seed fixes the result.
     """
     B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
     chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
@@ -352,7 +404,12 @@ def refine_randomized(w: Word, nu_prev: Distinguisher, rng,
 
 def fingerprint(w: Word, nu_prev: Distinguisher, rng,
                 cube_bound: int | None = None) -> Fingerprint:
-    """Anchor and per-prefix squared distances for one randomized step."""
+    """Anchor and per-prefix squared distances for one randomized step.
+
+    The anchor is the one refine_randomized draws from the same rng
+    state: m components uniform on [0, cube_bound], in quotient edge
+    order, from one bulk getrandbits draw (see _draw_anchors).
+    """
     B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
     chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
     chain.want_fingerprint = True

@@ -7,6 +7,7 @@ Words are immutable tuples of letters, always kept freely reduced.
 from __future__ import annotations
 
 import re
+from operator import neg
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -79,6 +80,18 @@ class Word:
             raise ValueError(f"rank {rank} too small for word using x{need}")
         object.__setattr__(self, "rank", rank)
 
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], rank: int) -> "Word":
+        """A Word from a reduced letter tuple already valid for rank.
+
+        For results built from valid Words (products, inverses, powers,
+        prefixes): no reduction pass and no per-letter rank check.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "rank", rank)
+        return w
+
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Word is immutable")
 
@@ -96,24 +109,24 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         # both factors are reduced, so cancellation is junction-only
-        return Word(concat_reduced(self.letters, other.letters),
-                    rank=max(self.rank, other.rank), _reduced=True)
+        return Word._trusted(concat_reduced(self.letters, other.letters),
+                             max(self.rank, other.rank))
 
     def __invert__(self) -> "Word":
-        return Word(tuple(-s for s in reversed(self.letters)),
-                    rank=self.rank, _reduced=True)
+        return Word._trusted(tuple(map(neg, reversed(self.letters))),
+                             self.rank)
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return (~self) ** (-k)
-        out = Word((), rank=self.rank, _reduced=True)
+        out = Word._trusted((), self.rank)
         for _ in range(k):
             out = out * self
         return out
 
     def prefix(self, j: int) -> "Word":
         """Initial segment of length j (prefixes of a reduced word are reduced)."""
-        return Word(self.letters[:j], rank=self.rank, _reduced=True)
+        return Word._trusted(self.letters[:j], self.rank)
 
     def conjugate_by(self, z: "Word") -> "Word":
         """z * self * z^-1, freely reduced."""

@@ -7,6 +7,7 @@ edge per (vertex, signed label), which makes traces unique.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Hashable, Iterable, Sequence
 
 from .words import Word
@@ -172,46 +173,45 @@ class PrefixTree:
     def __init__(self, words: Iterable[Word] = ()):
         self.parents: list[int] = [-1]
         self.letters: list[int] = [0]
-        # (parent, letter) -> child, built on the first add_word
-        self._child: dict[tuple[int, int], int] | None = None
         self.word_nodes: dict[tuple[int, ...], list[int]] = {}
+        self._sorted: list[tuple[int, ...]] = []  # word_nodes keys, sorted
         self._graph: XDigraph | None = None
-        words = list(words)
-        if len(words) == 1:
-            # single word: the tree is a path, skip per-letter dict checks
-            w = words[0]
-            n = len(w)
-            self.parents = list(range(-1, n))
-            self.letters = [0] + list(w.letters)
-            self.word_nodes[tuple(w.letters)] = list(range(n + 1))
-        else:
-            for w in words:
-                self.add_word(w)
+        for w in words:
+            self.add_word(w)
 
     def __len__(self) -> int:
         return len(self.parents)
 
     def add_word(self, w: Word) -> list[int]:
-        """Insert all prefixes of w; returns the node path (positions 0..|w|)."""
+        """Insert all prefixes of w; returns the node path (positions 0..|w|).
+
+        Every node is a prefix of a word already inserted, so w's deepest
+        existing node ends its longest common prefix with one of them, and
+        that longest prefix is shared with a lexicographic neighbour of w
+        among the sorted words.  The path reuses the neighbour's nodes up
+        to there; the rest of w is one fresh branch, appended as a block.
+        Nodes are numbered in insertion order, parents before children.
+        """
         key = tuple(w.letters)
         got = self.word_nodes.get(key)
         if got is not None:
             return got
-        if self._child is None:
-            self._child = {(p, s): v for v, (p, s) in
-                           enumerate(zip(self.parents, self.letters)) if v}
-        node = 0
-        path = [0]
-        for s in w.letters:
-            nxt = self._child.get((node, s))
-            if nxt is None:
-                nxt = len(self.parents)
-                self.parents.append(node)
-                self.letters.append(s)
-                self._child[(node, s)] = nxt
-                self._graph = None
-            node = nxt
-            path.append(node)
+        at = bisect_left(self._sorted, key)
+        self._sorted.insert(at, key)
+        j, path = 0, [0]
+        for i in (at - 1, at + 1):
+            if 0 <= i < len(self._sorted):
+                nb = self._sorted[i]
+                k = _common_prefix(key, nb)
+                if k > j:
+                    j, path = k, self.word_nodes[nb][:k + 1]
+        if j < len(key):
+            start = len(self.parents)
+            self.parents.append(path[-1])
+            self.parents.extend(range(start, start + len(key) - j - 1))
+            self.letters.extend(key[j:])
+            path.extend(range(start, start + len(key) - j))
+            self._graph = None
         self.word_nodes[key] = path
         return path
 
@@ -253,6 +253,22 @@ class PrefixTree:
         _, a = far(0)
         d, _ = far(a)
         return d
+
+
+def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the longest common prefix, by slice compares: it doubles
+    a known-equal length, then bisects the last step."""
+    hi = 1
+    while hi <= min(len(a), len(b)) and a[:hi] == b[:hi]:
+        hi *= 2
+    lo, hi = hi // 2, min(hi, len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def prefix_tree(words: Iterable[Word]) -> PrefixTree:

@@ -96,6 +96,14 @@ def test_pow_guard_exit(capsys):
     assert code == EXIT_YES
 
 
+def test_conj_guard_exit(capsys):
+    # conjugacy_solve raises the guard error itself; the CLI maps it to exit 3
+    code, _, err = run(capsys, "conj", "--max-len", "4", "x1 x2", "x2 x1")
+    assert code == EXIT_GUARD and "guard" in err
+    code, _, _ = run(capsys, "conj", "--max-len", "5", "x1 x2", "x2 x1")
+    assert code == EXIT_YES
+
+
 def test_bench_table_runs(capsys):
     code, out, _ = run(capsys, "bench", "wp", "64,128,256", "--mode", "mc",
                        "--seed", "11", "--json")

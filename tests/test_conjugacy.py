@@ -10,7 +10,7 @@ from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
                                 conjugacy_solve, schreier_support)
 from freesolv.power import power_solve
 from freesolv.words import Word, commutator, parse, random_reduced_word
-from freesolv.wordproblem import SupportChain, word_problem
+from freesolv.wordproblem import LengthGuardError, SupportChain, word_problem
 from freesolv.xdigraph import FoldConflict
 
 C = commutator(parse("x1"), parse("x2"))
@@ -429,3 +429,11 @@ def test_no_verdicts_with_nonzero_abelianization_skip_refinement(
             assert built == []
         answers.add(res.conjugate)
     assert answers == {True, False}
+
+
+def test_length_guard():
+    x, y = parse("x1 x2"), parse("x2 x1")
+    for d in (0, 2):
+        with pytest.raises(LengthGuardError):
+            conjugacy_solve(x, y, 2, d, max_len=4)
+    assert conjugacy_solve(x, y, 2, 2, max_len=5).conjugate

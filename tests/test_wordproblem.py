@@ -10,7 +10,8 @@ from freesolv import oracle
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
 from freesolv.wordproblem import (Distinguisher, LengthGuardError,
-                                  SupportChain, fingerprint, nu0,
+                                  SupportChain, _draw_anchors, fingerprint,
+                                  nu0,
                                   refine_deterministic, refine_randomized,
                                   word_problem)
 from freesolv.xdigraph import (PrefixTree, number_tree_edges,
@@ -305,11 +306,13 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(rng):
             seed = B % 1009
             chain = SupportChain(tree, "mc", rng=random.Random(seed),
                                  cube_bound=B)
-            redraw = random.Random(seed)
+            chain.want_fingerprint = True
             for d in (1, 2):
                 labels = chain.labels_at(d).tolist()
-                m = chain.numbering_at(d - 1)[0]
-                anchor = [redraw.randrange(B + 1) for _ in range(m)]
+                # the engine's own anchors; the distances are computed here
+                anchor = chain.last_fingerprint.anchor
+                assert len(anchor) == chain.numbering_at(d - 1)[0]
+                assert all(0 <= a <= B for a in anchor)
                 d2 = [sum((x - a) ** 2 for x, a in
                           zip(chain.flow_vector(d - 1, path).tolist(), anchor))
                       for path in paths]
@@ -338,6 +341,46 @@ def test_mc_labels_repeat_for_a_seed(seed, lengths, bound):
             for _ in range(2)]
     for d in (1, 2, 3):
         assert runs[0].labels_at(d).tolist() == runs[1].labels_at(d).tolist()
+
+
+class _CountingRandom(random.Random):
+    def getrandbits(self, k):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().getrandbits(k)
+
+
+def _anchor_ints(limbs):
+    vals = [0] * limbs.shape[1]
+    for row in limbs[::-1].tolist():
+        vals = [(v << 30) | x for v, x in zip(vals, row)]
+    return vals
+
+
+@pytest.mark.parametrize("B", [1, 6, 2 ** 30 - 1, 3 * 2 ** 30 + 1, 2 ** 44,
+                               2 ** 60 + 12345, 2 ** 100])
+def test_anchors_are_uniform_on_the_cube(B):
+    n = 100_000
+    g = _CountingRandom(B % 10007)
+    a = _anchor_ints(_draw_anchors(g, B, n))
+    assert len(a) == n and all(0 <= x <= B for x in a)
+    if B <= 6:  # every value, each as often as the others
+        freq = np.bincount(a, minlength=B + 1) / n
+        assert len(freq) == B + 1 and np.abs(freq - 1 / (B + 1)).max() < 0.01
+    else:
+        octiles = np.bincount([x * 8 // (B + 1) for x in a], minlength=8)
+        assert np.abs(octiles / n - 1 / 8).max() < 0.01, octiles
+    if B == 3 * 2 ** 30 + 1:
+        assert g.calls > 1  # a quarter of the first draw lies above B
+    again = _draw_anchors(random.Random(B % 10007), B, n)
+    assert _anchor_ints(again) == a
+
+
+def test_anchor_limbs_are_the_getrandbits_words():
+    # B = 2^30 - 1 rejects nothing: component i is bits 32i .. 32i+29
+    raw = random.Random(7).getrandbits(32 * 50)
+    a = _draw_anchors(random.Random(7), 2 ** 30 - 1, 50)
+    assert a.tolist() == [[(raw >> (32 * i)) & (2 ** 30 - 1)
+                           for i in range(50)]]
 
 
 X1, X2 = parse("x1"), parse("x2")

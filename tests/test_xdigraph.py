@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesolv import oracle
 from freesolv.words import Word, commutator, parse, random_reduced_word
@@ -43,8 +44,59 @@ def test_prefix_tree():
     assert t3.diameter() <= 3 * (len(u) + len(v))
 
 
+def dict_trie(words):
+    """Reference prefix tree: one (node, letter) -> child lookup per letter."""
+    child, parents, letters, word_nodes = {}, [-1], [0], {}
+    for w in words:
+        node, path = 0, [0]
+        for s in w.letters:
+            if (node, s) not in child:
+                child[node, s] = len(parents)
+                parents.append(node)
+                letters.append(s)
+            node = child[node, s]
+            path.append(node)
+        word_nodes.setdefault(tuple(w.letters), path)
+    return parents, letters, list(word_nodes.items())
+
+
+LETTERS = st.sampled_from([1, -1, 2, -2, 3])
+
+
+@st.composite
+def word_sets(draw):
+    # each word is a prefix of one base word and a tail, so prefixes are
+    # shared, some words are prefixes of others, and the empty word occurs;
+    # a word may also repeat an earlier one
+    base = Word(draw(st.lists(LETTERS, max_size=12))).letters
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        if words and draw(st.booleans()):
+            words.append(draw(st.sampled_from(words)))
+        else:
+            j = draw(st.integers(0, len(base)))
+            words.append(Word(base[:j] + tuple(draw(st.lists(LETTERS,
+                                                             max_size=6)))))
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=word_sets(), data=st.data())
+def test_prefix_tree_matches_a_per_letter_trie(words, data):
+    want = dict_trie(words)
+    tree = PrefixTree(words)
+    assert (tree.parents, tree.letters, list(tree.word_nodes.items())) == want
+    # the same words, some of them added after construction
+    i = data.draw(st.integers(0, len(words)))
+    grown = PrefixTree(words[:i])
+    for w in words[i:]:
+        assert grown.add_word(w) == dict(want[2])[tuple(w.letters)]
+    assert (grown.parents, grown.letters,
+            list(grown.word_nodes.items())) == want
+
+
 def test_add_word_after_single_word_tree(rng):
-    # a one-word tree builds its child index only when a word is added
+    # a word added to a one-word tree reuses the path's nodes
     for _ in range(30):
         w = random_reduced_word(rng, rng.randrange(0, 40), 2)
         x = w.prefix(rng.randrange(0, len(w) + 1)) * \
