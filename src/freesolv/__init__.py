@@ -1,41 +1,24 @@
 """Decision procedures for free solvable groups S_{r,d}.
 
 Word, power (cyclic membership) and conjugacy problems, each in an exact
-deterministic flavor and a faster seeded Monte Carlo flavor, backed by an
-independent Magnus-embedding / Fox-derivative oracle used in the tests.
+deterministic flavor and a faster seeded Monte Carlo flavor.  The engines
+behind them (SupportChain, SchreierSupport) stay importable from their
+own modules, and freesolv.oracle holds the independent Magnus-embedding /
+Fox-derivative oracle that `freesolv selftest` checks the solvers against.
 """
 
-from .words import (Letter, ParseError, Word, code_length, commutator,
-                    free_reduce, normalize_rank, parse, random_reduced_word,
+from .words import (ParseError, Word, commutator, parse, random_reduced_word,
                     random_trivial_word)
-from .xdigraph import (FoldConflict, NotTraceable, PrefixTree, XDigraph,
-                       bouquet, edge_numbering, iota, iota_language,
-                       path_graph, prefix_tree, quotient_by_labeling)
-from .flows import Flow, flow_of, is_circulation, push_forward, update_step
-from .wordproblem import (Distinguisher, Fingerprint, LengthGuardError,
-                          SupportChain, fingerprint, nu0, refine_deterministic,
-                          refine_randomized, word_problem)
-from .power import FAIL, PowerResult, member_of_cyclic, power_solve, \
-    triviality_depth
-from .conjugacy import (ConjugacyResult, SchreierSupport, conjugacy_solve,
-                        schreier_support)
+from .xdigraph import FoldConflict
+from .wordproblem import LengthGuardError, word_problem
+from .power import FAIL, PowerResult, member_of_cyclic, power_solve
+from .conjugacy import ConjugacyResult, conjugacy_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Letter", "ParseError", "Word", "code_length", "commutator",
-    "free_reduce", "normalize_rank", "parse", "random_reduced_word",
-    "random_trivial_word",
-    "FoldConflict", "NotTraceable", "PrefixTree", "XDigraph", "bouquet",
-    "edge_numbering", "iota", "iota_language", "path_graph", "prefix_tree",
-    "quotient_by_labeling",
-    "Flow", "flow_of", "is_circulation", "push_forward", "update_step",
-    "Distinguisher", "Fingerprint", "LengthGuardError", "SupportChain",
-    "fingerprint", "nu0", "refine_deterministic", "refine_randomized",
-    "word_problem",
-    "FAIL", "PowerResult", "member_of_cyclic", "power_solve",
-    "triviality_depth",
-    "ConjugacyResult", "SchreierSupport", "conjugacy_solve",
-    "schreier_support",
-    "__version__",
+    "Word", "ParseError", "parse", "commutator", "random_reduced_word",
+    "random_trivial_word", "LengthGuardError", "FoldConflict",
+    "word_problem", "power_solve", "PowerResult", "FAIL", "member_of_cyclic",
+    "conjugacy_solve", "ConjugacyResult", "__version__",
 ]

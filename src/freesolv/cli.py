@@ -51,6 +51,8 @@ class RunConfig:
             raise ParseError("degree must be >= 0")
         if args.trials < 1:
             raise ParseError("trials must be >= 1")
+        if args.cube_exp is not None and args.cube_exp < 0:
+            raise ParseError("cube exponent must be >= 0")
         seed = args.seed if args.seed is not None else secrets.randbits(64)
         return cls(rank=args.rank, degree=args.degree, mode=args.mode,
                    seed=seed, cube_exp=args.cube_exp, trials=args.trials,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import Word, concat_reduced
-from .xdigraph import FoldConflict, XDigraph
+from .xdigraph import FoldConflict
 from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
 from .power import member_of_cyclic, power_solve
 
@@ -221,27 +221,6 @@ class SchreierSupport:
             path.append(v)
         return path, flow
 
-    def coset_path(self, w: Word) -> list[int]:
-        return self.trace(w)[0]
-
-    def as_xdigraph(self) -> XDigraph:
-        edges = set()
-        for (u, s), tgt in self.out.items():
-            edges.add((u, tgt, s) if s > 0 else (tgt, u, -s))
-        return XDigraph(len(self.reps), 0, edges)
-
-
-def schreier_support(y: Word, extra=(), r: int | None = None, d: int = 2,
-                     mode: str = "det", rng=None,
-                     cube_bound: int | None = None) -> SchreierSupport:
-    """Support of the traces of y and the extra words in Sch_{d-1}(y)."""
-    if r is None:
-        r = max([y.rank] + [w.rank for w in extra])
-    sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
-    for w in extra:
-        sup.trace(w)
-    return sup
-
 
 # -- witness construction --------------------------------------------------
 
@@ -380,13 +359,15 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
 
     Yes answers carry a witness z with z x z^-1 = y, verified
     deterministically; at d <= 2 both modes give the same answer.  Monte
-    Carlo trials that trip over inconsistent
-    membership answers are retried with fresh randomness a bounded number
-    of times before the conflict is surfaced.  Raises LengthGuardError
-    when |x|+|y| >= max_len, like word_problem and power_solve.
+    Carlo trials that trip over inconsistent membership answers are
+    retried with fresh randomness a bounded number of times before the
+    conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
+    max_len, like word_problem and power_solve.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
+    if max(x.rank, y.rank) > r:
+        raise ValueError(f"word rank {max(x.rank, y.rank)} exceeds r = {r}")
     n = len(x) + len(y)
     if n >= max_len:
         raise LengthGuardError(f"|x|+|y| = {n} exceeds guard {max_len}")

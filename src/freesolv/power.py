@@ -60,22 +60,6 @@ def _first_nontrivial_depth(chain: SupportChain, node: int, length: int,
     return s
 
 
-def triviality_depth(w: Word, r: int, cap: int, mode: str = "det", rng=None,
-                     cube_bound: int | None = None) -> int:
-    """Largest s <= cap with w = 1 in S_{r,s}; the empty word reports cap."""
-    if r < 1 or cap < 0:
-        raise ValueError("need r >= 1 and cap >= 0")
-    if len(w) == 0 or cap == 0:
-        return cap
-    B = None
-    if mode == "mc":
-        B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
-    tree = PrefixTree([w])
-    chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
-    end = tree.word_nodes[tuple(w.letters)][-1]
-    return _first_nontrivial_depth(chain, end, len(w), cap)
-
-
 def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
                 rng=None, cube_bound: int | None = None,
                 max_len: int = DEFAULT_MAX_LEN) -> PowerResult:
@@ -90,6 +74,8 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
+    if max(u.rank, v.rank) > r:
+        raise ValueError(f"word rank {max(u.rank, v.rank)} exceeds r = {r}")
     n = len(u) + len(v)
     if n >= max_len:
         raise LengthGuardError(f"|u|+|v| = {n} exceeds guard {max_len}")

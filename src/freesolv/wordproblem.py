@@ -106,6 +106,9 @@ class SupportChain:
             raise ValueError("mode must be 'det' or 'mc'")
         if mode == "mc" and (rng is None or cube_bound is None):
             raise ValueError("Monte Carlo mode needs rng and cube_bound")
+        if mode == "mc" and not (isinstance(cube_bound, int)
+                                 and cube_bound >= 0):
+            raise ValueError("cube_bound must be a non-negative int")
         self.tree = tree
         self.V = len(tree)
         self.mode = mode
@@ -143,10 +146,11 @@ class SupportChain:
         """Canonical edge numbering of the quotient graph at this depth.
 
         Returns (m, eid, dirs): per non-root node, the edge its parent
-        edge maps to and the sign against canonical orientation.  Matches
-        xdigraph.number_tree_edges, vectorized.  The labels are dense
-        class ids by construction, seeded ones included (_word_chain
-        densifies them), so they pack into edge codes as they are.
+        edge maps to and the sign against canonical orientation.  Its
+        tuple reference is number_tree_edges in tests/graph_reference.py.
+        The labels are dense class ids by construction, seeded ones
+        included (_word_chain densifies them), so they pack into edge
+        codes as they are.
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
@@ -429,6 +433,8 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
+    if w.rank > r:
+        raise ValueError(f"word rank {w.rank} exceeds r = {r}")
     if len(w) >= max_len:
         raise LengthGuardError(f"|w| = {len(w)} exceeds guard {max_len}")
     if len(w) == 0 or d == 0:

@@ -8,28 +8,11 @@ from __future__ import annotations
 
 import re
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class ParseError(ValueError):
     """Raised for malformed word text."""
-
-
-class Letter(NamedTuple):
-    """A single generator letter x_i or its inverse."""
-
-    index: int  # generator index, >= 1
-    sign: int   # +1 or -1
-
-    @property
-    def signed(self) -> int:
-        return self.index * self.sign
-
-    @classmethod
-    def from_signed(cls, s: int) -> "Letter":
-        if s == 0:
-            raise ValueError("letter 0 is not a generator")
-        return cls(abs(s), 1 if s > 0 else -1)
 
 
 def free_reduce(letters: Iterable[int]) -> "Word":
@@ -128,13 +111,6 @@ class Word:
         """Initial segment of length j (prefixes of a reduced word are reduced)."""
         return Word._trusted(self.letters[:j], self.rank)
 
-    def conjugate_by(self, z: "Word") -> "Word":
-        """z * self * z^-1, freely reduced."""
-        return z * self * ~z
-
-    def to_letters(self) -> list[Letter]:
-        return [Letter.from_signed(s) for s in self.letters]
-
     def serialize(self) -> str:
         if not self.letters:
             return "1"
@@ -189,32 +165,6 @@ def parse(text: str, r: int | None = None) -> Word:
     return Word(w.letters, rank=r, _reduced=True)
 
 
-def normalize_rank(w: Word) -> tuple[Word, dict[int, int]]:
-    """Relabel generators by first occurrence so indices used are 1..r'.
-
-    Returns the relabeled word and the old->new index mapping.  Relabeling
-    is induced by a permutation of the basis, so triviality, powers and
-    conjugacy are unaffected.
-    """
-    renaming: dict[int, int] = {}
-    out = []
-    for s in w.letters:
-        i = abs(s)
-        if i not in renaming:
-            renaming[i] = len(renaming) + 1
-        out.append(renaming[i] if s > 0 else -renaming[i])
-    rank = len(renaming) if renaming else None
-    return Word(tuple(out), rank=rank, _reduced=True), dict(renaming)
-
-
-def code_length(w: Word) -> int:
-    """Bit length |w| * (ceil(log2 r) + 1) of the binary encoding."""
-    r = w.rank
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    return len(w) * ((r - 1).bit_length() + 1)
-
-
 def random_reduced_word(rng, length: int, r: int) -> Word:
     """Uniform non-backtracking walk: a random freely reduced word."""
     if length == 0:
@@ -252,6 +202,6 @@ def random_trivial_word(rng, r: int, d: int, conjugator_len: int = 3,
         out = Word((), rank=r, _reduced=True)
         for _ in range(factors):
             z = random_reduced_word(rng, rng.randrange(0, conjugator_len + 1), r)
-            out = out * nested(d).conjugate_by(z)
+            out = out * (z * nested(d) * ~z)
         if len(out) > 0:
             return out

@@ -83,6 +83,16 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_negative_cube_exp_is_a_usage_error(capsys):
+    # a negative exponent would make the anchor cube bound a fraction
+    code, _, err = run(capsys, "wp", "x1 x2 X1 X2 x1 X2 X1 x2 x2 x1 X2 X1 "
+                       "X2 x1 x2 X1", "--mode", "mc", "--cube-exp", "-1")
+    assert code == EXIT_USAGE and "cube" in err
+    code, _, _ = run(capsys, "wp", "x1 x2 X1 X2", "--mode", "mc",
+                     "--cube-exp", "0", "--seed", "1")
+    assert code in (EXIT_YES, EXIT_NO)
+
+
 def test_guard_exit(capsys):
     code, _, err = run(capsys, "wp", "--max-len", "4", "x1 x2 x1 x2 x1")
     assert code == EXIT_GUARD and "guard" in err

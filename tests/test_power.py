@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import form_long, trivial_long
 from freesolv import oracle, power
-from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve, \
-    triviality_depth
+from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve
 from freesolv.wordproblem import LengthGuardError, SupportChain
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
+from freesolv.xdigraph import PrefixTree
 
 C = commutator(parse("x1"), parse("x2"))
 BIG = commutator(commutator(parse("x1"), parse("x2")),
@@ -23,6 +23,15 @@ def test_examples():
     assert power_solve(C * C, C, 2, 2) == PowerResult(2)
     assert power_solve(C, ~C, 2, 2) == PowerResult(-1)
     assert power_solve(Word(()), Word(()), 2, 2) == PowerResult(1)
+
+
+def triviality_depth(w, r, cap):
+    """Largest s <= cap with w = 1 in S_{r,s}, from the power solver's
+    depth probe; the empty word reports cap."""
+    assert w.rank <= r
+    tree = PrefixTree([w])
+    end = tree.word_nodes[w.letters][-1]
+    return power._first_nontrivial_depth(SupportChain(tree), end, len(w), cap)
 
 
 def test_triviality_depth_examples():

@@ -14,8 +14,10 @@ from freesolv.wordproblem import (Distinguisher, LengthGuardError,
                                   nu0,
                                   refine_deterministic, refine_randomized,
                                   word_problem)
-from freesolv.xdigraph import (PrefixTree, number_tree_edges,
-                               quotient_by_labeling)
+from freesolv.conjugacy import conjugacy_solve
+from freesolv.power import power_solve
+from freesolv.xdigraph import PrefixTree
+from graph_reference import number_tree_edges, quotient_by_labeling
 
 C = commutator(parse("x1"), parse("x2"))
 
@@ -184,6 +186,36 @@ def test_cube_bound_override(rng):
                         cube_bound=len(w) ** 4) == word_problem(w, 2, 2)
 
 
+@pytest.mark.parametrize("bound", [-5, -1, 0.5, None])
+def test_mc_cube_bound_must_be_a_non_negative_int(bound):
+    tree = PrefixTree([C])
+    with pytest.raises(ValueError):
+        SupportChain(tree, "mc", rng=random.Random(1), cube_bound=bound)
+    w = commutator(C, commutator(parse("x1"), parse("X2")))
+    if bound is not None:
+        with pytest.raises(ValueError):
+            word_problem(w, 2, 2, mode="mc", rng=random.Random(1),
+                         cube_bound=bound)
+    # bound 0 is the cube {0}: every anchor is the origin
+    assert word_problem(C, 2, 1, mode="mc", rng=random.Random(1),
+                        cube_bound=0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, y, r: word_problem(commutator(x, y), r, 2),
+    lambda x, y, r: power_solve(x, y, r, 2),
+    lambda x, y, r: conjugacy_solve(x, y, r, 2),
+], ids=["word_problem", "power_solve", "conjugacy_solve"])
+def test_entry_points_reject_words_above_rank(solve):
+    # [[x1,x2],[x1,x2^-1]] uses x2, so it is no word of S_{1,2}
+    x, y = C, commutator(parse("x1"), parse("X2"))
+    with pytest.raises(ValueError, match="rank"):
+        solve(x, y, 1)
+    with pytest.raises(ValueError, match="rank"):
+        solve(Word((), rank=3), Word((), rank=3), 2)
+    solve(x, y, 2)
+
+
 def test_length_guard():
     w = Word((1, 2) * 20, rank=2)
     with pytest.raises(LengthGuardError):
@@ -199,8 +231,9 @@ def tuple_reference_labels(tree, depth):
     """Labels at depths 1..depth by lexicographic rank of flow tuples.
 
     Shares no code with SupportChain: edges are numbered by
-    xdigraph.number_tree_edges from the reference's own labels, and each
-    flow is its parent's flow plus one edge (parents precede children).
+    graph_reference.number_tree_edges from the reference's own labels,
+    and each flow is its parent's flow plus one edge (parents precede
+    children).
     """
     labels, out = [0] * len(tree), []
     for _ in range(depth):

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from freesolv.words import (Letter, ParseError, Word, code_length, commutator,
-                            free_reduce, normalize_rank, parse)
+from freesolv.words import ParseError, commutator, free_reduce, parse
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda s: s != 0)
 
@@ -62,13 +61,6 @@ def test_free_reduce_idempotent_and_clean(ls):
         assert a != -b
 
 
-def test_letter_invariants():
-    lt = Letter.from_signed(-3)
-    assert lt.index == 3 and lt.sign == -1 and lt.signed == -3
-    for lt in parse("x1 X2 x3").to_letters():
-        assert lt.index >= 1 and lt.sign in (1, -1)
-
-
 def test_word_algebra():
     u, v = parse("x1 x2"), parse("X2 x1")
     assert (u * v).letters == (1, 1)
@@ -76,30 +68,3 @@ def test_word_algebra():
     assert (u ** 0).letters == ()
     assert (u ** -2) == ~(u * u)
     assert commutator(parse("x1"), parse("x2")).letters == (1, 2, -1, -2)
-
-
-def test_normalize_rank():
-    w = Word((7, 9, -7), rank=9)
-    nw, renaming = normalize_rank(w)
-    assert nw.letters == (1, 2, -1)
-    assert renaming == {7: 1, 9: 2}
-    e, ren = normalize_rank(Word(()))
-    assert e.letters == () and ren == {}
-    w2 = parse("x1 x2")
-    assert normalize_rank(w2)[0] == w2
-    assert normalize_rank(w2)[1] == {1: 1, 2: 2}
-
-
-@given(st.lists(letters, max_size=30))
-def test_normalize_rank_preserves_shape(ls):
-    w = free_reduce(ls)
-    nw, _ = normalize_rank(w)
-    assert len(nw) == len(w)
-    assert sorted(1 if s > 0 else -1 for s in nw.letters) == \
-        sorted(1 if s > 0 else -1 for s in w.letters)
-
-
-def test_code_length():
-    assert code_length(Word((1, 2) * 5, rank=2)) == 20
-    assert code_length(Word((), rank=2)) == 0
-    assert code_length(Word((1, 2, 3, 4, 5), rank=5)) == 20
