@@ -206,7 +206,8 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
             rng = Random(seed * 1_000_003 + n * 1009 + t)
             inst = bench_instance(problem, n, r, d, rng)
             total = sum(len(w) for w in inst)
-            cube = max(1, total) ** cube_exp if (cube_exp and mode == "mc") else None
+            cube = (max(1, total) ** cube_exp
+                    if cube_exp is not None and mode == "mc" else None)
             run_rng = Random(seed * 1_000_003 + n * 1009 + t + 500_000_001)
             t0 = time.process_time()
             if problem == "wp":

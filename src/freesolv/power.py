@@ -2,8 +2,9 @@
 
 The algorithm compares triviality depths s, t of u and v (the largest
 class where each dies, probed no deeper than d, since only min(s, d) is
-read), settles the degenerate orderings outright, and in the remaining
-case s = t < d reads the only possible exponent k off the flows of u and v
+read; depth i is probed by the flow on the depth-(i-1) quotient graph),
+settles the degenerate orderings outright, and in the remaining case
+s = t < d reads the only possible exponent k off the flows of u and v
 on the common support graph at depth s.  At s = d-1 both words lie in the
 abelian group F^(d-1)/F^(d), so the flows decide alone; for s < d-1 the
 exponent is certified through the commutator test backed by Malcev's
@@ -46,18 +47,20 @@ def _log3_floor(n: int) -> int:
     return e
 
 
-def _first_nontrivial_depth(chain: SupportChain, node: int, length: int,
+def _first_nontrivial_depth(chain: SupportChain, path, length: int,
                             cap: int) -> int:
-    """Largest s <= cap at which the word (given by its end node) is trivial."""
-    s = cap
+    """Largest s <= cap at which the word (given by its node path) is trivial.
+
+    Depth i is tested by the word's flow on the depth-(i-1) quotient
+    graph, so labels are built no deeper than cap - 1.
+    """
     for i in range(1, cap + 1):
         if length and 3 ** i > length:
             # shorter than the shortest depth-i relator: nontrivial from here on
             return i - 1
-        labels = chain.labels_at(i)
-        if labels[node] != labels[0]:
+        if chain.flow_vector(i - 1, path).any():
             return i - 1
-    return s
+    return cap
 
 
 def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
@@ -65,8 +68,10 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
                 max_len: int = DEFAULT_MAX_LEN) -> PowerResult:
     """Find k with u = v^k in S_{r,d}, or Fail if there is none.
 
-    Deterministic mode is exact.  Monte Carlo mode is unbiased (errors
-    both ways are possible) with success probability at least
+    Deterministic mode is exact.  Monte Carlo mode randomizes only the
+    labels of depths 1..d-1 (triviality is read off flows, see
+    _first_nontrivial_depth), so it is exact at d = 1.  It is unbiased
+    (errors both ways are possible) with success probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default anchor cube
     [0, 9(|u|+|v|)^3].  Raises LengthGuardError when |u|+|v| >= max_len,
     like word_problem; the guard also keeps the packed (range, position)
@@ -92,8 +97,8 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     # below d the cap D never truncates a nonempty word's triviality depth
     # (|w| >= 3^s forces s <= log3 |w| < D); the empty word dies at every
     # depth, so clamp its depth to d directly
-    s = d if len(u) == 0 else _first_nontrivial_depth(chain, u_nodes[-1], len(u), D)
-    t = d if len(v) == 0 else _first_nontrivial_depth(chain, v_nodes[-1], len(v), D)
+    s = d if len(u) == 0 else _first_nontrivial_depth(chain, u_nodes, len(u), D)
+    t = d if len(v) == 0 else _first_nontrivial_depth(chain, v_nodes, len(v), D)
 
     if d <= s and d <= t:
         return PowerResult(1)
@@ -104,20 +109,20 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     if s != t:  # s < t < d or t < s < d
         return FAIL
 
-    # s = t < d: on the depth-s support both flows are circulations and
-    # u = v^k forces pi_u = k pi_v, so one nonzero edge of pi_v pins k
+    # s = t < d: on the depth-s support both flows are circulations, and
+    # u = v^k in S_{r,s+1} iff pi_u = k pi_v, so one nonzero edge of pi_v
+    # pins k and the flows rule out every other candidate
     pu = chain.flow_vector(s, u_nodes)
     pv = chain.flow_vector(s, v_nodes)
     nz = np.flatnonzero(pv)
     if len(nz) == 0:
         raise AssertionError("pi_v = 0 would mean v = 1 at depth s+1")
-    e = int(nz[0])
-    q, rem = divmod(int(pu[e]), int(pv[e]))
-    if rem != 0:
+    q = int(pu[nz[0]]) // int(pv[nz[0]])
+    if not np.array_equal(pu, q * pv):
         return FAIL
     if s == d - 1:
         # u, v lie in the abelian F^(d-1)/F^(d): [u, v] = 1, flows decide
-        return PowerResult(q) if np.array_equal(pu, q * pv) else FAIL
+        return PowerResult(q)
     if not word_problem(commutator(u, v), r, d, mode=mode, rng=rng,
                         cube_bound=B, max_len=2 * max_len):
         return FAIL

@@ -20,6 +20,11 @@ ranked limb by limb with one argsort each.  The anchors come from one
 getrandbits call of the caller's random.Random per refinement, with the
 components above the cube bound redrawn, so a seed fixes every Monte
 Carlo output independently of the numpy version.
+
+word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
+of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
+tests each depth k < d that way, so only depths 1..d-1 are refined, and
+in Monte Carlo mode only they are randomized: d = 1 is exact.
 """
 
 from __future__ import annotations
@@ -114,8 +119,14 @@ class SupportChain:
         self.mode = mode
         self.rng = rng
         self.cube_bound = cube_bound
-        self._parents = np.array(tree.parents, dtype=np.int64)
-        self._letters = np.array(tree.letters, dtype=np.int64)
+        self._parents = tree.parents
+        # letter codes of the edges into nodes 1..V-1, read forward and
+        # in reverse: x_i is i and x_i^-1 is r_max + i
+        s = tree.letters[1:]
+        r_max = int(np.abs(s).max(initial=1))
+        self._code_base = 2 * r_max + 2
+        self._code_fwd = np.where(s > 0, s, r_max - s)
+        self._code_rev = np.where(s < 0, -s, r_max + s)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
@@ -134,8 +145,7 @@ class SupportChain:
         nodes[starts[i]:starts[i + 1]].
         """
         if self._paths is None:
-            paths = [np.array(p[1:], dtype=np.int64)
-                     for p in self.tree.word_nodes.values()]
+            paths = [p[1:] for p in self.tree.word_nodes.values()]
             starts = np.cumsum([0] + [len(p) for p in paths])
             self._paths = (np.concatenate([starts[:0], *paths]), starts)
         return self._paths
@@ -154,16 +164,11 @@ class SupportChain:
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
-            p = self._parents[1:]
-            a = labels[p]
+            a = labels[self._parents[1:]]
             b = labels[1:]
-            s = self._letters[1:]
-            r_max = int(np.abs(s).max(initial=1))
             lab_stride = int(labels.max(initial=0)) + 1
-            code_s = np.where(s > 0, s, r_max + np.abs(s))
-            code_r = np.where(-s > 0, -s, r_max + np.abs(s))
-            fwd = (a * lab_stride + b) * (2 * r_max + 2) + code_s
-            rev = (b * lab_stride + a) * (2 * r_max + 2) + code_r
+            fwd = (a * lab_stride + b) * self._code_base + self._code_fwd
+            rev = (b * lab_stride + a) * self._code_base + self._code_rev
             canon = np.minimum(fwd, rev)
             dirs1 = np.where(fwd <= rev, 1, -1).astype(np.int64)
             _, inv = np.unique(canon, return_inverse=True)
@@ -176,12 +181,17 @@ class SupportChain:
         return self._numberings[depth]
 
     def flow_vector(self, depth: int, nodes: Sequence[int]) -> np.ndarray:
-        """Flow of a root path (node list) on the depth-d quotient graph."""
+        """Flow of a root path on the depth-d quotient graph.
+
+        nodes lists the path's nodes from the root, as the int64 arrays of
+        tree.word_nodes do.  One np.bincount sums the +-1 steps per edge
+        in float64, exactly, since a flow component is at most the path
+        length, below 2^53.
+        """
         m, eid, dirs = self.numbering_at(depth)
-        vec = np.zeros(m, dtype=np.int64)
-        idx = np.asarray(nodes[1:], dtype=np.int64)
-        np.add.at(vec, eid[idx], dirs[idx])
-        return vec
+        idx = nodes[1:]
+        return np.bincount(eid[idx], weights=dirs[idx],
+                           minlength=m).astype(np.int64)
 
     # -- refinement ------------------------------------------------------
 
@@ -426,10 +436,13 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
                  max_len: int = DEFAULT_MAX_LEN) -> bool:
     """Decide w = 1 in S_{r,d}.
 
-    Deterministic mode is always correct.  Monte Carlo mode is
+    Depth k is decided by the flow test: w = 1 in S_{r,k+1} iff its flow
+    on the depth-k quotient graph is zero, so labels are built up to
+    depth d-1 only.  Deterministic mode is always correct.  Monte Carlo
+    mode randomizes only depths 1..d-1, so it is exact at d = 1.  It is
     false-biased: trivial words always come back True; a nontrivial word
-    is reported False with probability at least (1 - 1/|w|)^(log3 |w|)
-    at the default cube bound |w|^3.
+    is reported False with probability at least (1 - 1/|w|)^(d-1) at the
+    default cube bound |w|^3 (d - 1 < log3 |w| once 3^d <= |w|).
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -446,11 +459,14 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
         B = cube_bound if cube_bound is not None else len(w) ** 3
     else:
         B = None
-    chain = SupportChain(PrefixTree([w]), mode=mode, rng=rng, cube_bound=B)
-    # S_{r,k} is a quotient of S_{r,d}, and Monte Carlo labels never split
-    # equal prefixes, so a split at any depth k < d already settles False
-    for k in range(1, d + 1):
-        labels = chain.labels_at(k)
-        if labels[0] != labels[-1]:
+    tree = PrefixTree([w])
+    chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
+    (path,) = tree.word_nodes.values()
+    # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d
+    # settles False.  Monte Carlo labels never split equal prefixes: their
+    # quotient graph is a quotient of the true one, and a flow nonzero on
+    # it is nonzero on the true graph too
+    for k in range(d):
+        if chain.flow_vector(k, path).any():
             return False
     return True

@@ -1,8 +1,9 @@
 """Prefix trees of reduced words, the support the solvers refine.
 
 A PrefixTree holds every prefix of its words once, as a node numbered in
-insertion order with its parent and last letter; since the words are
-freely reduced, the tree is a folded X-digraph rooted at the empty word.
+insertion order with its parent and last letter, kept in int64 arrays;
+since the words are freely reduced, the tree is a folded X-digraph rooted
+at the empty word.
 FoldConflict signals a labeling or a coset table that would unfold it.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterable
+
+import numpy as np
 
 from .words import Word
 
@@ -27,18 +30,31 @@ class PrefixTree:
     """
 
     def __init__(self, words: Iterable[Word] = ()):
-        self.parents: list[int] = [-1]
-        self.letters: list[int] = [0]
-        self.word_nodes: dict[tuple[int, ...], list[int]] = {}
+        # one block per added word, joined on first read
+        self._parents = [np.array([-1], dtype=np.int64)]
+        self._letters = [np.zeros(1, dtype=np.int64)]
+        self._size = 1
+        self.word_nodes: dict[tuple[int, ...], np.ndarray] = {}
         self._sorted: list[tuple[int, ...]] = []  # word_nodes keys, sorted
         for w in words:
             self.add_word(w)
 
     def __len__(self) -> int:
-        return len(self.parents)
+        return self._size
 
-    def add_word(self, w: Word) -> list[int]:
-        """Insert all prefixes of w; returns the node path (positions 0..|w|).
+    @property
+    def parents(self) -> np.ndarray:
+        """Parent of each node, -1 for the root."""
+        return _joined(self._parents)
+
+    @property
+    def letters(self) -> np.ndarray:
+        """Signed letter on the edge into each node, 0 for the root."""
+        return _joined(self._letters)
+
+    def add_word(self, w: Word) -> np.ndarray:
+        """Insert all prefixes of w; returns the node path (positions 0..|w|),
+        a read-only int64 array.
 
         Every node is a prefix of a word already inserted, so w's deepest
         existing node ends its longest common prefix with one of them, and
@@ -53,21 +69,30 @@ class PrefixTree:
             return got
         at = bisect_left(self._sorted, key)
         self._sorted.insert(at, key)
-        j, path = 0, [0]
+        j, shared = 0, 0  # the root, shared by all words
         for i in (at - 1, at + 1):
             if 0 <= i < len(self._sorted):
                 nb = self._sorted[i]
                 k = _common_prefix(key, nb)
                 if k > j:
-                    j, path = k, self.word_nodes[nb][:k + 1]
-        if j < len(key):
-            start = len(self.parents)
-            self.parents.append(path[-1])
-            self.parents.extend(range(start, start + len(key) - j - 1))
-            self.letters.extend(key[j:])
-            path.extend(range(start, start + len(key) - j))
+                    j, shared = k, self.word_nodes[nb][:k + 1]
+        start, n = self._size, len(key) - j
+        path = np.arange(start - 1 - j, start + n, dtype=np.int64)
+        path[:j + 1] = shared
+        path.flags.writeable = False  # shared with the tree's blocks
+        if n:
+            self._parents.append(path[j:-1])
+            self._letters.append(np.array(key[j:], dtype=np.int64))
+            self._size += n
         self.word_nodes[key] = path
         return path
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks as one array, kept as the only block from then on."""
+    if len(blocks) > 1:
+        blocks[:] = [np.concatenate(blocks)]
+    return blocks[0]
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from freesolv import cli
 from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
 from freesolv.conjugacy import SchreierSupport, conjugacy_solve
@@ -142,16 +143,16 @@ def test_bench_pow_reaches_commutator_check():
 
 
 def test_bench_wp_reaches_depth_d(monkeypatch):
-    # words of F^(d-1) do not split at depth 1: the timed solve refines
-    # all the way to depth d
+    # words of F^(d-1) have zero flow below depth d-1: the timed solve
+    # refines to depth d-1 and runs the depth-d flow test on its numbering
     built = []
-    labels_at = SupportChain.labels_at
+    numbering_at = SupportChain.numbering_at
 
     def spy(self, depth):
         built.append(depth)
-        return labels_at(self, depth)
+        return numbering_at(self, depth)
 
-    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    monkeypatch.setattr(SupportChain, "numbering_at", spy)
     for n in (64, 500, 3000):
         for d in (2, 3):
             for seed in range(3):
@@ -160,7 +161,20 @@ def test_bench_wp_reaches_depth_d(monkeypatch):
                 assert n <= len(w) < n + 110, (n, d, seed)
                 built.clear()
                 word_problem(w, 2, d)
-                assert max(built) == d, (n, d, seed)
+                assert max(built) == d - 1, (n, d, seed)
+
+
+def test_bench_passes_cube_exp_zero(monkeypatch):
+    # --cube-exp 0 means the bound n^0 = 1, not the solver default
+    bounds = []
+
+    def spy(w, r, d, **kwargs):
+        bounds.append(kwargs["cube_bound"])
+        return word_problem(w, r, d, **kwargs)
+
+    monkeypatch.setattr(cli, "word_problem", spy)
+    run_bench("wp", [64], 2, 2, "mc", seed=1, trials=1, cube_exp=0)
+    assert bounds == [1]
 
 
 def test_bench_rejects_rank_one(capsys):

@@ -30,8 +30,8 @@ def triviality_depth(w, r, cap):
     depth probe; the empty word reports cap."""
     assert w.rank <= r
     tree = PrefixTree([w])
-    end = tree.word_nodes[w.letters][-1]
-    return power._first_nontrivial_depth(SupportChain(tree), end, len(w), cap)
+    path = tree.word_nodes[w.letters]
+    return power._first_nontrivial_depth(SupportChain(tree), path, len(w), cap)
 
 
 def test_triviality_depth_examples():
@@ -195,6 +195,55 @@ def test_probes_stop_at_d_and_top_layer_needs_no_commutator(monkeypatch, rng):
                 assert not trivial_long(u * c ** -k, 2, d)
             outcomes.add((d, res.found))
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_d2_probes_build_no_labels_when_both_abelianizations_are_nonzero(
+        monkeypatch, rng):
+    # ab(u), ab(v) != 0: both probes stop at the depth-0 flow, so outside
+    # the commutator check no labels are built beyond depth 0; flows that
+    # are not proportional settle Fail without the check
+    built, checks, running = [], [], []
+    labels_at = SupportChain.labels_at
+    word_problem = power.word_problem
+
+    def spy(self, depth):
+        if not running:
+            built.append(depth)
+        return labels_at(self, depth)
+
+    def check(*args, **kwargs):
+        checks.append(args[0])
+        running.append(True)
+        try:
+            return word_problem(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    monkeypatch.setattr(power, "word_problem", check)
+    cases = 0
+    while cases < 30:
+        is_power = cases % 2 == 1
+        v = random_reduced_word(rng, rng.randrange(1, 40), 2)
+        u = (v ** rng.choice((-3, -1, 2, 5)) if is_power
+             else random_reduced_word(rng, rng.randrange(1, 60), 2))
+        ab_u, ab_v = ([sum(1 if s > 0 else -1 for s in w.letters if abs(s) == i)
+                       for i in (1, 2)] for w in (u, v))
+        if not any(ab_u) or not any(ab_v):
+            continue
+        cases += 1
+        proportional = any(ab_u == [q * x for x in ab_v]
+                           for q in range(-len(u), len(u) + 1))
+        det = power_solve(u, v, 2, 2)
+        for mode in ("det", "mc"):
+            built.clear()
+            checks.clear()
+            assert power_solve(u, v, 2, 2, mode=mode,
+                               rng=random.Random(cases)) == det
+            assert max(built) == 0, (mode, u, v)
+            assert len(checks) == proportional, (mode, u, v)
+        assert proportional or not det.found
+        assert proportional or not is_power
 
 
 def test_length_guard():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,19 +82,26 @@ def word_sets(draw):
     return words
 
 
+def tree_lists(tree):
+    """A PrefixTree's int64 arrays as (parents, letters, word_nodes) lists."""
+    arrays = [tree.parents, tree.letters, *tree.word_nodes.values()]
+    assert all(a.dtype == np.int64 for a in arrays)
+    return (tree.parents.tolist(), tree.letters.tolist(),
+            [(k, p.tolist()) for k, p in tree.word_nodes.items()])
+
+
 @settings(max_examples=300, deadline=None)
 @given(words=word_sets(), data=st.data())
 def test_prefix_tree_matches_a_per_letter_trie(words, data):
     want = dict_trie(words)
     tree = PrefixTree(words)
-    assert (tree.parents, tree.letters, list(tree.word_nodes.items())) == want
+    assert tree_lists(tree) == want
     # the same words, some of them added after construction
     i = data.draw(st.integers(0, len(words)))
     grown = PrefixTree(words[:i])
     for w in words[i:]:
-        assert grown.add_word(w) == dict(want[2])[tuple(w.letters)]
-    assert (grown.parents, grown.letters,
-            list(grown.word_nodes.items())) == want
+        assert grown.add_word(w).tolist() == dict(want[2])[tuple(w.letters)]
+    assert tree_lists(grown) == want
 
 
 def test_add_word_after_single_word_tree(rng):
@@ -105,10 +113,8 @@ def test_add_word_after_single_word_tree(rng):
         grown = PrefixTree([w])
         path = grown.add_word(x)
         both = PrefixTree([w, x])
-        assert grown.parents == both.parents
-        assert grown.letters == both.letters
-        assert grown.word_nodes == both.word_nodes
-        assert path == both.word_nodes[tuple(x.letters)]
+        assert tree_lists(grown) == tree_lists(both)
+        assert path.tolist() == both.word_nodes[tuple(x.letters)].tolist()
 
 
 def test_quotient_constant_labels_gives_bouquet():
