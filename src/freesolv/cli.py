@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import secrets
 import statistics
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -153,9 +156,9 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
       word problem does not stop at depth 1 and runs the refinement up
       to depth d; a uniform random word splits at depth 1 almost surely.
     pow: u = v^2 c with |v| about n/3 and c a random word of F^(d), so
-      u = v^2 in S_{r,d} while [u, v] is not freely trivial: the solver
-      must certify k = 2 via the commutator word problem, the expensive
-      path.
+      u = v^2 in S_{r,d} while u v^-2 and [u, v] are not freely trivial:
+      for d >= 2 the solver must certify k = 2 by a word problem at
+      depth d on u v^-2, the shorter of the two, the expensive path.
     conj: conjugate pair perturbed by a commutator: abelianizations match
       but the pair is generically not conjugate for d >= 2, so the shift
       loop runs in full.
@@ -231,6 +234,17 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
             "seed": seed, "rows": rows, "fitted_exponent": round(exponent, 3)}
 
 
+def _revision() -> str | None:
+    """git HEAD of the checkout this module lives in, or None outside one."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=Path(__file__).resolve().parent,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def cmd_bench(args) -> int:
     cfg = RunConfig.from_args(args)
     sizes = [int(s) for s in args.sizes.split(",")]
@@ -239,6 +253,11 @@ def cmd_bench(args) -> int:
     r = cfg.rank if cfg.rank is not None else 2
     table = run_bench(args.problem, sizes, r, cfg.degree, cfg.mode,
                       cfg.seed, cfg.trials, cfg.cube_exp)
+    if args.out is not None:
+        record = dict(table, revision=_revision(),
+                      python=platform.python_version(),
+                      numpy=np.__version__)
+        Path(args.out).write_text(json.dumps(record, sort_keys=True) + "\n")
     if cfg.as_json:
         print(json.dumps(table, sort_keys=True))
     else:
@@ -345,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="scaling table for one problem")
     p.add_argument("problem", choices=("wp", "pow", "conj"))
     p.add_argument("sizes", help="comma-separated ascending instance sizes")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="also write the table as JSON, with the git "
+                        "revision and the python and numpy versions")
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -367,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LengthGuardError, oracle.OracleLimitError, FoldConflict) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,7 @@ against large inputs rather than made fast.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Iterator
 
 from .words import Word, commutator
@@ -37,7 +38,8 @@ class MagnusNF:
     sorted tuple of (depth-(d-1) form, nonzero row in Z^r).
     """
 
-    __slots__ = ("depth", "rank", "base", "module", "_key", "_hash", "_seq")
+    __slots__ = ("depth", "rank", "base", "module", "_key", "_hash", "_seq",
+                 "__weakref__")
 
     def __init__(self, depth, rank, base, module, key, seq):
         self.depth = depth
@@ -67,7 +69,11 @@ class MagnusNF:
         return f"<{self.base!r} | {len(self.module)} rows>"
 
 
-_intern: dict[tuple, MagnusNF] = {}
+# weak values: a form lives while something holds it, and a live form
+# holds its base and module forms, so the _seq numbers in its key stay
+# unique while the key is in the table; _seq never repeats
+_intern: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_next_seq = itertools.count()
 
 
 def _mk(depth: int, rank: int, base, module) -> MagnusNF:
@@ -78,7 +84,7 @@ def _mk(depth: int, rank: int, base, module) -> MagnusNF:
         key = (depth, rank, base)
     got = _intern.get(key)
     if got is None:
-        got = MagnusNF(depth, rank, base, module, key, len(_intern))
+        got = MagnusNF(depth, rank, base, module, key, next(_next_seq))
         _intern[key] = got
     return got
 

@@ -6,9 +6,12 @@ read; depth i is probed by the flow on the depth-(i-1) quotient graph),
 settles the degenerate orderings outright, and in the remaining case
 s = t < d reads the only possible exponent k off the flows of u and v
 on the common support graph at depth s.  At s = d-1 both words lie in the
-abelian group F^(d-1)/F^(d), so the flows decide alone; for s < d-1 the
-exponent is certified through the commutator test backed by Malcev's
-centralizer theorem.
+abelian group F^(d-1)/F^(d), so the flows decide alone.  For s < d-1 the
+exponent is certified by one word problem at depth d: u = v^q holds
+exactly when u v^-q = 1, tested directly when |u| + |q||v| <= 2(|u| +
+|v|), and otherwise through [u, v] = 1, which with proportional flows
+implies u = v^q by Malcev's centralizer theorem and stays at most 2(|u| +
+|v|) letters however large |q| is.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     _first_nontrivial_depth), so it is exact at d = 1.  It is unbiased
     (errors both ways are possible) with success probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default anchor cube
-    [0, 9(|u|+|v|)^3].  Raises LengthGuardError when |u|+|v| >= max_len,
-    like word_problem; the guard also keeps the packed (range, position)
-    sort keys of the refinement engines far below 2^63.
+    [0, 9(|u|+|v|)^3]: the certificate word u v^-q, or [u, v] when u v^-q
+    would be longer, has at most 2(|u|+|v|) letters either way.  Raises
+    LengthGuardError when |u|+|v| >= max_len, like word_problem; the guard
+    also keeps the packed (range, position) sort keys of the refinement
+    engines far below 2^63.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -123,7 +128,13 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     if s == d - 1:
         # u, v lie in the abelian F^(d-1)/F^(d): [u, v] = 1, flows decide
         return PowerResult(q)
-    if not word_problem(commutator(u, v), r, d, mode=mode, rng=rng,
+    # the shorter certificate: u v^-q = 1 is the claim itself, and [u, v]
+    # = 1 implies it (Malcev) in at most 2n letters whatever |q| is
+    if len(u) + abs(q) * len(v) <= 2 * n:
+        check = u * v ** -q
+    else:
+        check = commutator(u, v)
+    if not word_problem(check, r, d, mode=mode, rng=rng,
                         cube_bound=B, max_len=2 * max_len):
         return FAIL
     return PowerResult(q)

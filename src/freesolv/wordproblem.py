@@ -71,7 +71,11 @@ class Distinguisher:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Anchor point and exact squared distances of the prefix flows to it."""
+    """Anchor point and exact squared distances of the prefix flows to it.
+
+    The anchor has one component per quotient edge, in edge order: the
+    order of numbering_at, by (source class, generator).
+    """
 
     anchor: tuple[int, ...]
     d2: tuple[int, ...]
@@ -119,14 +123,15 @@ class SupportChain:
         self.mode = mode
         self.rng = rng
         self.cube_bound = cube_bound
-        self._parents = tree.parents
-        # letter codes of the edges into nodes 1..V-1, read forward and
-        # in reverse: x_i is i and x_i^-1 is r_max + i
-        s = tree.letters[1:]
-        r_max = int(np.abs(s).max(initial=1))
-        self._code_base = 2 * r_max + 2
-        self._code_fwd = np.where(s > 0, s, r_max - s)
-        self._code_rev = np.where(s < 0, -s, r_max + s)
+        # the edge into node v >= 1 is the Cayley edge (g, g x_i) read
+        # forward for x_i (g its parent) and backward for x_i^-1 (g = v):
+        # its source node, generator index i - 1 and sign, fixed per chain
+        letters = tree.letters
+        self._r_max = int(np.abs(letters).max(initial=1))
+        self._tail = np.where(letters > 0, tree.parents,
+                              np.arange(self.V))[1:]
+        self._gen = np.abs(letters[1:]) - 1
+        self._dirs = np.sign(letters)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
@@ -153,31 +158,39 @@ class SupportChain:
     # -- quotient edge numbering ----------------------------------------
 
     def numbering_at(self, depth: int):
-        """Canonical edge numbering of the quotient graph at this depth.
+        """Quotient edge numbering at this depth, by one counting pass.
 
         Returns (m, eid, dirs): per non-root node, the edge its parent
-        edge maps to and the sign against canonical orientation.  Its
-        tuple reference is number_tree_edges in tests/graph_reference.py.
+        edge maps to and the sign against that edge's orientation.  An
+        edge of Cay(S_{r,k}) is fixed by its source and its generator, so
+        the key of a node is (class of its edge's source, generator):
+        labels[tail] * r_max + i - 1, with dirs the sign of the letter.
+        The keys are made dense by marking them in the classes x r_max
+        slots and taking the running count, with no sort; memory is
+        classes x r_max, at most V r_max.  Edges are numbered by (source
+        class, generator), not in the order of canonical triples of
+        number_tree_edges in tests/graph_reference.py.
+
+        With exact labels (deterministic mode) this is the same partition
+        of the tree edges as that reference's, since the source and the
+        generator fix the target; dirs may differ from its dirs by one
+        sign per edge.  Monte Carlo labels never split equal prefixes, so
+        a key is a function of the true Cayley edge: a trivial word keeps
+        a zero flow, and a nonzero flow is nonzero on the true edges.
         The labels are dense class ids by construction, seeded ones
-        included (_word_chain densifies them), so they pack into edge
-        codes as they are.
+        included (_word_chain densifies them), so they index slots as
+        they are.
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
-            a = labels[self._parents[1:]]
-            b = labels[1:]
-            lab_stride = int(labels.max(initial=0)) + 1
-            fwd = (a * lab_stride + b) * self._code_base + self._code_fwd
-            rev = (b * lab_stride + a) * self._code_base + self._code_rev
-            canon = np.minimum(fwd, rev)
-            dirs1 = np.where(fwd <= rev, 1, -1).astype(np.int64)
-            _, inv = np.unique(canon, return_inverse=True)
+            key = labels[self._tail] * self._r_max + self._gen
+            used = np.zeros((int(labels.max(initial=0)) + 1) * self._r_max,
+                            dtype=np.int64)
+            used[key] = 1
+            np.cumsum(used, out=used)
             eid = np.zeros(self.V, dtype=np.int64)
-            eid[1:] = inv.astype(np.int64)
-            dirs = np.zeros(self.V, dtype=np.int64)
-            dirs[1:] = dirs1
-            m = int(inv.max(initial=-1)) + 1
-            self._numberings[depth] = (m, eid, dirs)
+            eid[1:] = used[key] - 1
+            self._numberings[depth] = (int(used[-1]), eid, self._dirs)
         return self._numberings[depth]
 
     def flow_vector(self, depth: int, nodes: Sequence[int]) -> np.ndarray:
@@ -387,7 +400,8 @@ def _word_chain(w: Word, labels: Sequence[int], mode: str, rng=None,
     seeded = np.asarray(labels, dtype=np.int64)
     if seeded.shape != (len(tree),):
         raise ValueError("labeling length must be |w|+1")
-    # densify to 0..C-1; monotone, so canonical edge order is unchanged
+    # densify to 0..C-1: numbering_at indexes class x generator slots
+    # by label; monotone, so the edge order is unchanged
     chain._labels = [np.unique(seeded, return_inverse=True)[1]
                      .astype(np.int64)]
     return chain
@@ -406,9 +420,11 @@ def refine_randomized(w: Word, nu_prev: Distinguisher, rng,
 
     With anchor components uniform on [0, cube_bound] the candidate is a
     true distinguisher with probability at least 1 - 1/|w| for the
-    default bound |w|^3.  The anchor is drawn from rng in bulk, one
-    getrandbits call for all components plus redraws of those above the
-    bound (see _draw_anchors), so a seed fixes the result.
+    default bound |w|^3.  The anchor has one component per quotient edge,
+    in the (source class, generator) order of numbering_at, and is drawn
+    from rng in bulk, one getrandbits call for all components plus
+    redraws of those above the bound (see _draw_anchors), so a seed fixes
+    the result.
     """
     B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
     chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
@@ -421,8 +437,9 @@ def fingerprint(w: Word, nu_prev: Distinguisher, rng,
     """Anchor and per-prefix squared distances for one randomized step.
 
     The anchor is the one refine_randomized draws from the same rng
-    state: m components uniform on [0, cube_bound], in quotient edge
-    order, from one bulk getrandbits draw (see _draw_anchors).
+    state: m components uniform on [0, cube_bound], one per quotient
+    edge in the (source class, generator) order of numbering_at, from one
+    bulk getrandbits draw (see _draw_anchors).
     """
     B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
     chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
@@ -463,9 +480,9 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
     (path,) = tree.word_nodes.values()
     # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d
-    # settles False.  Monte Carlo labels never split equal prefixes: their
-    # quotient graph is a quotient of the true one, and a flow nonzero on
-    # it is nonzero on the true graph too
+    # settles False.  Monte Carlo labels never split equal prefixes, so
+    # each quotient edge is the image of the true edges it keys, and a
+    # flow nonzero on the image is nonzero on the true graph too
     for k in range(d):
         if chain.flow_vector(k, path).any():
             return False

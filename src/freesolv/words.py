@@ -100,11 +100,17 @@ class Word:
                              self.rank)
 
     def __pow__(self, k: int) -> "Word":
+        # by squaring: the factors double in length, so this is linear
+        # in |k| |self| where a product loop is quadratic
         if k < 0:
             return (~self) ** (-k)
-        out = Word._trusted((), self.rank)
-        for _ in range(k):
-            out = out * self
+        out, base = Word._trusted((), self.rank), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def prefix(self, j: int) -> "Word":

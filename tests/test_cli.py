@@ -1,6 +1,7 @@
 import json
 from random import Random
 
+import numpy as np
 import pytest
 
 from freesolv import cli
@@ -125,6 +126,30 @@ def test_bench_table_runs(capsys):
     assert "fitted_exponent" in table
 
 
+def test_bench_out_writes_the_json_table(capsys, tmp_path):
+    path = tmp_path / "BENCH_wp.json"
+    args = ("bench", "wp", "64,128", "--mode", "mc", "--seed", "3")
+    code, out, _ = run(capsys, *args, "--json", "--out", str(path))
+    assert code == EXIT_YES
+    record = json.loads(path.read_text())
+    provenance = {key: record.pop(key)
+                  for key in ("revision", "python", "numpy")}
+    table = json.loads(out)
+    assert [row["n"] for row in record["rows"]] == [64, 128]
+    assert record.keys() == table.keys()
+    assert record["seed"] == table["seed"] == 3
+    rev = provenance["revision"]
+    assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+    assert provenance["python"].count(".") == 2
+    assert provenance["numpy"] == np.__version__
+    # without --json the table still goes to the file
+    code, out, _ = run(capsys, *args, "--out", str(tmp_path / "b.json"))
+    assert code == EXIT_YES and out.startswith("# wp")
+    assert json.loads((tmp_path / "b.json").read_text())["rows"]
+    code, _, err = run(capsys, *args, "--out", str(tmp_path / "no" / "b"))
+    assert code == EXIT_USAGE and "error" in err
+
+
 def test_bench_monotone_when_sizes_spread():
     table = run_bench("wp", [64, 512, 4096], 2, 2, "det", seed=5, trials=3)
     meds = [row["median_s"] for row in table["rows"]]
@@ -132,12 +157,14 @@ def test_bench_monotone_when_sizes_spread():
 
 
 def test_bench_pow_reaches_commutator_check():
-    # [v^2, v] reduces freely to 1; the factor c keeps the timed check alive
+    # [v^2, v] and v^2 v^-2 reduce freely to 1; the factor c keeps the
+    # timed check alive, on u v^-2 or on [u, v]
     for n in (6, 48, 300):
         for d in (1, 2, 3):
             for seed in range(3):
                 u, v = bench_instance("pow", n, 2, d, Random(seed))
                 assert len(commutator(u, v)) > 0, (n, d, seed)
+                assert len(u * v ** -2) > 0, (n, d, seed)
                 if n <= 48:
                     assert power_solve(u, v, 2, d).k == 2, (n, d, seed)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -86,3 +87,23 @@ def test_reduced_words_enumeration():
     ws = list(oracle.reduced_words(2, 2))
     assert len(ws) == 1 + 4 + 12
     assert len(set(w.letters for w in ws)) == len(ws)
+
+
+def test_intern_table_forgets_dropped_forms():
+    # forms are interned weakly: once nothing holds them they leave the
+    # table, and a form that is kept is still the one interning returns
+    rng = random.Random(5)
+    words = [random_reduced_word(rng, rng.randrange(0, 24), 2)
+             for _ in range(2000)]
+    gc.collect()
+    before = len(oracle._intern)
+    forms = [oracle.magnus_form(w, 2, 3) for w in words]
+    assert len(oracle._intern) > before + 1000
+    kept = forms[7]
+    del forms
+    gc.collect()
+    assert oracle.magnus_form(words[7], 2, 3) is kept
+    assert oracle.multiply(kept, oracle.inverse(kept)).is_identity()
+    del kept
+    gc.collect()
+    assert len(oracle._intern) == before

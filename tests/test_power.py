@@ -269,3 +269,98 @@ def test_power_of_v_gives_back_k_property(seed, k, in_derived):
     if len(v) == 0:
         v = parse("x1")
     assert power_solve(v ** k, v, 2, 2) == PowerResult(k)
+
+
+def _abelianization(w: Word, r: int) -> list[int]:
+    return [sum(1 if s > 0 else -1 for s in w.letters if abs(s) == i)
+            for i in range(1, r + 1)]
+
+
+def _spy_checks(monkeypatch):
+    checks = []
+    word_problem = power.word_problem
+
+    def spy(w, *args, **kwargs):
+        checks.append(w)
+        return word_problem(w, *args, **kwargs)
+
+    monkeypatch.setattr(power, "word_problem", spy)
+    return checks
+
+
+def test_certificate_is_the_shorter_word(monkeypatch, rng):
+    # ab(v) != 0, so s = t = 0 below d-1 and q is the ratio of the
+    # abelianizations; the check word is u v^-q when |u| + |q||v| <=
+    # 2(|u| + |v|), else [u, v]
+    checks = _spy_checks(monkeypatch)
+    seen = set()
+    for trial in range(60):
+        d = 2 + trial % 2
+        x = random_reduced_word(rng, rng.randrange(1, 6), 2)
+        if not any(_abelianization(x, 2)):
+            continue
+        if trial % 3 == 0:  # v = c x with c long in F^(d), u = x^3
+            v = random_trivial_word(rng, 2, d) * x
+            u = x ** 3 * random_trivial_word(rng, 2, d - 1 + trial % 2,
+                                             conjugator_len=1, factors=1)
+        else:
+            v = x
+            u = v ** rng.choice((-3, -2, 1, 2, 4)) * \
+                random_trivial_word(rng, 2, d - trial % 3 + 1)
+        ab_u, ab_v = _abelianization(u, 2), _abelianization(v, 2)
+        i = next(j for j, a in enumerate(ab_v) if a)
+        q = ab_u[i] // ab_v[i]
+        assert ab_u == [q * a for a in ab_v]
+        checks.clear()
+        res = power_solve(u, v, 2, d)
+        short = len(u) + abs(q) * len(v) <= 2 * (len(u) + len(v))
+        assert checks == [u * v ** -q if short else commutator(u, v)], trial
+        assert res.found == trivial_long(u * v ** -q, 2, d), trial
+        seen.add((short, res.found))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_commutator_branch_known_answers(monkeypatch, rng):
+    # v = c x1 with c a long word of F^(d) is x1 in S_{r,d}, so u = x1^5
+    # is v^5; u = x1^5 t with t in F^(d-1) nontrivial there is no power
+    # of v.  Both take the [u, v] certificate: 5|v| > |u| + 2|v|
+    checks = _spy_checks(monkeypatch)
+    X1 = parse("x1")
+    for d in (2, 3):
+        found = failed = 0
+        for _ in range(4):
+            c = random_trivial_word(rng, 2, d)
+            while len(c) < 30:
+                c = c * random_trivial_word(rng, 2, d)
+            v = c * X1
+            t = random_trivial_word(rng, 2, d - 1, conjugator_len=1,
+                                    factors=1)
+            for u in (X1 ** 5, X1 ** 5 * t):
+                assert len(u) + 5 * len(v) > 2 * (len(u) + len(v))
+                checks.clear()
+                res = power_solve(u, v, 2, d)
+                assert checks == [commutator(u, v)]
+                if trivial_long(u * v ** -5, 2, d):
+                    assert res == PowerResult(5), (d, u)
+                    found += 1
+                else:
+                    assert res == FAIL, (d, u)
+                    failed += 1
+        assert found == 4 and failed == 4, d
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-3, 3))
+def test_power_at_depth3_property(seed, k):
+    # v^k c is v^k in S_{2,3} for c in F^(3); for c' in F^(2) nontrivial
+    # there, v^k c' is no power of v, as v is outside F'
+    g = random.Random(seed)
+    v = random_reduced_word(g, g.randrange(1, 9), 2)
+    while not any(_abelianization(v, 2)):
+        v = random_reduced_word(g, g.randrange(1, 9), 2)
+    c = random_trivial_word(g, 2, 3, conjugator_len=1, factors=1)
+    assert power_solve(v ** k * c, v, 2, 3) == PowerResult(k)
+    c2 = random_trivial_word(g, 2, 2, conjugator_len=1, factors=1)
+    if not trivial_long(c2, 2, 3):
+        assert power_solve(v ** k * c2, v, 2, 3) == FAIL

@@ -500,6 +500,68 @@ def test_engine_partition_property(seed, prefix, tails):
         assert same_partition(chain.labels_at(d).tolist(), ref)
 
 
+def edges_by_reference(eid, ref_eid, dirs, ref_dirs, V):
+    """Per reference edge, the set of (engine edge, engine dir x reference
+    dir) pairs of the tree edges that reference edge holds."""
+    out = {}
+    for v in range(1, V):
+        out.setdefault(ref_eid[v], set()).add(
+            (int(eid[v]), int(dirs[v]) * ref_dirs[v]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(2, 4),
+       prefix=st.integers(0, 40),
+       tails=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2)),
+                      min_size=1, max_size=3))
+def test_numbering_matches_reference_edges_property(seed, r, prefix, tails):
+    # 1-3 words with a shared prefix, each tail random or in F^(1)/F^(2).
+    # Exact labels: the (source class, generator) keys give the partition
+    # of number_tree_edges's canonical triples, with one relative sign per
+    # edge.  Monte Carlo labels: each true edge maps into one engine edge,
+    # with one relative sign, at B = 1 and at the default bound
+    g = random.Random(seed)
+    p = random_reduced_word(g, prefix, r)
+    words = [p * (random_reduced_word(g, n, r) if kind == 0
+                  else random_trivial_word(g, r, kind, conjugator_len=1))
+             for n, kind in tails]
+    tree = PrefixTree(words)
+    V = len(tree)
+    ref_labels = [[0] * V] + tuple_reference_labels(tree, 2)
+    det = SupportChain(tree, "det")
+    mcs = [SupportChain(tree, "mc", rng=random.Random(seed), cube_bound=B)
+           for B in (1, V ** 3)]
+    for depth, labels in enumerate(ref_labels):
+        ref_m, ref_eid, ref_dirs = number_tree_edges(tree, labels)
+        m, eid, dirs = det.numbering_at(depth)
+        assert m == ref_m
+        assert same_partition(eid[1:].tolist(), ref_eid[1:])
+        groups = edges_by_reference(eid, ref_eid, dirs, ref_dirs, V)
+        assert all(len(pairs) == 1 for pairs in groups.values())
+        for chain in mcs:
+            m, eid, dirs = chain.numbering_at(depth)
+            assert m <= ref_m and set(eid[1:].tolist()) == set(range(m))
+            groups = edges_by_reference(eid, ref_eid, dirs, ref_dirs, V)
+            assert all(len(pairs) == 1 for pairs in groups.values())
+
+
+def test_numbering_sorts_nothing(monkeypatch):
+    # the edge numbering is one counting pass over class x generator slots
+    tree = PrefixTree([random_trivial_word(random.Random(2), 3, 2)])
+    chain = SupportChain(tree, "det")
+    chain.labels_at(2)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("numbering_at sorted")
+
+    for name in ("unique", "sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, no_sort)
+    for depth in (0, 1, 2):
+        m, eid, dirs = chain.numbering_at(depth)
+        assert m > 0 and eid.max() == m - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2))
 def test_word_problem_matches_oracle_equality_property(seed, kind):
@@ -564,16 +626,19 @@ def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
 
 def test_word_problem_memory_is_linear():
     # a 16k-letter word of F^(2) refined to depth 3 stays within 10 MB of
-    # traced allocations (an intern table of tuples needs over twice that)
-    g = random.Random(3)
-    w = Word((), rank=2)
-    while len(w) < 1 << 14:
-        w = w * random_trivial_word(g, 2, 2)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        SupportChain(PrefixTree([w]), "det").labels_at(3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, peak
+    # traced allocations (an intern table of tuples needs over twice that),
+    # at rank 2 and at rank 8, where the edge numbering has 8 generator
+    # slots per class
+    for r in (2, 8):
+        g = random.Random(3)
+        w = Word((), rank=r)
+        while len(w) < 1 << 14:
+            w = w * random_trivial_word(g, r, 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            SupportChain(PrefixTree([w]), "det").labels_at(3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, (r, peak)
