@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import secrets
 import statistics
@@ -236,10 +237,13 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
 
 def _revision() -> str | None:
     """git HEAD of the checkout this module lives in, or None outside one."""
+    here = Path(__file__).resolve()
+    # look no higher than the checkout root, src/freesolv/../..
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(here.parents[3]))
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"],
-                             cwd=Path(__file__).resolve().parent,
-                             capture_output=True, text=True, timeout=10)
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here.parent,
+                             env=env, capture_output=True, text=True,
+                             timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() if out.returncode == 0 else None
@@ -253,13 +257,10 @@ def cmd_bench(args) -> int:
     r = cfg.rank if cfg.rank is not None else 2
     table = run_bench(args.problem, sizes, r, cfg.degree, cfg.mode,
                       cfg.seed, cfg.trials, cfg.cube_exp)
-    if args.out is not None:
-        record = dict(table, revision=_revision(),
-                      python=platform.python_version(),
-                      numpy=np.__version__)
-        Path(args.out).write_text(json.dumps(record, sort_keys=True) + "\n")
     if cfg.as_json:
-        print(json.dumps(table, sort_keys=True))
+        print(json.dumps(dict(table, revision=_revision(),
+                              python=platform.python_version(),
+                              numpy=np.__version__), sort_keys=True))
     else:
         print(f"# {table['problem']} mode={table['mode']} r={r} "
               f"d={cfg.degree} seed={cfg.seed}")
@@ -364,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="scaling table for one problem")
     p.add_argument("problem", choices=("wp", "pow", "conj"))
     p.add_argument("sizes", help="comma-separated ascending instance sizes")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the table as JSON, with the git "
-                        "revision and the python and numpy versions")
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -389,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LengthGuardError, oracle.OracleLimitError, FoldConflict) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,6 +40,8 @@ from .xdigraph import PrefixTree
 DEFAULT_MAX_LEN = 1 << 20
 _LIMB = 30  # bits per anchor limb in Monte Carlo refinement
 _LIMB_MASK = (1 << _LIMB) - 1
+# numbering_at counts keys in at most this many slots per node
+_SLOTS_PER_NODE = 8
 
 
 class LengthGuardError(ValueError):
@@ -166,9 +168,12 @@ class SupportChain:
         the key of a node is (class of its edge's source, generator):
         labels[tail] * r_max + i - 1, with dirs the sign of the letter.
         The keys are made dense by marking them in the classes x r_max
-        slots and taking the running count, with no sort; memory is
-        classes x r_max, at most V r_max.  Edges are numbered by (source
-        class, generator), not in the order of canonical triples of
+        slots and taking the running count, with no sort.  When there are
+        more than _SLOTS_PER_NODE slots per node (generator indices far
+        above the number of classes per node), one np.unique numbers the
+        keys instead, so memory stays O(V) whatever the rank; both ways
+        give the same ids.  Edges are numbered by (source class,
+        generator), not in the order of canonical triples of
         number_tree_edges in tests/graph_reference.py.
 
         With exact labels (deterministic mode) this is the same partition
@@ -183,14 +188,23 @@ class SupportChain:
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
-            key = labels[self._tail] * self._r_max + self._gen
-            used = np.zeros((int(labels.max(initial=0)) + 1) * self._r_max,
-                            dtype=np.int64)
-            used[key] = 1
-            np.cumsum(used, out=used)
+            slots = (int(labels.max(initial=0)) + 1) * self._r_max
             eid = np.zeros(self.V, dtype=np.int64)
-            eid[1:] = used[key] - 1
-            self._numberings[depth] = (int(used[-1]), eid, self._dirs)
+            if slots <= _SLOTS_PER_NODE * self.V:
+                key = labels[self._tail] * self._r_max + self._gen
+                used = np.zeros(slots, dtype=np.int64)
+                used[key] = 1
+                np.cumsum(used, out=used)
+                m = int(used[-1])
+                eid[1:] = used[key] - 1
+            else:
+                # generators renumbered densely in order, so the keys stay
+                # below V^2 and keep their (class, generator) order
+                gens, gen = np.unique(self._gen, return_inverse=True)
+                keys, eid[1:] = np.unique(
+                    labels[self._tail] * len(gens) + gen, return_inverse=True)
+                m = len(keys)
+            self._numberings[depth] = (m, eid, self._dirs)
         return self._numberings[depth]
 
     def flow_vector(self, depth: int, nodes: Sequence[int]) -> np.ndarray:

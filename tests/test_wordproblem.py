@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import form_long
-from freesolv import oracle
+from freesolv import oracle, wordproblem
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
 from freesolv.wordproblem import (Distinguisher, LengthGuardError,
@@ -547,7 +547,8 @@ def test_numbering_matches_reference_edges_property(seed, r, prefix, tails):
 
 
 def test_numbering_sorts_nothing(monkeypatch):
-    # the edge numbering is one counting pass over class x generator slots
+    # at low rank the edge numbering is one counting pass over class x
+    # generator slots
     tree = PrefixTree([random_trivial_word(random.Random(2), 3, 2)])
     chain = SupportChain(tree, "det")
     chain.labels_at(2)
@@ -560,6 +561,29 @@ def test_numbering_sorts_nothing(monkeypatch):
     for depth in (0, 1, 2):
         m, eid, dirs = chain.numbering_at(depth)
         assert m > 0 and eid.max() == m - 1
+
+
+@pytest.mark.parametrize("mode", ["det", "mc"])
+def test_numbering_is_the_same_counted_or_sorted(monkeypatch, mode):
+    # past _SLOTS_PER_NODE slots per node the keys are numbered by
+    # np.unique instead; the ids, and so the Monte Carlo anchors that
+    # follow them, are the same either way, at low and at high rank
+    def numberings(slots_per_node, words, seed):
+        monkeypatch.setattr(wordproblem, "_SLOTS_PER_NODE", slots_per_node)
+        chain = SupportChain(PrefixTree(words), mode, rng=random.Random(seed),
+                             cube_bound=10 ** 6)
+        return [tuple(x.tolist() if hasattr(x, "tolist") else x
+                      for x in chain.numbering_at(k)) for k in range(3)]
+
+    for seed in range(30):
+        g = random.Random(seed)
+        r = (2, 5, 40, 3000)[seed % 4]
+        words = [random_reduced_word(g, g.randrange(0, 60), r)
+                 * random_trivial_word(g, r, g.randrange(1, 3),
+                                       conjugator_len=1)
+                 for _ in range(g.randrange(1, 4))]
+        assert numberings(0, words, seed) == \
+            numberings(10 ** 9, words, seed), (seed, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -627,9 +651,10 @@ def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
 def test_word_problem_memory_is_linear():
     # a 16k-letter word of F^(2) refined to depth 3 stays within 10 MB of
     # traced allocations (an intern table of tuples needs over twice that),
-    # at rank 2 and at rank 8, where the edge numbering has 8 generator
-    # slots per class
-    for r in (2, 8):
+    # at rank 2, at rank 8, where the edge numbering has 8 generator slots
+    # per class, and at rank 4096, where class x generator slots would
+    # take 512 MB
+    for r in (2, 8, 4096):
         g = random.Random(3)
         w = Word((), rank=r)
         while len(w) < 1 << 14:
