@@ -161,8 +161,11 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
       for d >= 2 the solver must certify k = 2 by a word problem at
       depth d on u v^-2, the shorter of the two, the expensive path.
     conj: conjugate pair perturbed by a commutator: abelianizations match
-      but the pair is generically not conjugate for d >= 2, so the shift
-      loop runs in full.
+      but the pair is generically not conjugate for d >= 2.  At d >= 3 the
+      shift loop runs in full; at d = 2 the flows of x and y differ in the
+      translation invariant of their hashes, so the solve is one pass over
+      each word and traces no shift (the answer never depends on the hash
+      constants).
     All families need r >= 2: every commutator in rank 1 is trivial.
     """
     if r < 2:

@@ -1,10 +1,23 @@
 """Conjugacy in S_{r,d} through flows on the Schreier graph of <y>.
 
-Two nontrivial words are conjugate exactly when some shift gamma of x
-defines the same flow as y on the coset graph of <y> in S_{r,d-1}.  The
-solver builds that coset graph lazily, identifying cosets by their image
-in Z^r / Z ab(y) (exact for d <= 2) and, for d >= 3, through the
-cyclic-membership solver, and scans the |x|+1 shifts gamma = y_i x'^{-1}.
+Two nontrivial words are conjugate exactly when some shift gamma_c =
+y_i x[:c]^{-1} of x, 0 <= c <= |x|, defines the same flow as y on the
+coset graph of <y> in S_{r,d-1}.  The solver builds that coset graph
+lazily, identifying cosets by their image in Z^r / Z ab(y) (exact for
+d <= 2) and, for d >= 3, through the cyclic-membership solver.  Away
+from d = 2 it traces the shifts in order until one matches.
+
+At d = 2 the coset graph is the Cayley graph of A = Z^r / Z ab(y), and
+every translation of A is an automorphism of it: gamma_c x gamma_c^{-1}
+has the flow F_x of x translated by b_c = ab(y_i) - ab(x[:c]).  A linear
+hash H(F) = sum of val * rho_s * chi(source) over the edges of F, for a
+character chi of A, turns that translation into a product, H(T_b F) =
+chi(b) H(F).  So H_chi(F) H_chi^{-1}(F) is a translation invariant: when
+x and y differ in it, no shift matches and the answer is No after one
+pass over each word, with no coset graph built.  Otherwise only the cuts
+with chi(b_c) H(F_x) = H(F_y) are traced and compared exactly.  The hash
+steers work and never decides a Yes, so answers never depend on its
+constants: a collision costs one extra trace.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
@@ -343,10 +356,127 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
 
 
 def _verified_witness(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
-                      r: int, d: int) -> Word | None:
+                      r: int, d: int,
+                      skipped: tuple[Word, int] | None = None) -> Word | None:
+    """gamma when it conjugates x to y, else its repair, else None.
+
+    The repaired word depends on the order in which sup found its cosets.
+    skipped = (y_i, cut) says the scan traced only some of the cuts before
+    gamma = y_i x[:cut]^-1; the repair then runs on a support rebuilt the
+    way the scan of every cut leaves it, so the witness does not depend on
+    which cuts were skipped."""
     if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det"):
         return gamma
+    if skipped is not None:
+        y_i, cut = skipped
+        sup = SchreierSupport(y, r, d)
+        for c in range(cut + 1):
+            g = y_i * ~x.prefix(c)
+            sup.trace(g * x * ~g)
     return _witness_repair(x, y, gamma, sup, r, d)
+
+
+# -- d = 2: translates of one flow -----------------------------------------
+
+_P = (1 << 61) - 1            # hashes live in F_p, p a Mersenne prime
+_G = 37                       # a primitive root mod _P
+_G_INV = 2181202846553494278  # 37^-1 mod _P
+_RHO = 0x2545F4914F6CDD1D     # generator x_s weighs rho_s = _RHO^s mod _P
+_W = 1 << 21                  # spreads t over the generators at rank >= 3
+
+
+class _FlowHash:
+    """Hashes of the flows of x and y on Cay(A), A = Z^m / Z ab(y), at d = 2.
+
+    The character is chi(v) = G^(t.v) with t.ab(y) = 0 over Z, so it is
+    well defined on A.  Off the pivot of ab(y) (its first nonzero entry),
+    generator i gets t_i = ab(y)_pivot w_i for weights w = 1, W, W^2, ...,
+    and the pivot takes what makes t.ab(y) vanish; with ab(y) = 0, t = w.
+    At rank 2 that is t = +-(ab(y)_2, -ab(y)_1), injective on A modulo
+    torsion.  The letter table is a list of length 2m+1 read at the letter
+    itself, so -s lands at index 2m+1-s.
+    """
+
+    def __init__(self, x: Word, y: Word, m: int, ab_y: tuple[int, ...]):
+        pivot = next((i for i, c in enumerate(ab_y) if c), None)
+        t = [0] * m
+        w = 1
+        for i, a in enumerate(ab_y):
+            if i != pivot:
+                if pivot is None:
+                    t[i] = w
+                else:
+                    t[i] = ab_y[pivot] * w
+                    t[pivot] -= a * w
+                w = w * _W % (_P - 1)
+        # step[s] = chi(sign(s) e_|s|)
+        step = [1] * (2 * m + 1)
+        for i, e in enumerate(t, 1):
+            up, down = (_G, _G_INV) if e >= 0 else (_G_INV, _G)
+            e = abs(e) % (_P - 1)
+            step[i], step[-i] = pow(up, e, _P), pow(down, e, _P)
+        # per letter: its weight under chi, the chi step, the same two
+        # under chi^-1.  The edge x_s crosses starts at the current vertex,
+        # the one x_s^-1 crosses at the next, so it weighs -rho_s chi(-e_s)
+        table = [(0, 1, 0, 1)] * (2 * m + 1)
+        rho = 1
+        for i in range(1, m + 1):
+            rho = rho * _RHO % _P
+            up, down = step[i], step[-i]
+            table[i] = (rho, up, rho, down)
+            table[-i] = (-rho * down % _P, down, -rho * up % _P, up)
+        self.x, self.y, self.step = x, y, step
+        self.h_x, inv_x = self._hashes(x, table)
+        self.h_y, inv_y = self._hashes(y, table)
+        # translate flows have equal invariants H_chi H_chi^-1
+        self.may_translate = self.h_x * inv_x % _P == self.h_y * inv_y % _P
+
+    @staticmethod
+    def _hashes(w: Word, table) -> tuple[int, int]:
+        """H_chi and H_chi^-1 of the flow of w from the root, by Horner's
+        rule from the last letter: H(s w') = weight(s) + chi(s) H(w')."""
+        p = _P
+        h = h_back = 0
+        for s in reversed(w.letters):
+            weight, up, weight_back, down = table[s]
+            h = (weight + up * h) % p
+            h_back = (weight_back + down * h_back) % p
+        return h, h_back
+
+    def cuts(self, pick: int):
+        """The cuts c, in order, with chi(b_c) H(F_x) = H(F_y), where
+        b_c = ab(y[:pick]) - ab(x[:c]): one product per cut."""
+        step, target = self.step, self.h_y
+        h = self.h_x
+        for s in self.y.letters[:pick]:
+            h = h * step[s] % _P
+        if h == target:
+            yield 0
+        for cut, s in enumerate(self.x.letters, 1):
+            h = h * step[-s] % _P
+            if h == target:
+                yield cut
+
+
+def _retract(x: Word, y: Word) -> tuple[Word, Word, int, list[int] | None]:
+    """x and y renumbered onto x1..xm, m the number of generators they
+    use, in the same order, and the old index of each new one (None when
+    they already use exactly x1..xm).  S_{m,d} is a retract of S_{r,d},
+    so conjugacy and its witnesses carry over."""
+    used = set(map(abs, x.letters))
+    used.update(map(abs, y.letters))
+    m = max(len(used), 1)
+    if max(used, default=0) == len(used):
+        return (Word._trusted(x.letters, m), Word._trusted(y.letters, m), m,
+                None)
+    old = sorted(used)
+    new = {g: i for i, g in enumerate(old, 1)}
+
+    def renumber(w: Word) -> Word:
+        return Word._trusted(tuple(new[s] if s > 0 else -new[-s]
+                                   for s in w.letters), m)
+
+    return renumber(x), renumber(y), m, old
 
 
 # -- the solver -------------------------------------------------------------
@@ -358,10 +488,16 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     """Decide whether x and y are conjugate in S_{r,d}.
 
     Yes answers carry a witness z with z x z^-1 = y, verified
-    deterministically; at d <= 2 both modes give the same answer.  Monte
-    Carlo trials that trip over inconsistent membership answers are
-    retried with fresh randomness a bounded number of times before the
-    conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
+    deterministically; at d <= 2 both modes give the same answer.  The
+    solve runs in S_{m,d}, m the number of generators x and y use, and
+    maps the witness back, so its cost does not grow with r.  At d = 2 a
+    translation invariant of the two flows, hashed in one pass over each
+    word, answers most No pairs outright, and only the cuts whose hashes
+    match are traced (see the module docstring); the hash steers work
+    only, so the answer and the witness never depend on its constants.
+    Monte Carlo trials that trip over inconsistent membership answers
+    are retried with fresh randomness a bounded number of times before
+    the conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
     max_len, like word_problem and power_solve.
     """
     if r < 1 or d < 0:
@@ -376,15 +512,21 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
-    ab = _exponent_vector(x.letters, r)
-    if ab != _exponent_vector(y.letters, r):
+    x, y, m, old = _retract(x, y)
+    ab = _exponent_vector(x.letters, m)
+    if ab != _exponent_vector(y.letters, m):
         # conjugation-invariant in the abelianization, so never conjugate
         return NO
+    flow_hash = None
+    if d == 2:
+        flow_hash = _FlowHash(x, y, m, ab)
+        if not flow_hash.may_translate:
+            return NO  # F_y is no translate of F_x: no shift can match
     if not any(ab):
         # a nonzero abelianization is nontrivial at every depth d >= 1;
         # exact, since a Monte Carlo "trivial" could be wrong twice over
-        xt = word_problem(x, r, d, mode="det")
-        yt = word_problem(y, r, d, mode="det")
+        xt = word_problem(x, m, d, mode="det")
+        yt = word_problem(y, m, d, mode="det")
         if xt and yt:
             return ConjugacyResult(True, Word((), rank=r, _reduced=True))
         if xt or yt:
@@ -394,14 +536,23 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     last_conflict: Exception | None = None
     for _ in range(attempts):
         try:
-            return _conjugacy_attempt(x, y, r, d, mode, rng, B)
+            res = _conjugacy_attempt(x, y, m, d, mode, rng, B, flow_hash)
         except FoldConflict as exc:
             last_conflict = exc
+            continue
+        if old is None or not res.conjugate:
+            return res
+        return ConjugacyResult(True, Word(
+            [old[s - 1] if s > 0 else -old[-s - 1]
+             for s in res.witness.letters], rank=r, _reduced=True))
     raise last_conflict  # surfaced after bounded retries
 
 
 def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
-                       cube_bound: int | None) -> ConjugacyResult:
+                       cube_bound: int | None,
+                       flow_hash: _FlowHash | None = None) -> ConjugacyResult:
+    """Scan the shifts gamma_c = y_i x[:c]^-1 for one whose trace has the
+    flow of y: every cut, or at d = 2 the cuts flow_hash lets through."""
     sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
     flow_y = sup.y_flow
     if not flow_y:
@@ -420,11 +571,13 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
         raise AssertionError("nonzero flow without a nonzero edge on the path")
     y_i = y.prefix(pick)
 
-    for cut in range(len(x) + 1):
+    cuts = range(len(x) + 1) if flow_hash is None else flow_hash.cuts(pick)
+    for traced, cut in enumerate(cuts):
         gamma = y_i * ~x.prefix(cut)
         _, flow_w = sup.trace(gamma * x * ~gamma)
         if flow_w == flow_y:
-            witness = _verified_witness(x, y, gamma, sup, r, d)
+            skipped = None if traced == cut else (y_i, cut)
+            witness = _verified_witness(x, y, gamma, sup, r, d, skipped)
             if witness is None:
                 if mode == "mc":
                     raise FoldConflict("flow equality was not certifiable")

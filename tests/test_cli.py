@@ -209,23 +209,28 @@ def test_selftest_small():
     assert run_selftest(max_len=4, verbose=False) == 0
 
 
-def test_bench_conj_no_scans_every_shift(monkeypatch):
-    # the perturbed pairs are not conjugate, so the solve traces y once
-    # and then all |x|+1 shifts
-    traces = []
-    trace = SchreierSupport.trace
+def test_bench_conj_no_pairs_need_no_trace(monkeypatch):
+    # the perturbed pairs are not conjugate, and at d = 2 their flows
+    # already differ in the translation invariant: the solve builds no
+    # coset graph and traces nothing
+    traces, supports = [], []
+    trace, init = SchreierSupport.trace, SchreierSupport.__init__
 
-    def spy(self, w):
+    def spy_trace(self, w):
         traces.append(w)
         return trace(self, w)
 
-    monkeypatch.setattr(SchreierSupport, "trace", spy)
+    def spy_init(self, *args, **kwargs):
+        supports.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchreierSupport, "trace", spy_trace)
+    monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
     for n in (24, 60, 120):
         for seed in range(5):
             x, y = bench_instance("conj", n, 2, 2, Random(seed))
-            traces.clear()
             assert not conjugacy_solve(x, y, 2, 2).conjugate, (n, seed)
-            assert len(traces) == len(x) + 2, (n, seed)
+            assert traces == [] and supports == [], (n, seed)
 
 
 def test_bench_wp_generator_matches_product_loop():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,3 +505,198 @@ def test_length_guard():
         with pytest.raises(LengthGuardError):
             conjugacy_solve(x, y, 2, d, max_len=4)
     assert conjugacy_solve(x, y, 2, 2, max_len=5).conjugate
+
+
+# -- d = 2: the flow hash steers the shift scan ------------------------------
+
+
+def _full_scan(x, y, r):
+    """Conjugacy at d = 2 by tracing every shift gamma_c = y_i x[:c]^-1 in
+    order, with no hash: the reference for verdicts and witnesses."""
+    ab = conjugacy._exponent_vector(x.letters, r)
+    if ab != conjugacy._exponent_vector(y.letters, r):
+        return ConjugacyResult(False, None)
+    if not any(ab):
+        xt, yt = word_problem(x, r, 2), word_problem(y, r, 2)
+        if xt and yt:
+            return ConjugacyResult(True, Word(()))
+        if xt or yt:
+            return ConjugacyResult(False, None)
+    sup = SchreierSupport(y, r, 2)
+    path, flow_y = sup.y_path, sup.y_flow
+    pick = next(i for i, s in enumerate(y.letters)
+                if flow_y.get((path[i], s) if s > 0 else (path[i + 1], -s)))
+    y_i = y.prefix(pick)
+    for cut in range(len(x) + 1):
+        gamma = y_i * ~x.prefix(cut)
+        if sup.trace(gamma * x * ~gamma)[1] == flow_y:
+            return ConjugacyResult(True, conjugacy._verified_witness(
+                x, y, gamma, sup, r, 2))
+    return ConjugacyResult(False, None)
+
+
+def _hash_pair(g, r, kind):
+    x = random_reduced_word(g, g.randrange(1, 9), r)
+    z = random_reduced_word(g, g.randrange(0, 6), r)
+    c = commutator(random_reduced_word(g, g.randrange(1, 3), r),
+                   random_reduced_word(g, g.randrange(1, 3), r))
+    if kind == 0:
+        return x, random_reduced_word(g, g.randrange(1, 9), r)
+    if kind == 3:  # ab(y) = 2 ab(x): A has torsion the hash cannot see
+        x = x * x
+    elif kind == 4:  # x in F': A = Z^r
+        x = commutator(x, random_reduced_word(g, g.randrange(1, 4), r))
+    y = z * x * ~z
+    if kind == 2 or (kind > 2 and g.random() < 0.5):
+        y = y * c
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
+       kind=st.integers(0, 4))
+def test_hashed_scan_matches_full_scan_property(seed, r, kind):
+    # random pairs, conjugates, conjugates times a commutator, squares
+    # and words of F': same verdict and same witness as tracing every cut
+    x, y = _hash_pair(random.Random(seed), r, kind)
+    for a, b in ((x, y), (y, x)):
+        assert conjugacy_solve(a, b, r, 2) == _full_scan(a, b, r), \
+            (a.serialize(), b.serialize())
+
+
+def _repair_pairs(rng, count):
+    """Conjugates through a commutator wrapper: most need witness repair."""
+    pairs = []
+    for i in range(count):
+        b = random_reduced_word(rng, rng.randrange(1, 8), 2)
+        n = commutator(random_reduced_word(rng, rng.randrange(1, 3), 2),
+                       random_reduced_word(rng, rng.randrange(1, 3), 2))
+        z = random_reduced_word(rng, rng.randrange(0, 8), 2)
+        x, y = n * b * ~n, z * b * ~z
+        if i % 3 == 1:
+            y = y * C
+        if i % 3 == 2:
+            x, y = x * x, y * y
+        pairs += [(x, y), (y, x)]
+    return pairs
+
+
+def test_witness_repair_matches_full_scan(monkeypatch, rng):
+    # the repaired word depends on the order the support found its cosets
+    # in; when the hash skipped cuts it is rebuilt as the full scan left it
+    repairs = []
+    repair = conjugacy._witness_repair
+
+    def spy(*args):
+        repairs.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(conjugacy, "_witness_repair", spy)
+    # ab(y) = 2 (-1, 0, 1): the hash, blind to torsion, traces some of
+    # the cuts before the first flow-equal one, and a repair on that
+    # support would give another word
+    pairs = [(parse("X3 X1 x2 X3 X1 X2 x1 x3 x1 x3 X1 x3 X1 X1 X3 X1 x2 x1 "
+                    "x3 X2 x1 x3"),
+              parse("x2 x3 x3 x3 X1 x3 X1 X3 X3 X2"))]
+    for x, y in pairs + _repair_pairs(rng, 60):
+        assert conjugacy_solve(x, y, 3, 2) == _full_scan(x, y, 3), \
+            (x.serialize(), y.serialize())
+    assert len(repairs) > 40
+
+
+def test_forced_hash_collisions_change_only_the_trace_count(monkeypatch,
+                                                            rng):
+    # with chi = 1 every cut hits and every invariant matches: the exact
+    # traces must still give the same answers and witnesses.  Counted are
+    # the traces of the scan, not those of a witness repair
+    traces, repairing = [], []
+    trace, verified = SchreierSupport.trace, conjugacy._verified_witness
+
+    def spy(self, w):
+        if not repairing:
+            traces.append(w)
+        return trace(self, w)
+
+    def spy_verified(*args):
+        repairing.append(True)
+        try:
+            return verified(*args)
+        finally:
+            repairing.pop()
+
+    monkeypatch.setattr(SchreierSupport, "trace", spy)
+    monkeypatch.setattr(conjugacy, "_verified_witness", spy_verified)
+    pairs = _repair_pairs(rng, 20)
+    g = random.Random(5)
+    pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in range(5)
+              for _ in range(6)]
+    hashed, counts = [], []
+    for x, y in pairs:
+        traces.clear()
+        hashed.append(conjugacy_solve(x, y, x.rank, 2))
+        counts.append(len(traces))
+    monkeypatch.setattr(conjugacy, "_G", 1)
+    monkeypatch.setattr(conjugacy, "_G_INV", 1)
+    grew = 0
+    for (x, y), want, count in zip(pairs, hashed, counts):
+        traces.clear()
+        assert conjugacy_solve(x, y, x.rank, 2) == want, \
+            (x.serialize(), y.serialize())
+        assert len(traces) >= count
+        grew += len(traces) > count
+    assert grew > len(pairs) // 4
+    assert {res.conjugate for res in hashed} == {True, False}
+
+
+def test_long_bench_no_pair_needs_no_trace(monkeypatch):
+    # 2^14 letters: the invariant answers No, so the count of traces is 0
+    traces = []
+    trace = SchreierSupport.trace
+
+    def spy(self, w):
+        traces.append(w)
+        return trace(self, w)
+
+    monkeypatch.setattr(SchreierSupport, "trace", spy)
+    from freesolv.cli import bench_instance
+    x, y = bench_instance("conj", 2 ** 14, 2, 2, random.Random(3))
+    assert len(x) + len(y) >= 2 ** 14
+    assert not conjugacy_solve(x, y, 2, 2).conjugate
+    assert traces == []
+
+
+def test_high_generator_indices_cost_nothing():
+    # the solve runs over the generators the words use, not x1..xr
+    x, y = parse("x1 x2000000"), parse("x2000000 x1")
+    for d in (2, 3):
+        tracemalloc.start()
+        try:
+            res = conjugacy_solve(x, y, 2000000, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert res.conjugate and res.witness.rank == 2000000
+        z = Word([s if abs(s) == 1 else 2 if s > 0 else -2
+                  for s in res.witness.letters], rank=2)
+        assert conjugation_verified(z, parse("x1 x2"), parse("x2 x1"), 2, d)
+
+
+def test_sparse_generators_solve_as_their_renumbering(rng):
+    # x2, x5, x9 behave as x1, x2, x3: same verdicts, witnesses relabeled
+    gens = (2, 5, 9)
+
+    def spread(w):
+        return Word([gens[abs(s) - 1] * (1 if s > 0 else -1)
+                     for s in w.letters], rank=9)
+
+    for d in (2, 3):
+        for i in range(30 if d == 2 else 6):
+            x = random_reduced_word(rng, rng.randrange(1, 6), 3)
+            z = random_reduced_word(rng, rng.randrange(0, 4), 3)
+            y = z * x * ~z * (C if i % 2 else Word(()))
+            dense = conjugacy_solve(x, y, 3, d)
+            sparse = conjugacy_solve(spread(x), spread(y), 9, d)
+            assert sparse.conjugate == dense.conjugate
+            if dense.conjugate:
+                assert sparse.witness == spread(dense.witness)
