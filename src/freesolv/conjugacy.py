@@ -238,8 +238,20 @@ class SchreierSupport:
 # -- witness construction --------------------------------------------------
 
 
+def _scanned_support(x: Word, y: Word, y_i: Word, cut: int, r: int,
+                     d: int) -> SchreierSupport:
+    """The support as the scan of every cut leaves it: y traced, then the
+    words gamma_c x gamma_c^-1, gamma_c = y_i x[:c]^-1, for c = 0..cut."""
+    sup = SchreierSupport(y, r, d)
+    for c in range(cut + 1):
+        g = y_i * ~x.prefix(c)
+        sup.trace(g * x * ~g)
+    return sup
+
+
 def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
-                    r: int, d: int) -> Word | None:
+                    r: int, d: int,
+                    skipped: tuple[Word, int] | None = None) -> Word | None:
     """Turn a flow-equality shift gamma into a genuine conjugator.
 
     gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
@@ -251,6 +263,14 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
     delta comes out of prefix sums along each orbit.  Realizing h as a
     product of based Eulerian cycle words and prepending it to gamma gives
     the conjugator.
+
+    The word depends on the order in which sup found its cosets only
+    where a circuit starts off the path of y: y is traced first, so on its
+    path vertex ids and representatives do not depend on what else was
+    traced.  skipped = (y_i, cut) says sup traced only some of the cuts
+    before gamma = y_i x[:cut]^-1; if a circuit would start off y's path,
+    the repair reruns on the support of the scan of every cut, so the
+    witness is always the one that scan finds.
 
     Returns None when the premise fails, which only happens under Monte
     Carlo membership noise; callers treat that as an inconclusive trial.
@@ -328,10 +348,14 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
             return None  # h is not a circulation: premise was noise
 
         z_h = Word((), rank=r, _reduced=True)
+        last_y = max(sup.y_path)
         while True:
             base = min((a for a, outs in adj.items() if outs), default=None)
             if base is None:
                 break
+            if skipped is not None and base[0] > last_y:
+                return _witness_repair(
+                    x, y, gamma, _scanned_support(x, y, *skipped, r, d), r, d)
             node_stack = [base]
             letter_stack: list[int] = []
             circuit: list[int] = []
@@ -358,22 +382,11 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
 def _verified_witness(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
                       r: int, d: int,
                       skipped: tuple[Word, int] | None = None) -> Word | None:
-    """gamma when it conjugates x to y, else its repair, else None.
-
-    The repaired word depends on the order in which sup found its cosets.
-    skipped = (y_i, cut) says the scan traced only some of the cuts before
-    gamma = y_i x[:cut]^-1; the repair then runs on a support rebuilt the
-    way the scan of every cut leaves it, so the witness does not depend on
-    which cuts were skipped."""
+    """gamma when it conjugates x to y, else its repair (see
+    _witness_repair for skipped), else None."""
     if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det"):
         return gamma
-    if skipped is not None:
-        y_i, cut = skipped
-        sup = SchreierSupport(y, r, d)
-        for c in range(cut + 1):
-            g = y_i * ~x.prefix(c)
-            sup.trace(g * x * ~g)
-    return _witness_repair(x, y, gamma, sup, r, d)
+    return _witness_repair(x, y, gamma, sup, r, d, skipped)
 
 
 # -- d = 2: translates of one flow -----------------------------------------
