@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import conjugation_verified, trivial_long
 from freesolv import conjugacy, oracle
+from freesolv.cli import bench_instance
 from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
                                 conjugacy_solve)
 from freesolv.power import power_solve
@@ -583,7 +584,8 @@ def _repair_pairs(rng, count):
 
 def test_witness_repair_matches_full_scan(monkeypatch, rng):
     # the repaired word depends on the order the support found its cosets
-    # in; when the hash skipped cuts it is rebuilt as the full scan left it
+    # in; after skipped cuts, a circuit that would start off y's path
+    # makes the repair rerun on the support the full scan leaves
     repairs = []
     repair = conjugacy._witness_repair
 
@@ -658,7 +660,6 @@ def test_long_bench_no_pair_needs_no_trace(monkeypatch):
         return trace(self, w)
 
     monkeypatch.setattr(SchreierSupport, "trace", spy)
-    from freesolv.cli import bench_instance
     x, y = bench_instance("conj", 2 ** 14, 2, 2, random.Random(3))
     assert len(x) + len(y) >= 2 ** 14
     assert not conjugacy_solve(x, y, 2, 2).conjugate
