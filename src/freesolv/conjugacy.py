@@ -15,9 +15,13 @@ character chi of A, turns that translation into a product, H(T_b F) =
 chi(b) H(F).  So H_chi(F) H_chi^{-1}(F) is a translation invariant: when
 x and y differ in it, no shift matches and the answer is No after one
 pass over each word, with no coset graph built.  Otherwise only the cuts
-with chi(b_c) H(F_x) = H(F_y) are traced and compared exactly.  The hash
-steers work and never decides a Yes, so answers never depend on its
-constants: a collision costs one extra trace.
+with chi(b_c) H(F_x) = H(F_y) are compared exactly, as translates of F_x
+on Cay(A), still with no coset graph: the first that matches is the
+shift the scan of every cut finds, and when it conjugates x to y on the
+nose (checked on Cay(Z^r)) it is the witness.  The coset graph is built
+only for a shift that needs repair.  The hash steers work and never
+decides a Yes, so answers never depend on its constants: a collision
+costs one extra comparison.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
@@ -407,7 +411,8 @@ class _FlowHash:
     and the pivot takes what makes t.ab(y) vanish; with ab(y) = 0, t = w.
     At rank 2 that is t = +-(ab(y)_2, -ab(y)_1), injective on A modulo
     torsion.  The letter table is a list of length 2m+1 read at the letter
-    itself, so -s lands at index 2m+1-s.
+    itself, so -s lands at index 2m+1-s.  first_shift compares the cuts
+    the hash lets through exactly.
     """
 
     def __init__(self, x: Word, y: Word, m: int, ab_y: tuple[int, ...]):
@@ -438,7 +443,8 @@ class _FlowHash:
             up, down = step[i], step[-i]
             table[i] = (rho, up, rho, down)
             table[-i] = (-rho * down % _P, down, -rho * up % _P, up)
-        self.x, self.y, self.step = x, y, step
+        self.x, self.y, self.m, self.step = x, y, m, step
+        self.ab_y = ab_y
         self.h_x, inv_x = self._hashes(x, table)
         self.h_y, inv_y = self._hashes(y, table)
         # translate flows have equal invariants H_chi H_chi^-1
@@ -469,6 +475,129 @@ class _FlowHash:
             h = h * step[-s] % _P
             if h == target:
                 yield cut
+
+    def first_shift(self) -> ConjugacyResult | None:
+        """The answer when it needs no support: No when no shift gamma_c
+        = y_i x[:c]^-1 has the flow of y on Cay(A), Yes with the first
+        that does when it conjugates x to y on the nose.  None when that
+        shift needs repair, or when y has no flow on Cay(A) (only for y =
+        1, which the support reports).
+
+        Only the cuts the hash lets through are looked at, in order.  A
+        shift conjugates x to y exactly when y_i^-1 gamma_c x gamma_c^-1
+        y_i, the rotation x[c:] x[:c], equals the rotation y[i:] y[:i] in
+        S_{m,2}: by the Magnus embedding, when their flows on Cay(Z^m)
+        agree.  Such a shift also has the flow of y on Cay(A), and every
+        flow-equal cut is a hash hit, so the first hit that conjugates is
+        the first flow-equal cut of the scan of every cut.  Otherwise the
+        hit is compared on Cay(A), where the flow of gamma_c x gamma_c^-1
+        is that of x translated by ab(gamma_c); a match there needs
+        repair."""
+        x, y = self.x.letters, self.y.letters
+        coding = _Coding(self.m, len(x) + len(y), self.ab_y)
+        keys: list[int] = []
+        flow_y = coding.walk(y, keys)
+        if not flow_y:
+            return None
+        pick = next(i for i, key in enumerate(keys) if key in flow_y)
+        plain = _Coding(self.m, len(x) + len(y), ())
+        rotated_y = plain.walk(y[pick:] + y[:pick])
+        flow_x = None
+        for cut in self.cuts(pick):
+            if plain.walk(x[cut:] + x[:cut]) == rotated_y:
+                return ConjugacyResult(
+                    True, self.y.prefix(pick) * ~self.x.prefix(cut))
+            if flow_x is None:
+                flow_x = coding.walk(x)
+            b, b_p = coding.offset(y[:pick])
+            c, c_p = coding.offset(x[:cut])
+            if coding.translate(flow_x, b - c, b_p - c_p) == flow_y:
+                return None
+        return NO
+
+
+class _Coding:
+    """Integer keys for the edges of Cay(Z^m / Z a) on walks of at most n
+    letters, and translations of them.
+
+    A vertex is named by the exponent vector in its coset of Z a whose
+    pivot entry (the first nonzero one of a, its sign chosen positive)
+    lies in [0, a_pivot); with a = 0 every vector names itself.  Its code
+    is M times the number with those entries as digits in base B, the
+    pivot entry lowest, and the edge x_g from it has key code + g, with M
+    = m + 1 and B a power of two above twice any entry a walk here or a
+    translation by ab(gamma_c) reaches (each is below 2 (n + 2)^2).
+    Codes are linear in the vector, so translating adds a code, and the
+    pivot entry of a key is key // M % B.
+    """
+
+    def __init__(self, m: int, n: int, a):
+        pivot = next((i for i, c in enumerate(a) if c), 0)
+        if a and a[pivot] < 0:
+            a = [-c for c in a]
+        self.M = M = m + 1
+        bits = (4 * (n + 2) ** 2).bit_length()
+        self.base = 1 << bits
+        unit = [0] * m
+        for j, i in enumerate([pivot] + [i for i in range(m) if i != pivot]):
+            unit[i] = M << bits * j
+        self.a_p = a[pivot] if a else 0
+        self.a_code = sum(c * u for c, u in zip(a, unit))
+        # per letter, read at the letter itself: code step, generator
+        # index, pivot entry step (tracked only when a != 0)
+        self.moves = [(0, 0, 0)] * (2 * m + 1)
+        for i in range(m):
+            dc = 1 if i == pivot and self.a_p else 0
+            self.moves[i + 1] = (unit[i], i + 1, dc)
+            self.moves[-i - 1] = (-unit[i], i + 1, -dc)
+
+    def offset(self, letters) -> tuple[int, int]:
+        """Code and pivot entry of the exponent vector of letters, not
+        reduced: a translation for translate."""
+        b = b_p = 0
+        for s in letters:
+            dv, _, dc = self.moves[s]
+            b, b_p = b + dv, b_p + dc
+        return b, b_p
+
+    def translate(self, flow: dict[int, int], b: int,
+                  b_p: int) -> dict[int, int]:
+        """flow moved by the vector with code b and pivot entry b_p."""
+        if not self.a_p:
+            return {key + b: n for key, n in flow.items()}
+        M, base, a_p, a_code = self.M, self.base, self.a_p, self.a_code
+        return {key + b - (key // M % base + b_p) // a_p * a_code: n
+                for key, n in flow.items()}
+
+    def walk(self, letters, keys: list | None = None) -> dict[int, int]:
+        """The flow from 0 of the walk that letters spells, by edge key
+        as in SchreierSupport.trace, zero entries dropped; appends the key
+        of each letter's edge to keys if given."""
+        moves, a_p, a_code = self.moves, self.a_p, self.a_code
+        v = c = 0
+        flow: dict[int, int] = {}
+        get = flow.get
+        for s in letters:
+            dv, g, dc = moves[s]
+            if s > 0:
+                key = v + g
+                v += dv
+                if dc:
+                    c += 1
+                    if c == a_p:
+                        c, v = 0, v - a_code
+                flow[key] = get(key, 0) + 1
+            else:
+                v += dv
+                if dc:
+                    c -= 1
+                    if c < 0:
+                        c, v = c + a_p, v + a_code
+                key = v + g
+                flow[key] = get(key, 0) - 1
+            if keys is not None:
+                keys.append(key)
+        return {key: n for key, n in flow.items() if n}
 
 
 def _retract(x: Word, y: Word) -> tuple[Word, Word, int, list[int] | None]:
@@ -506,8 +635,10 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     maps the witness back, so its cost does not grow with r.  At d = 2 a
     translation invariant of the two flows, hashed in one pass over each
     word, answers most No pairs outright, and only the cuts whose hashes
-    match are traced (see the module docstring); the hash steers work
-    only, so the answer and the witness never depend on its constants.
+    match are compared exactly; a Schreier support is built only when
+    the witness needs repair (see the module docstring).  The hash steers
+    work only, so the answer and the witness never depend on its
+    constants.
     Monte Carlo trials that trip over inconsistent membership answers
     are retried with fresh randomness a bounded number of times before
     the conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
@@ -565,7 +696,15 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
                        cube_bound: int | None,
                        flow_hash: _FlowHash | None = None) -> ConjugacyResult:
     """Scan the shifts gamma_c = y_i x[:c]^-1 for one whose trace has the
-    flow of y: every cut, or at d = 2 the cuts flow_hash lets through."""
+    flow of y: every cut, or at d = 2 the cuts flow_hash lets through.
+
+    At d = 2 flow_hash.first_shift answers with no support unless the
+    first flow-equal shift needs repair; then the support's scan finds
+    it again, because the repaired word depends on the support's state."""
+    if flow_hash is not None:
+        found = flow_hash.first_shift()
+        if found is not None:
+            return found
     sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
     flow_y = sup.y_flow
     if not flow_y:

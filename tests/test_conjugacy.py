@@ -606,48 +606,115 @@ def test_witness_repair_matches_full_scan(monkeypatch, rng):
     assert len(repairs) > 40
 
 
-def test_forced_hash_collisions_change_only_the_trace_count(monkeypatch,
-                                                            rng):
+def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,
+                                                               rng):
     # with chi = 1 every cut hits and every invariant matches: the exact
-    # traces must still give the same answers and witnesses.  Counted are
-    # the traces of the scan, not those of a witness repair
-    traces, repairing = [], []
-    trace, verified = SchreierSupport.trace, conjugacy._verified_witness
+    # comparisons must still give the same answers and witnesses.  Counted
+    # are the cuts the hash lets through, each compared exactly
+    compared = []
+    cuts = conjugacy._FlowHash.cuts
 
-    def spy(self, w):
-        if not repairing:
-            traces.append(w)
-        return trace(self, w)
+    def spy(self, pick):
+        for cut in cuts(self, pick):
+            compared.append(cut)
+            yield cut
 
-    def spy_verified(*args):
-        repairing.append(True)
-        try:
-            return verified(*args)
-        finally:
-            repairing.pop()
-
-    monkeypatch.setattr(SchreierSupport, "trace", spy)
-    monkeypatch.setattr(conjugacy, "_verified_witness", spy_verified)
+    monkeypatch.setattr(conjugacy._FlowHash, "cuts", spy)
     pairs = _repair_pairs(rng, 20)
     g = random.Random(5)
     pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in range(5)
               for _ in range(6)]
     hashed, counts = [], []
     for x, y in pairs:
-        traces.clear()
+        compared.clear()
         hashed.append(conjugacy_solve(x, y, x.rank, 2))
-        counts.append(len(traces))
+        counts.append(len(compared))
     monkeypatch.setattr(conjugacy, "_G", 1)
     monkeypatch.setattr(conjugacy, "_G_INV", 1)
     grew = 0
     for (x, y), want, count in zip(pairs, hashed, counts):
-        traces.clear()
+        compared.clear()
         assert conjugacy_solve(x, y, x.rank, 2) == want, \
             (x.serialize(), y.serialize())
-        assert len(traces) >= count
-        grew += len(traces) > count
+        assert len(compared) >= count
+        grew += len(compared) > count
     assert grew > len(pairs) // 4
     assert {res.conjugate for res in hashed} == {True, False}
+
+
+def test_coded_walk_is_the_support_trace(rng):
+    # the walk on Cay(Z^m / Z ab(y)) with integer keys gives the flow
+    # SchreierSupport.trace gives at d = 2, its vertices renamed one to one
+    for i in range(120):
+        r = 2 + i % 2
+        y = random_reduced_word(rng, rng.randrange(1, 12), r)
+        if i % 3 == 1:
+            y = y * y  # ab(y) not primitive
+        elif i % 3 == 2:
+            y = commutator(y, random_reduced_word(rng, 3, r))  # ab(y) = 0
+        ab = conjugacy._exponent_vector(y.letters, r)
+        sup = SchreierSupport(y, r, 2)
+        for _ in range(4):
+            w = random_reduced_word(rng, rng.randrange(0, 30), r)
+            path, flow = sup.trace(w)
+            coding = conjugacy._Coding(r, len(w) + len(y), ab)
+            keys = []
+            coded = coding.walk(w.letters, keys)
+            rename = {}
+            for j, s in enumerate(w.letters):
+                edge = (path[j], s) if s > 0 else (path[j + 1], -s)
+                assert rename.setdefault(edge, keys[j]) == keys[j]
+            assert len(set(rename.values())) == len(rename)
+            assert {rename[e]: n for e, n in flow.items()} == coded
+
+
+def test_plain_coded_walk_is_the_word_problem(rng):
+    # on Cay(Z^m), the flow vanishes exactly for words trivial in S_{m,2}
+    for i in range(80):
+        r = 2 + i % 2
+        w = random_trivial_word(rng, r, 2, conjugator_len=3, factors=2)
+        if i % 2:
+            w = w * C if r == 2 else w * commutator(parse("x1"), parse("x3"))
+        coded = conjugacy._Coding(r, len(w), ()).walk(w.letters)
+        assert (not coded) == word_problem(w, r, 2)
+
+
+def test_yes_needs_a_support_only_for_repair(monkeypatch, rng):
+    # at d = 2 a shift that conjugates on the nose is returned with no
+    # SchreierSupport built; one that needs repair is found again by it
+    supports, repairs = [], []
+    init, repair = SchreierSupport.__init__, conjugacy._witness_repair
+
+    def spy_init(self, *args, **kwargs):
+        supports.append(True)
+        init(self, *args, **kwargs)
+
+    def spy_repair(*args):
+        repairs.append(True)
+        return repair(*args)
+
+    pairs = _repair_pairs(rng, 20)
+    g = random.Random(9)
+    pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in (1, 2, 3, 4)
+              for _ in range(8)]
+    on_the_nose = 0
+    for x, y in pairs:
+        want = _full_scan(x, y, x.rank)
+        monkeypatch.setattr(conjugacy, "_witness_repair", spy_repair)
+        monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
+        supports.clear()
+        repairs.clear()
+        assert conjugacy_solve(x, y, x.rank, 2) == want
+        monkeypatch.undo()
+        if not any(conjugacy._exponent_vector(x.letters, x.rank)):
+            continue
+        if want.conjugate:
+            assert bool(supports) == bool(repairs), (x.serialize(),
+                                                     y.serialize())
+            on_the_nose += not supports
+        else:
+            assert not supports
+    assert 0 < on_the_nose < len(pairs)
 
 
 def test_long_bench_no_pair_needs_no_trace(monkeypatch):
