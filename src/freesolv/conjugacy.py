@@ -2,10 +2,10 @@
 
 Two nontrivial words are conjugate exactly when some shift gamma_c =
 y_i x[:c]^{-1} of x, 0 <= c <= |x|, defines the same flow as y on the
-coset graph of <y> in S_{r,d-1}.  The solver builds that coset graph
-lazily, identifying cosets by their image in Z^r / Z ab(y) (exact for
-d <= 2) and, for d >= 3, through the cyclic-membership solver.  Away
-from d = 2 it traces the shifts in order until one matches.
+coset graph of <y> in S_{r,d-1}.  No coset graph is built at d <= 2: at
+d = 1, Z^r is abelian and equal exponent vectors decide.  At d >= 3 a
+support builds it lazily, finding cosets with the cyclic-membership
+solver, and the shifts are traced in order until one matches.
 
 At d = 2 the coset graph is the Cayley graph of A = Z^r / Z ab(y), and
 every translation of A is an automorphism of it: gamma_c x gamma_c^{-1}
@@ -14,24 +14,23 @@ hash H(F) = sum of val * rho_s * chi(source) over the edges of F, for a
 character chi of A, turns that translation into a product, H(T_b F) =
 chi(b) H(F).  So H_chi(F) H_chi^{-1}(F) is a translation invariant: when
 x and y differ in it, no shift matches and the answer is No after one
-pass over each word, with no coset graph built.  Otherwise only the cuts
-with chi(b_c) H(F_x) = H(F_y) are compared exactly, as translates of F_x
-on Cay(A), still with no coset graph: the first that matches is the
-shift the scan of every cut finds, and when it conjugates x to y on the
-nose (checked on Cay(Z^r)) it is the witness.  The coset graph is built
-only for a shift that needs repair.  The hash steers work and never
-decides a Yes, so answers never depend on its constants: a collision
-costs one extra comparison.
+pass over each word.  Otherwise only the cuts with chi(b_c) H(F_x) =
+H(F_y) are compared exactly, as translates of F_x on Cay(A): the first
+that matches is the shift the scan of every cut finds, and the witness
+when it conjugates x to y on the nose (checked on Cay(Z^r)).  The hash
+steers work and never decides a Yes, so answers never depend on its
+constants: a collision costs one extra comparison.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
 is invisible to the Schreier flow (it lives along the <y>-direction).
-The repair solves h - h^y = delta for the leftover flow delta, realizes
-the solution as a product of based cycle words, and prepends it.  A
-prefix's height over its coset is the sum of the support's edge shifts
-along its trace.  Every step that can answer Yes is exact; Monte Carlo
-mode randomizes only coset membership at d >= 3, so at d <= 2 it gives
-the deterministic answer.
+The repair solves h - h^y = delta for the leftover flow delta on the
+Cayley graph of S_{r,d-1}, realizes the solution as a product of based
+cycle words, and prepends it.  It reads one of two coset graphs of <y>
+with edge heights: the support at d >= 3, the coded Cay(Z^r) at d = 2.
+Every step that can answer Yes is exact; Monte Carlo mode randomizes
+only coset membership at d >= 3, so at d <= 2 it gives the
+deterministic answer.
 """
 
 from __future__ import annotations
@@ -74,24 +73,9 @@ def _moved(vec: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ab_height(word_ab, rep_ab, ab_y) -> int | None:
-    """Exponent j with word = y^j * rep in S_{r,1} = Z^r, or None if none.
-
-    That is ab(word) - ab(rep) = j ab(y).  With ab(y) = 0 it is 1 when the
-    difference vanishes and None otherwise, as power_solve reports then.
-    """
-    diff = [a - b for a, b in zip(word_ab, rep_ab)]
-    pivot = next((i for i, c in enumerate(ab_y) if c), None)
-    if pivot is None:
-        return None if any(diff) else 1
-    j, rem = divmod(diff[pivot], ab_y[pivot])
-    if rem or any(a != j * c for a, c in zip(diff, ab_y)):
-        return None
-    return j
-
-
 class SchreierSupport:
-    """Lazily built support of traced words in the coset graph of <y>.
+    """Lazily built support of traced words in the coset graph of <y>,
+    which the solver builds at d >= 3.
 
     Vertices are right cosets <y>g in S_{r,d-1}, keyed by their image in
     Z^r / Z ab(y).  Equal keys are necessary for equal cosets at every
@@ -196,23 +180,20 @@ class SchreierSupport:
     def arc(self, u: int, s: int) -> tuple[int, int | None]:
         """Target v of the edge (u, s) and its shift j: rep(u) x_s =
         y^j rep(v) in S_{r,d-1}, or None (only under Monte Carlo noise).
-
-        A closing edge gets j once: at depth 1 from the exponent vectors
-        (0 if ab(y) = 0: y = 1 in S_{r,1}, any j will do), deeper from one
-        exact power problem."""
+        A closing edge gets j once, from one exact power problem."""
         v = self._step(u, s)
         if (u, s) not in self.shifts:
-            if self.depth <= 1:
-                j = 0 if self._pivot is None else _ab_height(
-                    _moved(self.vecs[u], s), self.vecs[v], self._ab_y)
-            else:
-                g = concat_reduced(concat_reduced(self.reps[u], (s,)),
-                                   tuple(-c for c in reversed(self.reps[v])))
-                j = power_solve(Word(g, rank=self.r, _reduced=True), self.y,
-                                self.r, self.depth, mode="det").k
+            g = concat_reduced(concat_reduced(self.reps[u], (s,)),
+                               tuple(-c for c in reversed(self.reps[v])))
+            j = power_solve(Word(g, rank=self.r, _reduced=True), self.y,
+                            self.r, self.depth, mode="det").k
             self.shifts[(u, s)] = j
             self.shifts[(v, -s)] = None if j is None else -j
         return v, self.shifts[(u, s)]
+
+    def lift(self, v: int, j: int) -> Word:
+        """y^j rep(v): a word for the vertex at height j over coset v."""
+        return self.y ** j * Word._trusted(self.reps[v], self.r)
 
     # -- tracing -----------------------------------------------------------
 
@@ -242,45 +223,35 @@ class SchreierSupport:
 # -- witness construction --------------------------------------------------
 
 
-def _scanned_support(x: Word, y: Word, y_i: Word, cut: int, r: int,
-                     d: int) -> SchreierSupport:
-    """The support as the scan of every cut leaves it: y traced, then the
-    words gamma_c x gamma_c^-1, gamma_c = y_i x[:c]^-1, for c = 0..cut."""
-    sup = SchreierSupport(y, r, d)
-    for c in range(cut + 1):
-        g = y_i * ~x.prefix(c)
-        sup.trace(g * x * ~g)
-    return sup
-
-
-def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
-                    r: int, d: int,
-                    skipped: tuple[Word, int] | None = None) -> Word | None:
+def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int,
+                    d: int) -> Word | None:
     """Turn a flow-equality shift gamma into a genuine conjugator.
 
     gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
     difference flow delta on Cay(S_{r,d-1}) sums to zero along every
     <y>-orbit of edges.  Cayley edges are coordinatized as (coset vertex,
-    height, letter) where g = y^height * rep(coset); a prefix's height is
-    the running sum of the support's edge shifts along its trace, from 0
-    at the root.  Translation by y is height + 1, so h with h - h^y =
-    delta comes out of prefix sums along each orbit.  Realizing h as a
-    product of based Eulerian cycle words and prepending it to gamma gives
-    the conjugator.
+    height, letter) where g = y^height * rep(coset): graph.arc(v, s) gives
+    the target coset of the edge (v, s) and its height shift, and
+    graph.lift(v, j) a word for the vertex (v, j).  A prefix's height is
+    the running sum of the shifts along its walk from the root 0 at
+    height 0.  Translation by y is height + 1, so h with h - h^y = delta
+    comes out of prefix sums along each orbit.  Realizing h as a product
+    of based Eulerian cycle words lift C lift^-1 and prepending it to
+    gamma gives the conjugator, a word fixed by y, gamma and the graph.
 
-    The word depends on the order in which sup found its cosets only
-    where a circuit starts off the path of y: y is traced first, so on its
-    path vertex ids and representatives do not depend on what else was
-    traced.  skipped = (y_i, cut) says sup traced only some of the cuts
-    before gamma = y_i x[:cut]^-1; if a circuit would start off y's path,
-    the repair reruns on the support of the scan of every cut, so the
-    witness is always the one that scan finds.
+    At d = 2, graph is the coded Cay(Z^r) and a lift is the axis word
+    x_1^b_1 ... x_r^b_r of the base's exponent vector b.  Every vertex
+    the walks of y and gamma x gamma^-1 pass has |b|_1 <= |x| + |y|, so
+    does every vertex of h, which lies between two of them on a <y>-orbit,
+    and a lift has at most n + 1 letters, n = |x| + |y|.  A closed walk
+    on Cay(Z^r) that crosses no edge both ways has at least 4 edges, so h
+    splits into at most |h|_1 / 4 circuits, and the witness has at most
+    |gamma| + |h|_1 + 2 (n + 1) |h|_1 / 4 = |gamma| + |h|_1 (n + 3) / 2
+    letters.
 
     Returns None when the premise fails, which only happens under Monte
     Carlo membership noise; callers treat that as an inconclusive trial.
     """
-    if d < 2:
-        return None  # depth-0 repairs never arise: gamma already verifies
     w = gamma * x * ~gamma
 
     def cayley_flow(u: Word) -> dict[tuple[int, int, int], int] | None:
@@ -288,15 +259,11 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         flow: dict[tuple[int, int, int], int] = {}
         v = height = 0
         for s in u.letters:
-            nxt, j = sup.arc(v, s)
+            nxt, j = graph.arc(v, s)
             if j is None:
                 return None  # coset bookkeeping was wrong (Monte Carlo noise)
-            if s > 0:
-                key = (v, height, s)
-                val = flow.get(key, 0) + 1
-            else:
-                key = (nxt, height + j, -s)
-                val = flow.get(key, 0) - 1
+            key = (v, height, s) if s > 0 else (nxt, height + j, -s)
+            val = flow.get(key, 0) + (1 if s > 0 else -1)
             if val:
                 flow[key] = val
             else:
@@ -310,17 +277,14 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
         return None
     delta = dict(fy)
     for k, v in fw.items():
-        nv = delta.get(k, 0) - v
-        if nv:
-            delta[k] = nv
-        else:
-            delta.pop(k, None)
+        delta[k] = delta.get(k, 0) - v
 
     # h(v, J, c) = sum of delta over (v, j, c) with j <= J; orbit totals
     # vanish exactly when the Schreier flows of y and w agree
     orbits: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (v, j, c), val in delta.items():
-        orbits.setdefault((v, c), []).append((j, val))
+        if val:
+            orbits.setdefault((v, c), []).append((j, val))
     h: dict[tuple[int, int, int], int] = {}
     for (v, c), entries in orbits.items():
         entries.sort()
@@ -333,64 +297,52 @@ def _witness_repair(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
                 for j in range(j0, j1):
                     h[(v, j, c)] = run
 
-    candidate = gamma
-    if h:
-        adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-        for (v, j, c), val in h.items():
-            vv, dj = sup.arc(v, c)  # every edge of h was traced above
-            a, b = (v, j), (vv, j + dj)
-            arc = (a, b, c) if val > 0 else (b, a, -c)
-            for _ in range(abs(val)):
-                adj.setdefault(arc[0], []).append((arc[1], arc[2]))
-                adj.setdefault(arc[1], [])
-        bal: dict[tuple[int, int], int] = {}
-        for a, outs in adj.items():
-            bal[a] = bal.get(a, 0) + len(outs)
-            for (b, _) in outs:
-                bal[b] = bal.get(b, 0) - 1
-        if any(bal.values()):
-            return None  # h is not a circulation: premise was noise
+    adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    bal: dict[tuple[int, int], int] = {}
+    for (v, j, c), val in h.items():
+        vv, dj = graph.arc(v, c)  # every edge of h was walked above
+        a, b = (v, j), (vv, j + dj)
+        tail, head, letter = (a, b, c) if val > 0 else (b, a, -c)
+        adj.setdefault(tail, []).extend([(head, letter)] * abs(val))
+        adj.setdefault(head, [])
+        bal[tail] = bal.get(tail, 0) + abs(val)
+        bal[head] = bal.get(head, 0) - abs(val)
+    if any(bal.values()):
+        return None  # h is not a circulation: premise was noise
 
-        z_h = Word((), rank=r, _reduced=True)
-        last_y = max(sup.y_path)
-        while True:
-            base = min((a for a, outs in adj.items() if outs), default=None)
-            if base is None:
-                break
-            if skipped is not None and base[0] > last_y:
-                return _witness_repair(
-                    x, y, gamma, _scanned_support(x, y, *skipped, r, d), r, d)
-            node_stack = [base]
-            letter_stack: list[int] = []
-            circuit: list[int] = []
-            while node_stack:
-                u = node_stack[-1]
-                if adj[u]:
-                    vtx, letter = adj[u].pop()
-                    node_stack.append(vtx)
-                    letter_stack.append(letter)
-                else:
-                    node_stack.pop()
-                    if letter_stack and node_stack:
-                        circuit.append(letter_stack.pop())
-            circuit.reverse()
-            rep = y ** base[1] * Word(sup.reps[base[0]], rank=r,
-                                      _reduced=True)
-            z_h = z_h * (rep * Word(circuit, rank=r) * ~rep)
-        candidate = z_h * gamma
-
+    # one circuit per component, from its least vertex: each exhausts the
+    # component, so the bases come in sorted order
+    z_h: list[int] = []
+    for base in sorted(adj):
+        if not adj[base]:
+            continue
+        node_stack = [base]
+        letter_stack: list[int] = []
+        circuit: list[int] = []
+        while node_stack:
+            u = node_stack[-1]
+            if adj[u]:
+                vtx, letter = adj[u].pop()
+                node_stack.append(vtx)
+                letter_stack.append(letter)
+            else:
+                node_stack.pop()
+                if letter_stack and node_stack:
+                    circuit.append(letter_stack.pop())
+        circuit.reverse()
+        lift = graph.lift(*base)
+        z_h += [*lift.letters, *circuit, *(~lift).letters]
+    candidate = Word(z_h, rank=r) * gamma
     ok = word_problem(candidate * x * ~candidate * ~y, r, d, mode="det")
     return candidate if ok else None
 
 
-def _verified_witness(x: Word, y: Word, gamma: Word, sup: SchreierSupport,
-                      r: int, d: int,
-                      skipped: tuple[Word, int] | None = None) -> Word | None:
-    """gamma when it conjugates x to y, else its repair (see
-    _witness_repair for skipped), else None."""
+def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int,
+                      d: int) -> Word | None:
+    """gamma if it conjugates x to y, else its repair on graph, or None."""
     if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det"):
         return gamma
-    return _witness_repair(x, y, gamma, sup, r, d, skipped)
+    return _witness_repair(x, y, gamma, graph, r, d)
 
 
 # -- d = 2: translates of one flow -----------------------------------------
@@ -476,12 +428,11 @@ class _FlowHash:
             if h == target:
                 yield cut
 
-    def first_shift(self) -> ConjugacyResult | None:
-        """The answer when it needs no support: No when no shift gamma_c
-        = y_i x[:c]^-1 has the flow of y on Cay(A), Yes with the first
-        that does when it conjugates x to y on the nose.  None when that
-        shift needs repair, or when y has no flow on Cay(A) (only for y =
-        1, which the support reports).
+    def first_shift(self) -> ConjugacyResult:
+        """No when no shift gamma_c = y_i x[:c]^-1 has the flow of y on
+        Cay(A), else Yes with the first that does, repaired on the coded
+        Cay(Z^m) unless it conjugates x to y on the nose.  y must be
+        nontrivial in S_{m,2}, so that it has a flow on Cay(A).
 
         Only the cuts the hash lets through are looked at, in order.  A
         shift conjugates x to y exactly when y_i^-1 gamma_c x gamma_c^-1
@@ -497,22 +448,24 @@ class _FlowHash:
         coding = _Coding(self.m, len(x) + len(y), self.ab_y)
         keys: list[int] = []
         flow_y = coding.walk(y, keys)
-        if not flow_y:
-            return None
         pick = next(i for i, key in enumerate(keys) if key in flow_y)
         plain = _Coding(self.m, len(x) + len(y), ())
         rotated_y = plain.walk(y[pick:] + y[:pick])
         flow_x = None
         for cut in self.cuts(pick):
+            gamma = self.y.prefix(pick) * ~self.x.prefix(cut)
             if plain.walk(x[cut:] + x[:cut]) == rotated_y:
-                return ConjugacyResult(
-                    True, self.y.prefix(pick) * ~self.x.prefix(cut))
+                return ConjugacyResult(True, gamma)
             if flow_x is None:
                 flow_x = coding.walk(x)
             b, b_p = coding.offset(y[:pick])
             c, c_p = coding.offset(x[:cut])
             if coding.translate(flow_x, b - c, b_p - c_p) == flow_y:
-                return None
+                witness = _verified_witness(self.x, self.y, gamma, coding,
+                                            self.m, 2)
+                if witness is None:
+                    raise AssertionError("deterministic witness repair failed")
+                return ConjugacyResult(True, witness)
         return NO
 
 
@@ -525,21 +478,30 @@ class _Coding:
     lies in [0, a_pivot); with a = 0 every vector names itself.  Its code
     is M times the number with those entries as digits in base B, the
     pivot entry lowest, and the edge x_g from it has key code + g, with M
-    = m + 1 and B a power of two above twice any entry a walk here or a
-    translation by ab(gamma_c) reaches (each is below 2 (n + 2)^2).
-    Codes are linear in the vector, so translating adds a code, and the
-    pivot entry of a key is key // M % B.
+    = m + 1 and B a power of two above twice any entry a walk here, a
+    translation by ab(gamma_c) or a repair walk reaches (each is below
+    2 (n + 2)^2).  Codes are linear in the vector, so translating adds a
+    code, and the pivot entry of a key is key // M % B.
+
+    With a = ab(y) it is also Cay(Z^m) as a coset graph of <y> for
+    _witness_repair: the vertex coded v at height j is the vector
+    vec(v) + j ab(y).  arc reports each wrap of the pivot entry as a
+    height shift, and lift names a vertex by its axis word.
     """
 
     def __init__(self, m: int, n: int, a):
         pivot = next((i for i, c in enumerate(a) if c), 0)
-        if a and a[pivot] < 0:
-            a = [-c for c in a]
+        self.ab_y = tuple(a) or (0,) * m
+        # a wrap up subtracts the positive a, that is wrap ab(y)
+        self.wrap = -1 if a and a[pivot] < 0 else 1
+        a = [self.wrap * c for c in a]
+        self.m = m
         self.M = M = m + 1
         bits = (4 * (n + 2) ** 2).bit_length()
         self.base = 1 << bits
         unit = [0] * m
-        for j, i in enumerate([pivot] + [i for i in range(m) if i != pivot]):
+        self.order = [pivot] + [i for i in range(m) if i != pivot]
+        for j, i in enumerate(self.order):
             unit[i] = M << bits * j
         self.a_p = a[pivot] if a else 0
         self.a_code = sum(c * u for c, u in zip(a, unit))
@@ -550,6 +512,30 @@ class _Coding:
             dc = 1 if i == pivot and self.a_p else 0
             self.moves[i + 1] = (unit[i], i + 1, dc)
             self.moves[-i - 1] = (-unit[i], i + 1, -dc)
+
+    def arc(self, v: int, s: int) -> tuple[int, int]:
+        """The vertex the edge x_s from vertex v leads to, and the height
+        shift: +-1 when the pivot entry wraps out of [0, a_pivot)."""
+        dv, _, dc = self.moves[s]
+        if dc:
+            c = v // self.M % self.base + dc
+            if c == self.a_p:
+                return v + dv - self.a_code, self.wrap
+            if c < 0:
+                return v + dv + self.a_code, -self.wrap
+        return v + dv, 0
+
+    def lift(self, v: int, j: int) -> Word:
+        """x_1^b_1 ... x_m^b_m for the vector b of vertex v at height j."""
+        n, base, half = v // self.M, self.base, self.base >> 1
+        b = [0] * self.m
+        for i in self.order:
+            digit = (n + half) % base - half
+            n = (n - digit) // base
+            b[i] = digit + j * self.ab_y[i]
+        return Word._trusted(tuple(i if e > 0 else -i for i, e in
+                                   enumerate(b, 1) for _ in range(abs(e))),
+                             self.m)
 
     def offset(self, letters) -> tuple[int, int]:
         """Code and pivot entry of the exponent vector of letters, not
@@ -632,13 +618,14 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     Yes answers carry a witness z with z x z^-1 = y, verified
     deterministically; at d <= 2 both modes give the same answer.  The
     solve runs in S_{m,d}, m the number of generators x and y use, and
-    maps the witness back, so its cost does not grow with r.  At d = 2 a
-    translation invariant of the two flows, hashed in one pass over each
-    word, answers most No pairs outright, and only the cuts whose hashes
-    match are compared exactly; a Schreier support is built only when
-    the witness needs repair (see the module docstring).  The hash steers
-    work only, so the answer and the witness never depend on its
-    constants.
+    maps the witness back, so its cost does not grow with r.  No coset
+    graph is built at d <= 2.  At d = 1 equal abelianizations answer Yes
+    with the empty witness.  At d = 2 a translation invariant of the two
+    flows, hashed in one pass over each word, answers most No pairs
+    outright, only the cuts whose hashes match are compared exactly, and
+    a witness that needs repair is repaired on the coded Cay(Z^m) (see
+    the module docstring).  The hash steers work only, so the answer and
+    the witness never depend on its constants.
     Monte Carlo trials that trip over inconsistent membership answers
     are retried with fresh randomness a bounded number of times before
     the conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
@@ -653,15 +640,13 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
         raise LengthGuardError(f"|x|+|y| = {n} exceeds guard {max_len}")
     if d == 0:
         return ConjugacyResult(True, Word((), rank=r, _reduced=True))
-    B = None
-    if mode == "mc":
-        B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
     x, y, m, old = _retract(x, y)
     ab = _exponent_vector(x.letters, m)
     if ab != _exponent_vector(y.letters, m):
         # conjugation-invariant in the abelianization, so never conjugate
         return NO
-    flow_hash = None
+    if d == 1:  # S_{r,1} = Z^r is abelian
+        return ConjugacyResult(True, Word((), rank=r, _reduced=True))
     if d == 2:
         flow_hash = _FlowHash(x, y, m, ab)
         if not flow_hash.may_translate:
@@ -676,35 +661,31 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
         if xt or yt:
             return NO
 
-    attempts = _MC_RETRIES if mode == "mc" else 1
-    last_conflict: Exception | None = None
-    for _ in range(attempts):
-        try:
-            res = _conjugacy_attempt(x, y, m, d, mode, rng, B, flow_hash)
-        except FoldConflict as exc:
-            last_conflict = exc
-            continue
-        if old is None or not res.conjugate:
-            return res
-        return ConjugacyResult(True, Word(
-            [old[s - 1] if s > 0 else -old[-s - 1]
-             for s in res.witness.letters], rank=r, _reduced=True))
-    raise last_conflict  # surfaced after bounded retries
+    if d == 2:
+        res = flow_hash.first_shift()
+    else:
+        B = None
+        if mode == "mc":
+            B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
+        for _ in range(_MC_RETRIES if mode == "mc" else 1):
+            try:
+                res = _conjugacy_attempt(x, y, m, d, mode, rng, B)
+                break
+            except FoldConflict as exc:
+                conflict = exc
+        else:
+            raise conflict  # surfaced after bounded retries
+    if old is None or not res.conjugate:
+        return res
+    return ConjugacyResult(True, Word(
+        [old[s - 1] if s > 0 else -old[-s - 1]
+         for s in res.witness.letters], rank=r, _reduced=True))
 
 
 def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
-                       cube_bound: int | None,
-                       flow_hash: _FlowHash | None = None) -> ConjugacyResult:
-    """Scan the shifts gamma_c = y_i x[:c]^-1 for one whose trace has the
-    flow of y: every cut, or at d = 2 the cuts flow_hash lets through.
-
-    At d = 2 flow_hash.first_shift answers with no support unless the
-    first flow-equal shift needs repair; then the support's scan finds
-    it again, because the repaired word depends on the support's state."""
-    if flow_hash is not None:
-        found = flow_hash.first_shift()
-        if found is not None:
-            return found
+                       cube_bound: int | None) -> ConjugacyResult:
+    """Scan the shifts gamma_c = y_i x[:c]^-1, c = 0..|x|, in order, for
+    one whose trace on the support (d >= 3) has the flow of y."""
     sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
     flow_y = sup.y_flow
     if not flow_y:
@@ -712,24 +693,16 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
         if mode == "mc":
             raise FoldConflict("flow of y vanished on its own Schreier graph")
         raise AssertionError("trivial flow for a word nontrivial in S_{r,d}")
-    pick = None
-    for i, s in enumerate(y.letters):
-        u, nxt = sup.y_path[i], sup.y_path[i + 1]
-        key = (u, s) if s > 0 else (nxt, -s)
-        if flow_y.get(key, 0) != 0:
-            pick = i
-            break
-    if pick is None:
-        raise AssertionError("nonzero flow without a nonzero edge on the path")
-    y_i = y.prefix(pick)
-
-    cuts = range(len(x) + 1) if flow_hash is None else flow_hash.cuts(pick)
-    for traced, cut in enumerate(cuts):
+    # the first letter of y on an edge of nonzero flow
+    path = sup.y_path
+    y_i = y.prefix(next(
+        i for i, s in enumerate(y.letters)
+        if flow_y.get((path[i], s) if s > 0 else (path[i + 1], -s))))
+    for cut in range(len(x) + 1):
         gamma = y_i * ~x.prefix(cut)
         _, flow_w = sup.trace(gamma * x * ~gamma)
         if flow_w == flow_y:
-            skipped = None if traced == cut else (y_i, cut)
-            witness = _verified_witness(x, y, gamma, sup, r, d, skipped)
+            witness = _verified_witness(x, y, gamma, sup, r, d)
             if witness is None:
                 if mode == "mc":
                     raise FoldConflict("flow equality was not certifiable")

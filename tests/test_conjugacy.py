@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import conjugation_verified, trivial_long
 from freesolv import conjugacy, oracle
 from freesolv.cli import bench_instance
-from freesolv.conjugacy import (ConjugacyResult, SchreierSupport,
-                                conjugacy_solve)
+from freesolv.conjugacy import SchreierSupport, conjugacy_solve
 from freesolv.power import power_solve
 from freesolv.words import (Word, commutator, parse, random_reduced_word,
                             random_trivial_word)
@@ -428,34 +428,25 @@ def test_no_answers_certified_in_s4_at_depth3(rng):
         assert conjugation_verified(res.witness, x, y, 2, 3)
 
 
-def test_ab_height_matches_power_solve(rng):
-    # the depth-1 height in closed form against power_solve on
-    # word * rep^-1 at d = 1, also for y with ab(y) = 0
-    ys = [C, parse("x1 x2 X1"), parse("x1 x1 X2"), parse("x2 x3 x2")]
-    ys += [random_reduced_word(rng, rng.randrange(1, 6), 3)
-           for _ in range(8)]
-    seen = set()
-    for y in ys:
-        ab_y = conjugacy._exponent_vector(y.letters, 3)
-        for trial in range(40):
-            rep = random_reduced_word(rng, rng.randrange(0, 6), 3)
-            if trial % 2:  # a true height: y^j rep times a commutator
-                j = rng.randrange(-3, 4)
-                w = y ** j * rep * commutator(
-                    random_reduced_word(rng, 2, 3),
-                    random_reduced_word(rng, 2, 3))
-            else:
-                w = random_reduced_word(rng, rng.randrange(0, 12), 3)
-            p = w.letters[:rng.randrange(len(w) + 1)] if trial % 4 == 0 \
-                else w.letters
-            got = conjugacy._ab_height(conjugacy._exponent_vector(p, 3),
-                                       conjugacy._exponent_vector(
-                                           rep.letters, 3), ab_y)
-            want = power_solve(Word(p, rank=3) * ~rep, y, 3, 1).k
-            assert got == want, (y.serialize(), p, rep.serialize())
-            seen.add((any(ab_y), want))
-    assert {(True, None), (False, None), (False, 1)} <= seen
-    assert {k for nz, k in seen if nz} - {None, 0, 1}
+def test_depth_one_is_equality_in_the_abelianization(rng):
+    # S_{r,1} = Z^r is abelian: conjugate exactly when the exponent
+    # vectors agree, and then the empty word conjugates
+    answers = set()
+    for i in range(200):
+        r = 2 + i % 3
+        x = random_reduced_word(rng, rng.randrange(0, 8), r)
+        if i % 2:  # the letters of x in another order
+            y = Word(rng.sample(x.letters, len(x)), rank=r)
+        else:
+            y = random_reduced_word(rng, rng.randrange(0, 8), r)
+        mode = "mc" if i % 4 == 3 else "det"
+        res = conjugacy_solve(x, y, r, 1, mode=mode, rng=random.Random(i))
+        same = oracle.magnus_form(x, r, 1) == oracle.magnus_form(y, r, 1)
+        assert res.conjugate == same, (x.serialize(), y.serialize())
+        if same:
+            assert res.witness == Word(())
+        answers.add(same)
+    assert answers == {True, False}
 
 
 def test_mc_answer_is_exact_when_both_abelianizations_vanish():
@@ -512,17 +503,20 @@ def test_length_guard():
 
 
 def _full_scan(x, y, r):
-    """Conjugacy at d = 2 by tracing every shift gamma_c = y_i x[:c]^-1 in
-    order, with no hash: the reference for verdicts and witnesses."""
+    """The first shift gamma_c = y_i x[:c]^-1, tracing every cut in order
+    on the coset graph at d = 2 with no hash, whose trace has the flow of
+    y; None when no shift has it.  Pairs with zero abelianization are
+    settled by word problems, Yes with the empty word.  The reference for
+    verdicts and witnesses."""
     ab = conjugacy._exponent_vector(x.letters, r)
     if ab != conjugacy._exponent_vector(y.letters, r):
-        return ConjugacyResult(False, None)
+        return None
     if not any(ab):
         xt, yt = word_problem(x, r, 2), word_problem(y, r, 2)
         if xt and yt:
-            return ConjugacyResult(True, Word(()))
+            return Word(())
         if xt or yt:
-            return ConjugacyResult(False, None)
+            return None
     sup = SchreierSupport(y, r, 2)
     path, flow_y = sup.y_path, sup.y_flow
     pick = next(i for i, s in enumerate(y.letters)
@@ -531,9 +525,23 @@ def _full_scan(x, y, r):
     for cut in range(len(x) + 1):
         gamma = y_i * ~x.prefix(cut)
         if sup.trace(gamma * x * ~gamma)[1] == flow_y:
-            return ConjugacyResult(True, conjugacy._verified_witness(
-                x, y, gamma, sup, r, 2))
-    return ConjugacyResult(False, None)
+            return gamma
+    return None
+
+
+def _agrees_with_full_scan(x, y, r):
+    """The solve at d = 2 has the verdict of _full_scan, and its shift as
+    the witness when that conjugates x to y on the nose; any other
+    witness is checked by Magnus forms, not by the solver."""
+    res, gamma = conjugacy_solve(x, y, r, 2), _full_scan(x, y, r)
+    assert res.conjugate == (gamma is not None), (x.serialize(),
+                                                  y.serialize())
+    if gamma is not None:
+        if conjugation_verified(gamma, x, y, r, 2):
+            assert res.witness == gamma, (x.serialize(), y.serialize())
+        else:
+            assert conjugation_verified(res.witness, x, y, r, 2), \
+                (x.serialize(), y.serialize())
 
 
 def _hash_pair(g, r, kind):
@@ -558,11 +566,10 @@ def _hash_pair(g, r, kind):
        kind=st.integers(0, 4))
 def test_hashed_scan_matches_full_scan_property(seed, r, kind):
     # random pairs, conjugates, conjugates times a commutator, squares
-    # and words of F': same verdict and same witness as tracing every cut
+    # and words of F': the verdict and first shift of tracing every cut
     x, y = _hash_pair(random.Random(seed), r, kind)
     for a, b in ((x, y), (y, x)):
-        assert conjugacy_solve(a, b, r, 2) == _full_scan(a, b, r), \
-            (a.serialize(), b.serialize())
+        _agrees_with_full_scan(a, b, r)
 
 
 def _repair_pairs(rng, count):
@@ -583,9 +590,8 @@ def _repair_pairs(rng, count):
 
 
 def test_witness_repair_matches_full_scan(monkeypatch, rng):
-    # the repaired word depends on the order the support found its cosets
-    # in; after skipped cuts, a circuit that would start off y's path
-    # makes the repair rerun on the support the full scan leaves
+    # pairs whose first flow-equal shift mostly needs repair: the repair
+    # runs on the coded Cay(Z^m), and its witness must verify
     repairs = []
     repair = conjugacy._witness_repair
 
@@ -594,16 +600,88 @@ def test_witness_repair_matches_full_scan(monkeypatch, rng):
         return repair(*args)
 
     monkeypatch.setattr(conjugacy, "_witness_repair", spy)
-    # ab(y) = 2 (-1, 0, 1): the hash, blind to torsion, traces some of
-    # the cuts before the first flow-equal one, and a repair on that
-    # support would give another word
+    # ab(y) = 2 (-1, 0, 1): the hash, blind to torsion, lets through some
+    # of the cuts before the first flow-equal one
     pairs = [(parse("X3 X1 x2 X3 X1 X2 x1 x3 x1 x3 X1 x3 X1 X1 X3 X1 x2 x1 "
                     "x3 X2 x1 x3"),
               parse("x2 x3 x3 x3 X1 x3 X1 X3 X3 X2"))]
     for x, y in pairs + _repair_pairs(rng, 60):
-        assert conjugacy_solve(x, y, 3, 2) == _full_scan(x, y, 3), \
-            (x.serialize(), y.serialize())
+        _agrees_with_full_scan(x, y, 3)
     assert len(repairs) > 40
+
+
+def _cayley_flow_norm(w, r):
+    """|flow|_1 of w on Cay(Z^r), edges keyed (source vector, generator)."""
+    flow, v = {}, (0,) * r
+    for s in w.letters:
+        i, step = abs(s) - 1, (1 if s > 0 else -1)
+        u = v[:i] + (v[i] + step,) + v[i + 1:]
+        key = (min(u, v), i)  # the edge x_i leaves the lesser end
+        flow[key] = flow.get(key, 0) + step
+        v = u
+    return sum(map(abs, flow.values()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
+       kind=st.integers(0, 10))
+def test_repaired_witness_length_bound_property(seed, r, kind):
+    # the bound of _witness_repair at d = 2: a witness z = z_h gamma has
+    # |z| <= |gamma| + |h|_1 (n + 3) / 2, n = |x| + |y|, where h is the
+    # flow of z_h on Cay(Z^m) and each of at most |h|_1 / 4 conjugating
+    # axis words has at most n + 1 letters
+    g = random.Random(seed)
+    x, y = _hash_pair(g, r, kind) if kind < 5 else \
+        _repair_pairs(g, 3)[kind - 5]
+    calls, lifts = [], []
+    verified, lift = conjugacy._verified_witness, conjugacy._Coding.lift
+
+    def spy_verified(*args):
+        calls.append((args[2], verified(*args)))
+        return calls[-1][1]
+
+    def spy_lift(self, v, j):
+        lifts.append(len(lift(self, v, j)))
+        return lift(self, v, j)
+
+    with mock.patch.object(conjugacy, "_verified_witness", spy_verified), \
+            mock.patch.object(conjugacy._Coding, "lift", spy_lift):
+        for a, b in ((x, y), (y, x)):
+            calls.clear()
+            lifts.clear()
+            res = conjugacy_solve(a, b, x.rank, 2)
+            if not calls:
+                assert not lifts
+                continue
+            (gamma, z), = calls
+            assert res.conjugate and z is not None
+            n = len(a) + len(b)
+            h1 = _cayley_flow_norm(z * ~gamma, x.rank)
+            assert all(k <= n + 1 for k in lifts)
+            assert 4 * len(lifts) <= h1
+            assert len(z) <= len(gamma) + h1 * (n + 3) / 2
+
+
+def test_long_repaired_pair_stays_under_the_guard(monkeypatch):
+    # 87,380 letters, whose repaired witness once made a 9.5M-letter check
+    # word and raised LengthGuardError
+    repairs = []
+    repair = conjugacy._witness_repair
+
+    def spy(*args):
+        repairs.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(conjugacy, "_witness_repair", spy)
+    rng = random.Random(3)
+    x = random_reduced_word(rng, 21845, 2)
+    z = random_reduced_word(rng, 21845, 2)
+    y = z * x * ~z
+    assert len(x) + len(y) == 87380
+    res = conjugacy_solve(x, y, 2, 2)
+    assert res.conjugate and len(repairs) == 1
+    w = res.witness
+    assert word_problem(w * x * ~w * ~y, 2, 2)
 
 
 def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,
@@ -679,42 +757,38 @@ def test_plain_coded_walk_is_the_word_problem(rng):
         assert (not coded) == word_problem(w, r, 2)
 
 
-def test_yes_needs_a_support_only_for_repair(monkeypatch, rng):
-    # at d = 2 a shift that conjugates on the nose is returned with no
-    # SchreierSupport built; one that needs repair is found again by it
+def test_no_support_is_built_at_depth_two_or_less(monkeypatch, rng):
+    # d = 1 is decided in Z^r and d = 2 on coded Cayley graphs, repairs
+    # included: no SchreierSupport in either mode
     supports, repairs = [], []
     init, repair = SchreierSupport.__init__, conjugacy._witness_repair
 
     def spy_init(self, *args, **kwargs):
-        supports.append(True)
+        supports.append(args)
         init(self, *args, **kwargs)
 
     def spy_repair(*args):
-        repairs.append(True)
+        repairs.append(args)
         return repair(*args)
 
+    monkeypatch.setattr(conjugacy, "_witness_repair", spy_repair)
+    monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
     pairs = _repair_pairs(rng, 20)
     g = random.Random(9)
-    pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in (1, 2, 3, 4)
+    pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in range(5)
               for _ in range(8)]
-    on_the_nose = 0
-    for x, y in pairs:
-        want = _full_scan(x, y, x.rank)
-        monkeypatch.setattr(conjugacy, "_witness_repair", spy_repair)
-        monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
-        supports.clear()
-        repairs.clear()
-        assert conjugacy_solve(x, y, x.rank, 2) == want
-        monkeypatch.undo()
-        if not any(conjugacy._exponent_vector(x.letters, x.rank)):
-            continue
-        if want.conjugate:
-            assert bool(supports) == bool(repairs), (x.serialize(),
-                                                     y.serialize())
-            on_the_nose += not supports
-        else:
-            assert not supports
-    assert 0 < on_the_nose < len(pairs)
+    answers = set()
+    for i, (x, y) in enumerate(pairs):
+        for d in (1, 2):
+            res = conjugacy_solve(x, y, x.rank, d, mode=("det", "mc")[i % 2],
+                                  rng=random.Random(i))
+            if res.conjugate:
+                assert conjugation_verified(res.witness, x, y, x.rank, d)
+            answers.add((d, res.conjugate))
+    assert supports == []
+    assert len(repairs) > 20
+    assert answers == {(d, verdict) for d in (1, 2)
+                       for verdict in (True, False)}
 
 
 def test_long_bench_no_pair_needs_no_trace(monkeypatch):
