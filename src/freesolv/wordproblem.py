@@ -14,12 +14,14 @@ built one level at a time for all steps of the root paths of the tree's
 words at once, so equal flows get equal ids exactly, with no hashing.
 The Monte Carlo step ranks exact squared distances to a random anchor
 point, trading a small one-sided error for vectorized integer work: the
-distances are running sums along the same paths, split into 30-bit
-anchor limbs so that every sum is an exact int64 for any cube bound, and
-ranked limb by limb with one argsort each.  The anchors come from one
-getrandbits call of the caller's random.Random per refinement, with the
-components above the cube bound redrawn, so a seed fixes every Monte
-Carlo output independently of the numpy version.
+distances are running sums along the same paths, split into anchor limbs
+of 61 - bits(S) bits for the S steps, so that every sum is an exact int64
+for any cube bound, and ranked limb by limb with one argsort each; below
+about 2^15 letters |w|^3 fits one limb.  The anchors come from one
+getrandbits call of the caller's random.Random per refinement, in 30-bit
+limbs with the components above the cube bound redrawn, so a seed fixes
+every Monte Carlo output independently of the numpy version and of the
+limb width.
 
 word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
@@ -38,7 +40,7 @@ from .words import Word
 from .xdigraph import PrefixTree
 
 DEFAULT_MAX_LEN = 1 << 20
-_LIMB = 30  # bits per anchor limb in Monte Carlo refinement
+_LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
 _LIMB_MASK = (1 << _LIMB) - 1
 # numbering_at counts keys in at most this many slots per node
 _SLOTS_PER_NODE = 8
@@ -304,54 +306,59 @@ class SupportChain:
         With f_v the flow of node v and a the anchor, m components drawn
         by _draw_anchors uniformly from [0, B] in edge order,
 
-          |f_v - a|^2 - |a|^2 = |f_v|^2 - 2 sum_k 2^(30k) <f_v, a_k>,
+          |f_v - a|^2 - |a|^2 = |f_v|^2 - 2 sum_k 2^(lb k) <f_v, a_k>,
 
-        where a_k are the K = ceil(bits(B)/30) limbs of 30 bits of a.
-        Along the root paths of _euler_tour each step moves one flow
-        component by +-1, so |f_v|^2 is the running sum of 2 s c + 1 (s
-        the step's sign, c the count its edge had before on the same
-        path) and <f_v, a_k> the running sum of s a_k[edge].  The sums
-        run over all S steps at once and take off each path's start: a
-        term is at most 2 S + 1 or 2^30 in size, so every partial sum and
-        every limb L_k of the difference stays below S (2 S + 1) + S 2^31,
-        an exact int64 while S < 2^30 (below 2^52 for one word under the
-        2^20 length guard).  Carries bring L_0..L_{K-2} into [0, 2^30).
-        The labels are dense ranks, taken limb by limb from the top: the
-        rank of L_{K-1}, then for each lower limb the rank of
-        (rank << 30) | L_k, an int64 because ranks are below V.  The
-        Fingerprint is |a|^2 + sum_k L_k 2^(30k), in Python integers.
+        where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a, and
+        lb = 61 - bits(S) for the S steps of the _euler_tour paths.  Along
+        those paths each step moves one flow component by +-1, so |f_v|^2
+        is the running sum of 2 s c + 1 (s the step's sign, c the count
+        its edge had before on the same path) and <f_v, a_k> the running
+        sum of s a_k[edge]; L_0 takes the first and -2 times the second
+        in one running sum.  The sums run over all S steps at once and
+        take off each path's start: a term is at most 2 S + 1 + 2^(lb+1)
+        in size, so every partial sum and every limb L_k stays below
+        S (2 S + 1) + S 2^(lb+1) < 2^63, an exact int64 while S < 2^30,
+        that is lb >= 31 (S < 2^21 under the default guards of
+        word_problem and power_solve).  Carries bring L_0..L_{K-2} into
+        [0, 2^lb).  The labels are dense ranks, taken limb by limb from
+        the top: the rank of L_{K-1}, then for each lower limb the rank of
+        (rank << lb) | L_k, below 2^61 because ranks are below V <= S + 1.
+        Carried limbs in any radix order the same integers, so lb changes
+        no label; with B < 2^lb (|w|^3 for |w| up to about 2^15 letters)
+        K = 1 and the rank is one argsort.  The Fingerprint is |a|^2 +
+        sum_k L_k 2^(lb k), in Python integers.
         """
         m, step_eid, sd, pre, path_start = self._path_steps(depth)
-        anchor = _draw_anchors(self.rng, self.cube_bound, m)
-        K = len(anchor)
         nodes = self._euler_tour()[0]
+        lb = 61 - len(nodes).bit_length()
+        anchor = _widen_limbs(_draw_anchors(self.rng, self.cube_bound, m),
+                              lb, self.cube_bound)
+        K = len(anchor)
 
         def path_sums(terms):
             total = np.cumsum(terms)
             return total - np.concatenate(([0], total))[path_start]
 
-        limbs = np.zeros((K, len(nodes)), dtype=np.int64)
-        limbs[0] = path_sums(2 * sd * pre + 1)
-        for k in range(K):
-            limbs[k] -= 2 * path_sums(sd * anchor[k][step_eid])
+        limbs = np.empty((K, len(nodes)), dtype=np.int64)
+        limbs[0] = path_sums(2 * sd * (pre - anchor[0][step_eid]) + 1)
+        for k in range(1, K):
+            limbs[k] = -2 * path_sums(sd * anchor[k][step_eid])
         for k in range(K - 1):
-            carry = limbs[k] >> _LIMB
-            limbs[k] &= _LIMB_MASK
-            limbs[k + 1] += carry
+            limbs[k + 1] += limbs[k] >> lb
+            limbs[k] &= (1 << lb) - 1
         at = np.zeros((K, self.V), dtype=np.int64)  # the root sits at 0
         at[:, nodes] = limbs
         if self.want_fingerprint:
-            a = [sum(x << (_LIMB * k) for k, x in enumerate(col))
+            a = [sum(x << (lb * k) for k, x in enumerate(col))
                  for col in anchor.T.tolist()]
             a2 = sum(x * x for x in a)
-            d2 = tuple(a2 + sum(x << (_LIMB * k)
-                                for k, x in enumerate(col))
+            d2 = tuple(a2 + sum(x << (lb * k) for k, x in enumerate(col))
                        for col in at.T.tolist())
             self.last_fingerprint = Fingerprint(tuple(a), d2,
                                                 self.cube_bound)
         labels = _dense_rank(at[K - 1])
         for k in range(K - 2, -1, -1):
-            labels = _dense_rank((labels << _LIMB) | at[k])
+            labels = _dense_rank((labels << lb) | at[k])
         return labels
 
 
@@ -402,6 +409,24 @@ def _draw_anchors(rng, B: int, m: int) -> np.ndarray:
         anchor[:, redo] = draw(len(redo))
         redo = redo[above(anchor[:, redo])]
     return anchor
+
+
+def _widen_limbs(rows: np.ndarray, lb: int, B: int) -> np.ndarray:
+    """The 30-bit limb rows of _draw_anchors as rows of lb >= 30 bits.
+
+    Row k holds bits 30k .. 30k+29 of each component.  They land in row
+    30k // lb of the K = ceil(bits(B)/lb) wide rows and, where they cross
+    its top, in the row above; every component keeps its value.
+    """
+    K = max(1, -(-B.bit_length() // lb))
+    wide = np.zeros((K, rows.shape[1]), dtype=np.int64)
+    for k, row in enumerate(rows):
+        j, sh = divmod(_LIMB * k, lb)
+        fit = lb - sh  # bits of the row below the top of wide row j
+        wide[j] |= (row & ((1 << fit) - 1)) << sh
+        if fit < _LIMB and j + 1 < K:
+            wide[j + 1] |= row >> fit
+    return wide
 
 
 # -- single-word public operations ---------------------------------------

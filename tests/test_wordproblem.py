@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -326,8 +327,21 @@ def mc_reference_trees(rng):
     return cases
 
 
-def test_mc_labels_rank_direct_distances_across_limb_counts(rng):
-    # B = 1 .. 2^100 runs the engine on 1, 2, 3 and 4 limbs of 30 bits
+def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
+                                                            rng):
+    # the engine ranks in K = ceil(bits(B) / lb) limbs of lb = 61 - bits(S)
+    # bits, S the steps of its paths: bounds on both sides of 2^lb and
+    # 2^(2 lb) run it on 1, 2 and 3 limbs, against Python-int distances
+    widths = []
+    widen = wordproblem._widen_limbs
+
+    def spy(rows, lb, B):
+        wide = widen(rows, lb, B)
+        widths.append(len(wide))
+        return wide
+
+    monkeypatch.setattr(wordproblem, "_widen_limbs", spy)
+    seen = set()
     for words in mc_reference_trees(rng):
         tree = PrefixTree(words)
         V = len(tree)
@@ -335,7 +349,11 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(rng):
         assert {v for p in tree.word_nodes.values() for v in p} == \
             set(range(V))
         paths = [root_path(tree, v) for v in range(V)]
-        for B in (1, V ** 3, 2 ** 59 + 7, 2 ** 75 + 1, 2 ** 100):
+        lb = 61 - sum(len(p) - 1 for p in tree.word_nodes.values()) \
+            .bit_length()
+        for B in (1, V ** 3, 2 ** lb - 1, 2 ** lb, 2 ** (2 * lb) - 1,
+                  2 ** (2 * lb), 2 ** 59 + 7, 2 ** 75 + 1, 2 ** 100):
+            widths.clear()
             seed = B % 1009
             chain = SupportChain(tree, "mc", rng=random.Random(seed),
                                  cube_bound=B)
@@ -351,6 +369,54 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(rng):
                       for path in paths]
                 rank = {x: i for i, x in enumerate(sorted(set(d2)))}
                 assert labels == [rank[x] for x in d2], (V, B, d)
+            assert widths == [max(1, -(-B.bit_length() // lb))] * 2
+            seen.update(widths)
+    assert seen == {1, 2, 3}
+
+
+def _mc_label_digest():
+    """sha256 over Monte Carlo labels at depths 1-3 for fixed trees, seeds
+    and bounds: 1 to 3 limbs, one and several words, trivial words."""
+    h = hashlib.sha256()
+    for t in range(12):
+        g = random.Random(t)
+        n = (5, 60, 400, 3000)[t % 4]
+        if t < 4:
+            words = [random_reduced_word(g, n, 2)]
+        elif t < 8:
+            p = random_reduced_word(g, n // 2, 3)
+            words = [p * random_reduced_word(g, k, 3) for k in (1, n // 3, n)]
+        else:
+            t3 = random_trivial_word(g, 2, 3)
+            words = [t3, t3 * random_reduced_word(g, n, 2)]
+        tree = PrefixTree(words)
+        for B in (1, 1000, len(tree) ** 3, 2 ** 44, 2 ** 59 + 7, 2 ** 100):
+            chain = SupportChain(tree, "mc", rng=random.Random(t * 7 + B % 11),
+                                 cube_bound=B)
+            for d in (1, 2, 3):
+                h.update(chain.labels_at(d).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_mc_labels_are_pinned_per_seed():
+    # a seed fixes every Monte Carlo output; an engine change that moves
+    # any of them on purpose updates this digest and says so
+    assert _mc_label_digest() == \
+        "982776715380db6c583049341abebf60424abaf923fadf79011a38b0efc29ab5"
+
+
+@pytest.mark.parametrize("B", [0, 1, 2 ** 44 + 5, 2 ** 100])
+def test_widened_limbs_hold_the_drawn_values(B):
+    # each 30-bit row lands in at most two rows of lb >= 31 bits
+    for lb in range(31, 61):
+        rows = _draw_anchors(random.Random(lb), B, 200)
+        wide = wordproblem._widen_limbs(rows, lb, B)
+        assert len(wide) == max(1, -(-B.bit_length() // lb))
+        assert wide.min() >= 0 and wide.max() < 2 ** lb
+        vals = [0] * wide.shape[1]
+        for row in wide[::-1].tolist():
+            vals = [(v << lb) | x for v, x in zip(vals, row)]
+        assert vals == _anchor_ints(rows), (B, lb)
 
 
 @settings(max_examples=30, deadline=None)
