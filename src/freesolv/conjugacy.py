@@ -223,8 +223,8 @@ class SchreierSupport:
 # -- witness construction --------------------------------------------------
 
 
-def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int,
-                    d: int) -> Word | None:
+def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
+                    max_len: int) -> Word | None:
     """Turn a flow-equality shift gamma into a genuine conjugator.
 
     gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
@@ -248,6 +248,14 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int,
     splits into at most |h|_1 / 4 circuits, and the witness has at most
     |gamma| + |h|_1 + 2 (n + 1) |h|_1 / 4 = |gamma| + |h|_1 (n + 3) / 2
     letters.
+
+    The check word z x z^-1 y^-1 is built here, not given, so it is
+    checked under a limit that follows from max_len, not under the input
+    guard.  Every circuit has at least one edge, so with L the longest
+    lift |z| <= |gamma| + |h|_1 (2 L + 1) at every depth, Monte Carlo
+    noise included; with |gamma| <= n < max_len the check word then has
+    fewer than (2 |h|_1 + 3) (2 max(max_len, L) + 1) letters, the limit
+    it gets.  At d = 2, L <= n + 1 <= max_len.
 
     Returns None when the premise fails, which only happens under Monte
     Carlo membership noise; callers treat that as an inconclusive trial.
@@ -313,6 +321,7 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int,
     # one circuit per component, from its least vertex: each exhausts the
     # component, so the bases come in sorted order
     z_h: list[int] = []
+    longest = 0
     for base in sorted(adj):
         if not adj[base]:
             continue
@@ -331,18 +340,26 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int,
                     circuit.append(letter_stack.pop())
         circuit.reverse()
         lift = graph.lift(*base)
+        longest = max(longest, len(lift))
         z_h += [*lift.letters, *circuit, *(~lift).letters]
     candidate = Word(z_h, rank=r) * gamma
-    ok = word_problem(candidate * x * ~candidate * ~y, r, d, mode="det")
+    h1, top = sum(map(abs, h.values())), max(max_len, longest)
+    ok = word_problem(candidate * x * ~candidate * ~y, r, d, mode="det",
+                      max_len=(2 * h1 + 3) * (2 * top + 1))
     return candidate if ok else None
 
 
-def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int,
-                      d: int) -> Word | None:
-    """gamma if it conjugates x to y, else its repair on graph, or None."""
-    if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det"):
+def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
+                      max_len: int) -> Word | None:
+    """gamma if it conjugates x to y, else its repair on graph, or None.
+
+    The shifts gamma have at most n = |x| + |y| < max_len letters, so the
+    check word has fewer than 3 max_len.
+    """
+    if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det",
+                    max_len=3 * max_len):
         return gamma
-    return _witness_repair(x, y, gamma, graph, r, d)
+    return _witness_repair(x, y, gamma, graph, r, d, max_len)
 
 
 # -- d = 2: translates of one flow -----------------------------------------
@@ -428,7 +445,7 @@ class _FlowHash:
             if h == target:
                 yield cut
 
-    def first_shift(self) -> ConjugacyResult:
+    def first_shift(self, max_len: int) -> ConjugacyResult:
         """No when no shift gamma_c = y_i x[:c]^-1 has the flow of y on
         Cay(A), else Yes with the first that does, repaired on the coded
         Cay(Z^m) unless it conjugates x to y on the nose.  y must be
@@ -462,7 +479,7 @@ class _FlowHash:
             c, c_p = coding.offset(x[:cut])
             if coding.translate(flow_x, b - c, b_p - c_p) == flow_y:
                 witness = _verified_witness(self.x, self.y, gamma, coding,
-                                            self.m, 2)
+                                            self.m, 2, max_len)
                 if witness is None:
                     raise AssertionError("deterministic witness repair failed")
                 return ConjugacyResult(True, witness)
@@ -629,7 +646,9 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     Monte Carlo trials that trip over inconsistent membership answers
     are retried with fresh randomness a bounded number of times before
     the conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
-    max_len, like word_problem and power_solve.
+    max_len, like word_problem and power_solve; the check words the
+    solver builds itself get limits that follow from max_len (see
+    _verified_witness and _witness_repair), not the input guard.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -654,22 +673,22 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     if not any(ab):
         # a nonzero abelianization is nontrivial at every depth d >= 1;
         # exact, since a Monte Carlo "trivial" could be wrong twice over
-        xt = word_problem(x, m, d, mode="det")
-        yt = word_problem(y, m, d, mode="det")
+        xt = word_problem(x, m, d, mode="det", max_len=max_len)
+        yt = word_problem(y, m, d, mode="det", max_len=max_len)
         if xt and yt:
             return ConjugacyResult(True, Word((), rank=r, _reduced=True))
         if xt or yt:
             return NO
 
     if d == 2:
-        res = flow_hash.first_shift()
+        res = flow_hash.first_shift(max_len)
     else:
         B = None
         if mode == "mc":
             B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
         for _ in range(_MC_RETRIES if mode == "mc" else 1):
             try:
-                res = _conjugacy_attempt(x, y, m, d, mode, rng, B)
+                res = _conjugacy_attempt(x, y, m, d, mode, rng, B, max_len)
                 break
             except FoldConflict as exc:
                 conflict = exc
@@ -683,7 +702,8 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
 
 
 def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
-                       cube_bound: int | None) -> ConjugacyResult:
+                       cube_bound: int | None,
+                       max_len: int) -> ConjugacyResult:
     """Scan the shifts gamma_c = y_i x[:c]^-1, c = 0..|x|, in order, for
     one whose trace on the support (d >= 3) has the flow of y."""
     sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
@@ -702,7 +722,7 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
         gamma = y_i * ~x.prefix(cut)
         _, flow_w = sup.trace(gamma * x * ~gamma)
         if flow_w == flow_y:
-            witness = _verified_witness(x, y, gamma, sup, r, d)
+            witness = _verified_witness(x, y, gamma, sup, r, d, max_len)
             if witness is None:
                 if mode == "mc":
                     raise FoldConflict("flow equality was not certifiable")

@@ -684,6 +684,32 @@ def test_long_repaired_pair_stays_under_the_guard(monkeypatch):
     assert word_problem(w * x * ~w * ~y, 2, 2)
 
 
+def test_check_words_get_limits_from_max_len(monkeypatch):
+    # a pair just under a guard of 2^12 letters whose repair check word
+    # is almost three times longer: the solver built it, so it gets
+    # a limit that follows from max_len and is never refused
+    checks = []
+    wp = conjugacy.word_problem
+
+    def spy(w, *args, **kwargs):
+        checks.append((len(w), kwargs["max_len"]))
+        return wp(w, *args, **kwargs)
+
+    monkeypatch.setattr(conjugacy, "word_problem", spy)
+    rng = random.Random(3)
+    x = random_reduced_word(rng, 1023, 2)
+    z = random_reduced_word(rng, 1023, 2)
+    y = z * x * ~z
+    assert 4000 < len(x) + len(y) < 2 ** 12
+    res = conjugacy_solve(x, y, 2, 2, max_len=2 ** 12)
+    w = res.witness
+    assert res.conjugate and word_problem(w * x * ~w * ~y, 2, 2)
+    assert max(n for n, _ in checks) > 2 * 2 ** 12
+    assert all(n < limit for n, limit in checks)
+    with pytest.raises(LengthGuardError):
+        conjugacy_solve(x, y, 2, 2, max_len=len(x) + len(y))
+
+
 def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,
                                                                rng):
     # with chi = 1 every cut hits and every invariant matches: the exact
