@@ -25,7 +25,7 @@ import numpy as np
 from . import oracle
 from .words import (ParseError, Word, commutator, parse, random_reduced_word,
                     random_trivial_word)
-from .wordproblem import LengthGuardError, word_problem
+from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
 from .power import power_solve
 from .conjugacy import conjugacy_solve
 from .xdigraph import FoldConflict
@@ -200,11 +200,14 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
 
 
 def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
-              seed: int, trials: int, cube_exp: int | None = None) -> dict:
+              seed: int, trials: int, cube_exp: int | None = None,
+              max_len: int = DEFAULT_MAX_LEN) -> dict:
     """Median CPU times, doubling ratios and the fitted exponent.
 
     CPU time of this process (time.process_time), not wall time, so the
-    time a loaded host keeps the process off a core does not count.
+    time a loaded host keeps the process off a core does not count.  The
+    instances are about n letters, a few above n for wp, so a table up to
+    n = 2^20 needs a max_len above the default guard.
     """
     rows = []
     for n in sizes:
@@ -219,13 +222,13 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
             t0 = time.process_time()
             if problem == "wp":
                 word_problem(inst[0], r, d, mode=mode, rng=run_rng,
-                             cube_bound=cube)
+                             cube_bound=cube, max_len=max_len)
             elif problem == "pow":
                 power_solve(inst[0], inst[1], r, d, mode=mode, rng=run_rng,
-                            cube_bound=cube)
+                            cube_bound=cube, max_len=max_len)
             else:
                 conjugacy_solve(inst[0], inst[1], r, d, mode=mode,
-                                rng=run_rng, cube_bound=cube)
+                                rng=run_rng, cube_bound=cube, max_len=max_len)
             times.append(time.process_time() - t0)
         rows.append({"n": n, "median_s": statistics.median(times)})
     for prev, cur in zip(rows, rows[1:]):
@@ -259,7 +262,7 @@ def cmd_bench(args) -> int:
         raise ParseError("sizes must be ascending")
     r = cfg.rank if cfg.rank is not None else 2
     table = run_bench(args.problem, sizes, r, cfg.degree, cfg.mode,
-                      cfg.seed, cfg.trials, cfg.cube_exp)
+                      cfg.seed, cfg.trials, cfg.cube_exp, cfg.max_len)
     if cfg.as_json:
         print(json.dumps(dict(table, revision=_revision(),
                               python=platform.python_version(),

@@ -195,6 +195,13 @@ def test_bench_passes_cube_exp_zero(monkeypatch):
     assert bounds == [1]
 
 
+def test_bench_passes_max_len(capsys):
+    # instances of about 64 letters trip a guard of 32 in every solver
+    for problem in ("wp", "pow", "conj"):
+        code, _, err = run(capsys, "bench", problem, "64", "--max-len", "32")
+        assert code == EXIT_GUARD and "guard" in err, problem
+
+
 def test_bench_rejects_rank_one(capsys):
     code, _, err = run(capsys, "bench", "wp", "64", "--rank", "1")
     assert code == EXIT_USAGE and "rank" in err
