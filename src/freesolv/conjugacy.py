@@ -353,7 +353,8 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
                       max_len: int) -> Word | None:
     """gamma if it conjugates x to y, else its repair on graph, or None.
 
-    The shifts gamma have at most n = |x| + |y| < max_len letters, so the
+    Used at d >= 3, where no cheaper test has already ruled gamma out.  The
+    shifts gamma have at most n = |x| + |y| < max_len letters, so the
     check word has fewer than 3 max_len.
     """
     if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det",
@@ -459,8 +460,9 @@ class _FlowHash:
         flow-equal cut is a hash hit, so the first hit that conjugates is
         the first flow-equal cut of the scan of every cut.  Otherwise the
         hit is compared on Cay(A), where the flow of gamma_c x gamma_c^-1
-        is that of x translated by ab(gamma_c); a match there needs
-        repair."""
+        is that of x translated by ab(gamma_c); a match there goes
+        straight to _witness_repair, since the rotations have already
+        shown that gamma_c does not conjugate on the nose."""
         x, y = self.x.letters, self.y.letters
         coding = _Coding(self.m, len(x) + len(y), self.ab_y)
         keys: list[int] = []
@@ -478,8 +480,8 @@ class _FlowHash:
             b, b_p = coding.offset(y[:pick])
             c, c_p = coding.offset(x[:cut])
             if coding.translate(flow_x, b - c, b_p - c_p) == flow_y:
-                witness = _verified_witness(self.x, self.y, gamma, coding,
-                                            self.m, 2, max_len)
+                witness = _witness_repair(self.x, self.y, gamma, coding,
+                                          self.m, 2, max_len)
                 if witness is None:
                     raise AssertionError("deterministic witness repair failed")
                 return ConjugacyResult(True, witness)

@@ -97,8 +97,10 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     D = min(d, 1 + _log3_floor(n))
     tree = PrefixTree([u, v])
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
-    u_nodes = tree.word_nodes[tuple(u.letters)]
-    v_nodes = tree.word_nodes[tuple(v.letters)]
+    # word_nodes keeps insertion order: u's path first and v's last, one
+    # path when u = v; looking them up would hash the letter tuples again
+    paths = list(tree.word_nodes.values())
+    u_nodes, v_nodes = paths[0], paths[-1]
     # below d the cap D never truncates a nonempty word's triviality depth
     # (|w| >= 3^s forces s <= log3 |w| < D); the empty word dies at every
     # depth, so clamp its depth to d directly

@@ -9,14 +9,15 @@ labeling (depth 0, the trivial group), each refinement step
   3. groups the prefixes by their flow data,
 
 and the group ids are the labels at depth d.  The deterministic step
-gives each prefix flow a canonical id in a hash-consed segment tree,
-built one level at a time for all steps of the root paths of the tree's
-words at once, so equal flows get equal ids exactly, with no hashing.
+labels each prefix by the dense lexicographic rank of its flow, exactly,
+with no hashing: ranks of the parts of the flows in a segment tree over
+the edges, for all steps of the root paths of the tree's words at once,
+several levels per pass, each pass two sorts of packed integers.
 The Monte Carlo step ranks exact squared distances to a random anchor
 point, trading a small one-sided error for vectorized integer work: the
 distances are running sums along the same paths, split into anchor limbs
 of 61 - bits(S) bits for the S steps, so that every sum is an exact int64
-for any cube bound, and ranked limb by limb with one argsort each; below
+for any cube bound, and ranked limb by limb with one _dense_rank each; below
 about 2^15 letters |w|^3 fits one limb.  The anchors come from one
 getrandbits call of the caller's random.Random per refinement, in 30-bit
 limbs with the components above the cube bound redrawn, so a seed fixes
@@ -44,6 +45,8 @@ _LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
 _LIMB_MASK = (1 << _LIMB) - 1
 # numbering_at counts keys in at most this many slots per node
 _SLOTS_PER_NODE = 8
+# _dense_rank sorts packed keys (value << bits(n)) | index below 2^_KEY_BITS
+_KEY_BITS = 63
 
 
 class LengthGuardError(ValueError):
@@ -92,8 +95,9 @@ def nu0(w: Word) -> Distinguisher:
 
 
 def _runs(ranges: np.ndarray, path_start: np.ndarray):
-    """Sort steps by (range, position): (order, new), where new[k] says
-    that order[k] is the first step of its range on its path."""
+    """Sort steps by (range, position), one np.sort of packed keys:
+    (order, new), where new[k] says that order[k] is the first step of its
+    range on its path."""
     S = len(ranges)
     sh = S.bit_length()
     key = np.sort((ranges << sh) | np.arange(S))
@@ -239,11 +243,13 @@ class SupportChain:
         return self._labels[depth]
 
     def _path_steps(self, depth: int):
-        """The steps of the _euler_tour paths on the depth-d quotient graph.
+        """The steps of the _euler_tour paths on the depth-d quotient graph,
+        for _refine_mc.
 
         Returns (m, edge, sign, before, path_start): per step, the quotient
         edge it crosses, its sign, the count that edge had before the step
-        on the same path, and the position where that path starts.
+        on the same path (for |f_v|^2), and the position where that path
+        starts.  The counts cost a _runs sort by (edge, position).
         """
         m, eid, dirs = self.numbering_at(depth)
         nodes, starts = self._euler_tour()
@@ -258,47 +264,78 @@ class SupportChain:
         return m, edge, sign, before, path_start
 
     def _refine_det(self, depth: int) -> np.ndarray:
-        """Give every prefix flow a canonical id and label nodes by it.
+        """Label every node by the dense lexicographic rank of its flow.
 
         The flows live in a segment tree over the m quotient edge ids,
-        hash-consed: a leaf is identified by its value, an inner node by
-        its (left id, right id) pair, so two flows are equal iff their
-        roots have the same id.  The ids are built one level at a time
-        for all S steps of the _euler_tour paths.  At level 0 a step's id
-        is the count of its edge just after the step.  At level b a step
-        pairs its range's id with the id its sibling range had at the last
-        earlier step of the same path in the parent range (the zero tree's
-        id if none), read off the steps sorted by (parent range, position).
-        Packing a pair as left * nid + right, nid above every id below, is
-        injective and gives the zero tree one id per level, so the ids are
-        exact without hashing; they are made dense by np.unique only when
-        the next packing could pass 2^62.  Each level holds O(S) integers.
+        padded to 2^L leaves.  A range's id at a step stands for the
+        range's part of the flow just after the step on its path, in the
+        lexicographic order of those parts.  A leaf's id is its edge's
+        count plus zero, the most steps any edge takes, so leaf ids lie in
+        [0, 2 zero] and zero is the zero flow's.
+
+        One pass goes up k levels at once: it packs the 2^k child ids of a
+        parent range as sum_j id_j D^(2^k - 1 - j), base D above every
+        child id, which is lexicographic in the children.  A step changes
+        only its own child range, so along each (parent range, path) run
+        of the steps sorted by (parent range, position) the packed id is
+        the zero one plus the running sum of (new - old child id) times the
+        child's weight: at the leaves new - old is the step's sign, above
+        them the step's id minus that of the step before it in the last
+        pass's order (zero's id at the start of a run).  The running sum
+        over all runs wraps mod 2^64, but the part within a run is exact.
+        _dense_rank ranks the packed ids together with the zero one, and
+        the ranks are the parent ranges' ids.
+
+        k is the largest with D^(2^k) <= 2^(_KEY_BITS - bits(S)) for the
+        S steps of the _euler_tour paths, so the rank is one packed
+        np.sort; where even k = 1 is wider (at the leaves D is up to 2S +
+        1), it is an argsort.  Packed ids are exact int64 while S < 2^30.
+        The ranks of the top pass are the labels, the root's being zero's;
+        a pass costs two sorts, each of S integers.
         """
-        m, edge, sign, before, path_start = self._path_steps(depth)
-        pos = np.arange(len(edge))
-        zero = -int((before + sign).min(initial=0))
-        ids = before + sign + zero
-        nid = int(ids.max(initial=zero)) + 1
-        for _ in range(max(m - 1, 0).bit_length()):
-            if nid * nid > 1 << 62:
-                uniq, inv = np.unique(np.append(ids, zero),
-                                      return_inverse=True)
-                ids, zero, nid = inv[:-1], int(inv[-1]), len(uniq)
-            order, new = _runs(edge >> 1, path_start)
-            odd = (edge[order] & 1).astype(bool)  # in the right half
-            own = ids[order]
-            # each half's last id so far in the run, or zero before its first
-            left = np.where(odd, zero, own)[
-                np.maximum.accumulate(np.where(odd & ~new, 0, pos))]
-            right = np.where(odd, own, zero)[
-                np.maximum.accumulate(np.where(odd | new, pos, 0))]
-            ids[order] = left * nid + right
-            zero, nid = zero * nid + zero, nid * nid
-            edge = edge >> 1
-        roots = np.full(self.V, zero, dtype=np.int64)
-        roots[self._euler_tour()[0]] = ids
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+        m, eid, dirs = self.numbering_at(depth)
+        nodes, starts = self._euler_tour()
+        S = len(nodes)
+        if S == 0:
+            return np.zeros(self.V, dtype=np.int64)
+        path_start = np.repeat(starts[:-1], np.diff(starts))
+        edge = eid[nodes]  # each step's range at the current level
+        change = dirs[nodes]  # the change of its id that the step makes
+        zero = int(np.bincount(edge).max())
+        D = 2 * zero + 1
+        sh = S.bit_length()
+        left = max(m - 1, 0).bit_length()  # levels above the current one
+        steps = np.arange(S)
+        while True:
+            k = min(left, 1)
+            while (k < left and (D ** (2 << k) - 1).bit_length() + sh
+                   <= _KEY_BITS):
+                k += 1
+            weight = D ** np.arange((1 << k) - 1, -1, -1, dtype=np.int64)
+            change *= weight[edge & ((1 << k) - 1)]
+            base = zero * int(weight.sum())  # the zero packing
+            edge >>= k
+            left -= k
+            order, new = _runs(edge, path_start)
+            change = change[order]
+            total = change.cumsum()
+            packed = np.full(S + 1, base, dtype=np.int64)  # the last is zero
+            packed[:S] += total
+            packed[:S] -= (total - change)[
+                np.maximum.accumulate(np.where(new, steps, 0))]
+            ranks = _dense_rank(packed)
+            ids, zero = ranks[:S], int(ranks[S])  # ids in the order of order
+            if not left:
+                break
+            D = int(ranks.max()) + 1
+            old = np.empty_like(ids)
+            old[1:] = ids[:-1]
+            old[new] = zero
+            change = np.empty_like(ids)
+            change[order] = ids - old
+        labels = np.full(self.V, zero, dtype=np.int64)
+        labels[nodes[order]] = ids
+        return labels
 
     def _refine_mc(self, depth: int) -> np.ndarray:
         """Rank exact squared distances from a random anchor (one per node).
@@ -325,7 +362,7 @@ class SupportChain:
         (rank << lb) | L_k, below 2^61 because ranks are below V <= S + 1.
         Carried limbs in any radix order the same integers, so lb changes
         no label; with B < 2^lb (|w|^3 for |w| up to about 2^15 letters)
-        K = 1 and the rank is one argsort.  The Fingerprint is |a|^2 +
+        K = 1 and the rank is one _dense_rank.  The Fingerprint is |a|^2 +
         sum_k L_k 2^(lb k), in Python integers.
         """
         m, step_eid, sd, pre, path_start = self._path_steps(depth)
@@ -363,12 +400,27 @@ class SupportChain:
 
 
 def _dense_rank(x: np.ndarray) -> np.ndarray:
-    """Dense ranks 0..C-1 of the values of x, by one argsort."""
-    order = np.argsort(x)
-    srt = x[order]
-    step = np.zeros(len(x), dtype=np.int64)
+    """Dense ranks 0..C-1 of the values of x (at least one).
+
+    One np.sort of ((x - min) << sh) | index, sh = bits(len(x) - 1), when
+    that key stays below 2^_KEY_BITS, else one argsort.
+    """
+    n = len(x)
+    sh = (n - 1).bit_length()
+    lo = int(x.min())
+    if (int(x.max()) - lo).bit_length() + sh <= _KEY_BITS:
+        key = x - lo
+        key <<= sh
+        key |= np.arange(n)
+        key.sort()
+        order = key & ((1 << sh) - 1)
+        srt = key >> sh
+    else:
+        order = np.argsort(x)
+        srt = x[order]
+    step = np.zeros(n, dtype=np.int64)
     np.not_equal(srt[1:], srt[:-1], out=step[1:])
-    ranks = np.empty(len(x), dtype=np.int64)
+    ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.cumsum(step, out=step)
     return ranks
 

@@ -634,17 +634,17 @@ def test_repaired_witness_length_bound_property(seed, r, kind):
     x, y = _hash_pair(g, r, kind) if kind < 5 else \
         _repair_pairs(g, 3)[kind - 5]
     calls, lifts = [], []
-    verified, lift = conjugacy._verified_witness, conjugacy._Coding.lift
+    repair, lift = conjugacy._witness_repair, conjugacy._Coding.lift
 
-    def spy_verified(*args):
-        calls.append((args[2], verified(*args)))
+    def spy_repair(*args):
+        calls.append((args[2], repair(*args)))
         return calls[-1][1]
 
     def spy_lift(self, v, j):
         lifts.append(len(lift(self, v, j)))
         return lift(self, v, j)
 
-    with mock.patch.object(conjugacy, "_verified_witness", spy_verified), \
+    with mock.patch.object(conjugacy, "_witness_repair", spy_repair), \
             mock.patch.object(conjugacy._Coding, "lift", spy_lift):
         for a, b in ((x, y), (y, x)):
             calls.clear()

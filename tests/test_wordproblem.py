@@ -405,6 +405,38 @@ def test_mc_labels_are_pinned_per_seed():
         "982776715380db6c583049341abebf60424abaf923fadf79011a38b0efc29ab5"
 
 
+def _det_label_digest():
+    """sha256 over deterministic labels at depths 1-3 for fixed trees of 1
+    to 3 words at ranks 2 and 3: random words, shared prefixes, and words
+    of F^(1) and F^(2) with a random tail."""
+    h = hashlib.sha256()
+    for t in range(12):
+        g = random.Random(t)
+        r = 2 + t % 2
+        n = (5, 60, 400, 3000)[t % 4]
+        if t < 4:
+            words = [random_reduced_word(g, n, r)]
+        elif t < 8:
+            p = random_reduced_word(g, n // 2, r)
+            words = [p * random_reduced_word(g, k, r) for k in (1, n // 3, n)]
+        else:
+            t2 = random_trivial_word(g, r, 1 + t % 2)
+            words = [t2, t2 * random_reduced_word(g, n, r)]
+        chain = SupportChain(PrefixTree(words), "det")
+        for d in (1, 2, 3):
+            h.update(chain.labels_at(d).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_det_labels_are_pinned():
+    # deterministic labels are the dense lexicographic ranks of the prefix
+    # flows in edge order, whatever the engine; this digest was computed
+    # with the engine that built one segment-tree level per pass and made
+    # ids dense by np.unique
+    assert _det_label_digest() == \
+        "5f6f6579ebd01dcf8f02b8243a39f8f9cfcdc4583f5c94fb814f6ba623391c95"
+
+
 @pytest.mark.parametrize("B", [0, 1, 2 ** 44 + 5, 2 ** 100])
 def test_widened_limbs_hold_the_drawn_values(B):
     # each 30-bit row lands in at most two rows of lb >= 31 bits
@@ -534,6 +566,36 @@ def test_engine_edge_cases_match_tuple_reference(rng):
                 ([w.serialize() for w in words], d)
 
 
+@pytest.mark.parametrize("key_bits", [63, 24, 8])
+def test_det_labels_are_the_same_packed_or_argsorted(monkeypatch, rng,
+                                                     key_bits):
+    # _dense_rank sorts packed (value, index) keys while they fit in
+    # _KEY_BITS bits and argsorts past that, as a pass over about 2^21
+    # steps must; fewer bits also make every pass go up one level only.
+    # The labels are the dense ranks of the flows either way
+    monkeypatch.setattr(wordproblem, "_KEY_BITS", key_bits)
+    argsorts = []
+    argsort = np.argsort
+
+    def spy(x, *args, **kwargs):
+        argsorts.append(len(x))
+        return argsort(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    trees = [words for words, _, _ in engine_edge_trees(rng)]
+    trees += [[random_reduced_word(rng, 1500, 3)],
+              [random_trivial_word(rng, 3, 2) * random_reduced_word(rng, 90, 3)
+               for _ in range(3)]]
+    for words in trees:
+        tree = PrefixTree(words)
+        chain = SupportChain(tree, "det")
+        for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
+            labels = chain.labels_at(d).tolist()
+            assert same_partition(labels, ref), (key_bits, d)
+            assert sorted(set(labels)) == list(range(len(set(ref))))
+    assert bool(argsorts) == (key_bits < 63)
+
+
 def test_zero_flows_get_the_root_label(rng):
     # a word trivial in S_{r,d} ends on the zero flow at depth d, so the
     # zero tree must have one canonical id on every level
@@ -629,6 +691,21 @@ def test_numbering_sorts_nothing(monkeypatch):
         assert m > 0 and eid.max() == m - 1
 
 
+def test_det_refinement_calls_no_unique_and_counts_no_steps(monkeypatch):
+    # a leaf id changes by the step's sign and each pass ranks its ids by
+    # one sort, so neither np.unique nor the per-step counts of
+    # _path_steps are needed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by the deterministic refinement")
+
+    monkeypatch.setattr(np, "unique", forbidden)
+    monkeypatch.setattr(SupportChain, "_path_steps", forbidden)
+    g = random.Random(4)
+    w = random_trivial_word(g, 3, 2) * random_reduced_word(g, 200, 3)
+    labels = SupportChain(PrefixTree([w]), "det").labels_at(3)
+    assert labels.max() > 0
+
+
 @pytest.mark.parametrize("mode", ["det", "mc"])
 def test_numbering_is_the_same_counted_or_sorted(monkeypatch, mode):
     # past _SLOTS_PER_NODE slots per node the keys are numbered by
@@ -665,6 +742,22 @@ def test_word_problem_matches_oracle_equality_property(seed, kind):
         w2 = w * random_trivial_word(g, 2, kind, conjugator_len=1)
     assert word_problem(w * ~w2, 2, 2) == \
         (form_long(w, 2, 2) == form_long(w2, 2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 3))
+def test_word_problem_matches_oracle_equality_property_depth3(seed, kind):
+    # the same at d = 3, which decides by the flow on the depth-2 quotient
+    # and so reads the depth-1 and depth-2 labels: w' is random, or w
+    # times a word of F^(1), F^(2) or F^(3), the last trivial in S_{2,3}
+    g = random.Random(seed)
+    w = random_reduced_word(g, g.randrange(0, 9), 2)
+    if kind == 0:
+        w2 = random_reduced_word(g, g.randrange(0, 9), 2)
+    else:
+        w2 = w * random_trivial_word(g, 2, kind, conjugator_len=1)
+    assert word_problem(w * ~w2, 2, 3) == \
+        (form_long(w, 2, 3) == form_long(w2, 2, 3))
 
 
 @settings(max_examples=40, deadline=None)
