@@ -156,10 +156,13 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
       about n letters.  Its abelianization is zero, so for d >= 2 the
       word problem does not stop at depth 1 and runs the refinement up
       to depth d; a uniform random word splits at depth 1 almost surely.
-    pow: u = v^2 c with |v| about n/3 and c a random word of F^(d), so
-      u = v^2 in S_{r,d} while u v^-2 and [u, v] are not freely trivial:
-      for d >= 2 the solver must certify k = 2 by a word problem at
-      depth d on u v^-2, the shorter of the two, the expensive path.
+    pow: u = v c v c' with |v| about n/3 and c, c' random words of F^(d),
+      so u = v^2 in S_{r,d} while u v^-2 and [u, v] are not freely trivial:
+      for d >= 2 the solver must certify k = 2 by a word problem at depth
+      d on u v^-2, the shorter of the two, the expensive path.  The word
+      problem decides on its cyclic core, c v c' v^-1 less the few letters
+      that the start of c may share with v, about 2n/3 letters (for u =
+      v^2 c the core would be c alone).
     conj: conjugate pair perturbed by a commutator: abelianizations match
       but the pair is generically not conjugate for d >= 2.  At d >= 3 the
       shift loop runs in full; at d = 2 the flows of x and y differ in the
@@ -183,8 +186,8 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     if problem == "pow":
         v = random_reduced_word(rng, max(1, n // 3), r)
         # F^(1) serves d = 0, where every word is trivial
-        c = random_trivial_word(rng, r, max(d, 1))
-        return (v ** 2 * c, v)
+        c, c2 = (random_trivial_word(rng, r, max(d, 1)) for _ in range(2))
+        return (v * c * v * c2, v)
     if problem == "conj":
         x = random_reduced_word(rng, max(1, n // 3), r)
         z = random_reduced_word(rng, max(1, n // 6), r)
@@ -282,8 +285,29 @@ def cmd_bench(args) -> int:
 # -- selftest ----------------------------------------------------------------
 
 
+def _power_agrees(u: Word, v: Word, res) -> bool:
+    """The oracle's verdict on power_solve(u, v, 2, 2).
+
+    A Found(k) must give v^k = u; a Fail must leave no k with |k| <= |u|
+    + 1, which bounds every power that can work: |k| |pi_v|_1 =
+    |pi_u|_1 <= |u| for the depth-0 or depth-1 flows of v != 1, and k = 0
+    works when v = 1 does.
+    """
+    fu = oracle.magnus_form(u, 2, 2)
+    if res.found:
+        return oracle.magnus_form(v ** res.k, 2, 2) == fu
+    return all(oracle.magnus_form(v ** k, 2, 2) != fu
+               for k in range(-len(u) - 1, len(u) + 2))
+
+
 def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
-    """Oracle-agreement sweep; returns the number of mismatches."""
+    """Oracle-agreement sweep; returns the number of mismatches.
+
+    Word problems run exhaustively up to max_len letters.  Power problems
+    are checked both ways (_power_agrees), on exact powers and on pairs
+    that are mostly no powers, with v generic or in F', so both the
+    exponent-vector path and the support path of power_solve are met.
+    """
     bad = 0
     total = 0
     for w in oracle.reduced_words(2, max_len):
@@ -294,14 +318,25 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
                 if verbose:
                     print(f"wp mismatch: {w.serialize()} d={d}")
     rng = Random(20240601)
-    for _ in range(200):
-        v = random_reduced_word(rng, rng.randrange(1, 6), 2)
-        k = rng.randrange(-4, 5)
-        u = v ** k
-        res = power_solve(u, v, 2, 2)
+    for i in range(400):
+        kind = i % 4
+        if kind in (0, 2):  # v generic (0) or in F' (2): u = v^k exactly
+            v = random_reduced_word(rng, rng.randrange(1, 6), 2)
+            if kind == 2:
+                v = commutator(v, random_reduced_word(rng, 2, 2))
+            u = v ** rng.randrange(-4, 5)
+        elif kind == 1:  # generic u and v: mostly Fail
+            u = random_reduced_word(rng, rng.randrange(0, 9), 2)
+            v = random_reduced_word(rng, rng.randrange(1, 6), 2)
+        else:  # v in F', u in F' or generic: mostly Fail
+            v = commutator(random_reduced_word(rng, rng.randrange(1, 3), 2),
+                           random_reduced_word(rng, rng.randrange(1, 3), 2))
+            u = (random_reduced_word(rng, rng.randrange(0, 7), 2)
+                 if i % 8 == 3 else
+                 commutator(random_reduced_word(rng, 2, 2),
+                            random_reduced_word(rng, 1, 2)))
         total += 1
-        if not res.found or oracle.magnus_form(u, 2, 2) != \
-                oracle.magnus_form(v ** res.k, 2, 2):
+        if not _power_agrees(u, v, power_solve(u, v, 2, 2)):
             bad += 1
             if verbose:
                 print(f"pow mismatch: {u.serialize()} | {v.serialize()}")

@@ -1,17 +1,22 @@
 """The power problem u = v^k in S_{r,d}, and cyclic-subgroup membership.
 
 The algorithm compares triviality depths s, t of u and v (the largest
-class where each dies, probed no deeper than d, since only min(s, d) is
-read; depth i is probed by the flow on the depth-(i-1) quotient graph),
-settles the degenerate orderings outright, and in the remaining case
-s = t < d reads the only possible exponent k off the flows of u and v
-on the common support graph at depth s.  At s = d-1 both words lie in the
-abelian group F^(d-1)/F^(d), so the flows decide alone.  For s < d-1 the
-exponent is certified by one word problem at depth d: u = v^q holds
-exactly when u v^-q = 1, tested directly when |u| + |q||v| <= 2(|u| +
-|v|), and otherwise through [u, v] = 1, which with proportional flows
-implies u = v^q by Malcev's centralizer theorem and stays at most 2(|u| +
-|v|) letters however large |q| is.
+class where each dies, read no deeper than d), settles the degenerate
+orderings outright, and in the remaining case s = t < d reads the only
+possible exponent k off the flows of u and v at depth s.  Depth 0 costs
+no support: on the bouquet of r loops the flows are the exponent vectors,
+so s = 0 exactly when ab(u) != 0 and t = 0 exactly when ab(v) != 0, and
+a generic pair has s = t = 0 with k their ratio.  Only when u or v lies
+in F' is its depth probed, on a SupportChain of the prefix tree of u and
+v: depth i by the flow on the depth-(i-1) quotient graph.  At s = d-1
+both words lie in the abelian group F^(d-1)/F^(d), so the flows decide
+alone.  For s < d-1 the exponent is certified by one word problem at
+depth d: u = v^q holds exactly when u v^-q = 1, tested directly when
+|u| + |q||v| <= 2(|u| + |v|), and otherwise through [u, v] = 1, which
+with proportional flows implies u = v^q by Malcev's centralizer theorem
+and stays at most 2(|u| + |v|) letters however large |q| is.  The word
+problem decides on the certificate's cyclic core, which for u = v^q c is
+a conjugate of c.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import Word, commutator
-from .xdigraph import PrefixTree
+from .xdigraph import PrefixTree, letter_array
 from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
                           word_problem)
 
@@ -66,10 +71,34 @@ def _first_nontrivial_depth(chain: SupportChain, path, length: int,
     return cap
 
 
+def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
+    """ab(u) and ab(v) over the generators that u and v use, in order.
+
+    These are the flows of u and v on the depth-0 quotient graph, the
+    bouquet of loops, in the (source class, generator) edge order of
+    SupportChain.numbering_at.  One np.unique of the letters' generators
+    numbers them, so the cost follows |u| + |v|, not r.
+    """
+    letters = letter_array(u.letters + v.letters)
+    gens, gen = np.unique(np.abs(letters), return_inverse=True)
+    signs = np.sign(letters)
+    cut = len(u)
+    return tuple(np.bincount(gen[part], weights=signs[part],
+                             minlength=len(gens)).astype(np.int64)
+                 for part in (slice(0, cut), slice(cut, None)))
+
+
 def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
                 rng=None, cube_bound: int | None = None,
                 max_len: int = DEFAULT_MAX_LEN) -> PowerResult:
     """Find k with u = v^k in S_{r,d}, or Fail if there is none.
+
+    Depth 0 is read off the exponent vectors: s = 0 exactly when ab(u) !=
+    0, and t = 0 exactly when ab(v) != 0.  When both are nonzero, the
+    generic case, no support is built: q is their ratio, and the only
+    word problem is the certificate's.  A prefix tree of u and v with its
+    SupportChain is built only when u or v lies in F' and its depth
+    decides the answer.
 
     Deterministic mode is exact.  Monte Carlo mode randomizes only the
     labels of depths 1..d-1 (triviality is read off flows, see
@@ -89,38 +118,48 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     n = len(u) + len(v)
     if n >= max_len:
         raise LengthGuardError(f"|u|+|v| = {n} exceeds guard {max_len}")
-    if n == 0:
-        return PowerResult(1)  # d <= s, t vacuously: both words die everywhere
+    if n == 0 or d == 0:
+        return PowerResult(1)  # d <= s, t: both words die everywhere
     B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 9 * n ** 3
-    D = min(d, 1 + _log3_floor(n))
-    tree = PrefixTree([u, v])
-    chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
-    # word_nodes keeps insertion order: u's path first and v's last, one
-    # path when u = v; looking them up would hash the letter tuples again
-    paths = list(tree.word_nodes.values())
-    u_nodes, v_nodes = paths[0], paths[-1]
-    # below d the cap D never truncates a nonempty word's triviality depth
-    # (|w| >= 3^s forces s <= log3 |w| < D); the empty word dies at every
-    # depth, so clamp its depth to d directly
-    s = d if len(u) == 0 else _first_nontrivial_depth(chain, u_nodes, len(u), D)
-    t = d if len(v) == 0 else _first_nontrivial_depth(chain, v_nodes, len(v), D)
-
-    if d <= s and d <= t:
-        return PowerResult(1)
-    if s < d <= t:
-        return FAIL
-    if t < d <= s:
-        return PowerResult(0)
-    if s != t:  # s < t < d or t < s < d
-        return FAIL
-
+    pu, pv = _exponent_vectors(u, v)
+    if pu.any():
+        if not pv.any():
+            return FAIL  # s = 0 < d, while t >= d or 0 < t < d
+        s = 0
+    else:
+        # u = 1 or u in F', so s >= 1: probed on a support of u and v,
+        # and so is t when v lies in F' too; u goes first, which fixes
+        # the order in which Monte Carlo labels draw from rng
+        s = d if len(u) == 0 else None
+        t = 0 if pv.any() else (d if len(v) == 0 else None)
+        if s is None or t is None:
+            D = min(d, 1 + _log3_floor(n))
+            tree = PrefixTree([u, v])
+            chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
+            # word_nodes keeps insertion order: u's path first and v's
+            # last, one path when u = v; looking them up would hash the
+            # letter tuples again
+            paths = list(tree.word_nodes.values())
+            u_nodes, v_nodes = paths[0], paths[-1]
+            # below d the cap D never truncates a nonempty word's
+            # triviality depth (|w| >= 3^s forces s <= log3 |w| < D)
+            if s is None:
+                s = _first_nontrivial_depth(chain, u_nodes, len(u), D)
+            if t is None:
+                t = _first_nontrivial_depth(chain, v_nodes, len(v), D)
+        if d <= s and d <= t:
+            return PowerResult(1)
+        if t < d <= s:
+            return PowerResult(0)
+        if s != t:  # s < d <= t, s < t < d or t < s < d
+            return FAIL
+        pu = chain.flow_vector(s, u_nodes)
+        pv = chain.flow_vector(s, v_nodes)
     # s = t < d: on the depth-s support both flows are circulations, and
     # u = v^k in S_{r,s+1} iff pi_u = k pi_v, so one nonzero edge of pi_v
     # pins k and the flows rule out every other candidate
-    pu = chain.flow_vector(s, u_nodes)
-    pv = chain.flow_vector(s, v_nodes)
     nz = np.flatnonzero(pv)
     if len(nz) == 0:
         raise AssertionError("pi_v = 0 would mean v = 1 at depth s+1")

@@ -33,6 +33,7 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -539,18 +540,54 @@ def fingerprint(w: Word, nu_prev: Distinguisher, rng,
     return chain.last_fingerprint
 
 
+def _cyclic_core(w: Word) -> Word:
+    """w with each leading letter stripped while it inverts the trailing one.
+
+    The stripped length c is the longest common prefix of w and w^-1,
+    below |w|/2 as w is reduced.  It is found as xdigraph._common_prefix
+    finds one, by slice compares: the known-equal length doubles, each
+    step comparing only its new half, then the last step is bisected.  A
+    compare adds letter i of w to letter n-1-i in C-level steps, so the
+    cost is O(c), and O(1) when w_1 != w_n^-1.
+    """
+    a, n = w.letters, len(w)
+    if n < 2 or a[0] != -a[-1]:
+        return w
+
+    def inverted(i: int, j: int) -> bool:  # w and w^-1 agree on i..j-1
+        return not any(map(add, a[i:j], a[n - 1 - i:n - 1 - j:-1]))
+
+    lo, hi, half = 1, 2, n // 2
+    while hi <= half and inverted(lo, hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, half)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if inverted(lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Word._trusted(a[lo:n - lo], w.rank)
+
+
 def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
                  cube_bound: int | None = None,
                  max_len: int = DEFAULT_MAX_LEN) -> bool:
     """Decide w = 1 in S_{r,d}.
 
-    Depth k is decided by the flow test: w = 1 in S_{r,k+1} iff its flow
-    on the depth-k quotient graph is zero, so labels are built up to
-    depth d-1 only.  Deterministic mode is always correct.  Monte Carlo
-    mode randomizes only depths 1..d-1, so it is exact at d = 1.  It is
-    false-biased: trivial words always come back True; a nontrivial word
+    Triviality is invariant under conjugation, so it is decided on the
+    cyclic core of w: w with each leading letter stripped while it inverts
+    the trailing one (_cyclic_core), a conjugate of w that is never longer.
+    The max_len guard and the default Monte Carlo cube bound |w|^3 still
+    come from the input w; the 3^d > |core| shortcut and the prefix tree
+    take the core.  Depth k is decided by the flow test: w = 1 in S_{r,k+1}
+    iff its flow on the depth-k quotient graph is zero, so labels are built
+    up to depth d-1 only.  Deterministic mode is always correct.  Monte
+    Carlo mode randomizes only depths 1..d-1, so it is exact at d = 1.  It
+    is false-biased: trivial words always come back True; a nontrivial word
     is reported False with probability at least (1 - 1/|w|)^(d-1) at the
-    default cube bound |w|^3 (d - 1 < log3 |w| once 3^d <= |w|).
+    default cube bound |w|^3 (d - 1 < log3 |w| once 3^d <= |w|), a bound
+    that a core of at most |w| letters only helps.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -560,14 +597,15 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
         raise LengthGuardError(f"|w| = {len(w)} exceeds guard {max_len}")
     if len(w) == 0 or d == 0:
         return True
-    if 3 ** d > len(w):
-        # the shortest nontrivial relator of S_{r,d} has length >= 3^d
-        return False
     if mode == "mc":
         B = cube_bound if cube_bound is not None else len(w) ** 3
     else:
         B = None
-    tree = PrefixTree([w])
+    core = _cyclic_core(w)
+    if 3 ** d > len(core):
+        # the shortest nontrivial relator of S_{r,d} has length >= 3^d
+        return False
+    tree = PrefixTree([core])
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
     (path,) = tree.word_nodes.values()
     # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d

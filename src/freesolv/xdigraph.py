@@ -9,6 +9,7 @@ FoldConflict signals a labeling or a coset table that would unfold it.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from typing import Iterable
 
@@ -36,6 +37,7 @@ class PrefixTree:
         self._size = 1
         self.word_nodes: dict[tuple[int, ...], np.ndarray] = {}
         self._sorted: list[tuple[int, ...]] = []  # word_nodes keys, sorted
+        self._sorted_paths: list[np.ndarray] = []  # their paths, in step
         for w in words:
             self.add_word(w)
 
@@ -62,30 +64,39 @@ class PrefixTree:
         among the sorted words.  The path reuses the neighbour's nodes up
         to there; the rest of w is one fresh branch, appended as a block.
         Nodes are numbered in insertion order, parents before children.
+        The bisection also finds a word already inserted, and the sorted
+        paths sit beside the sorted words, so a word is hashed once, when
+        it is stored, and its letters become an array in one C-level step.
         """
-        key = tuple(w.letters)
-        got = self.word_nodes.get(key)
-        if got is not None:
-            return got
+        key = w.letters
         at = bisect_left(self._sorted, key)
-        self._sorted.insert(at, key)
+        if at < len(self._sorted) and self._sorted[at] == key:
+            return self._sorted_paths[at]
         j, shared = 0, 0  # the root, shared by all words
-        for i in (at - 1, at + 1):
+        for i in (at - 1, at):
             if 0 <= i < len(self._sorted):
-                nb = self._sorted[i]
-                k = _common_prefix(key, nb)
+                k = _common_prefix(key, self._sorted[i])
                 if k > j:
-                    j, shared = k, self.word_nodes[nb][:k + 1]
+                    j, shared = k, self._sorted_paths[i][:k + 1]
         start, n = self._size, len(key) - j
         path = np.arange(start - 1 - j, start + n, dtype=np.int64)
         path[:j + 1] = shared
         path.flags.writeable = False  # shared with the tree's blocks
         if n:
             self._parents.append(path[j:-1])
-            self._letters.append(np.array(key[j:], dtype=np.int64))
+            self._letters.append(letter_array(key[j:]))
             self._size += n
+        self._sorted.insert(at, key)
+        self._sorted_paths.insert(at, path)
         self.word_nodes[key] = path
         return path
+
+
+def letter_array(letters: tuple[int, ...]) -> np.ndarray:
+    """The letters as a read-only int64 array, converted in one C-level
+    step (struct.pack): on long words about half the time of np.array."""
+    return np.frombuffer(struct.pack(f"{len(letters)}q", *letters),
+                         dtype=np.int64)
 
 
 def _joined(blocks: list[np.ndarray]) -> np.ndarray:

@@ -4,7 +4,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from freesolv import cli
+from freesolv import cli, wordproblem
 from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
 from freesolv.conjugacy import SchreierSupport, conjugacy_solve
@@ -148,14 +148,17 @@ def test_bench_monotone_when_sizes_spread():
 
 
 def test_bench_pow_reaches_commutator_check():
-    # [v^2, v] and v^2 v^-2 reduce freely to 1; the factor c keeps the
-    # timed check alive, on u v^-2 or on [u, v]
+    # [v^2, v] and v^2 v^-2 reduce freely to 1; the factors c, c' of
+    # u = v c v c' keep the timed check alive, on u v^-2 or on [u, v], and
+    # keep both copies of v in the cyclic core that word_problem decides
     for n in (6, 48, 300):
         for d in (1, 2, 3):
             for seed in range(3):
                 u, v = bench_instance("pow", n, 2, d, Random(seed))
                 assert len(commutator(u, v)) > 0, (n, d, seed)
                 assert len(u * v ** -2) > 0, (n, d, seed)
+                core = wordproblem._cyclic_core(u * v ** -2)
+                assert len(core) >= 2 * len(v), (n, d, seed)
                 if n <= 48:
                     assert power_solve(u, v, 2, d).k == 2, (n, d, seed)
 

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,19 +200,22 @@ def test_probes_stop_at_d_and_top_layer_needs_no_commutator(monkeypatch, rng):
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
-def test_d2_probes_build_no_labels_when_both_abelianizations_are_nonzero(
+def test_no_support_outside_the_certificate_when_both_abelianizations_are_nonzero(
         monkeypatch, rng):
-    # ab(u), ab(v) != 0: both probes stop at the depth-0 flow, so outside
-    # the commutator check no labels are built beyond depth 0; flows that
-    # are not proportional settle Fail without the check
+    # ab(u), ab(v) != 0: s = t = 0 is read off the exponent vectors, so no
+    # PrefixTree or SupportChain is built outside the certificate check,
+    # and flows that are not proportional settle Fail without the check
     built, checks, running = [], [], []
-    labels_at = SupportChain.labels_at
     word_problem = power.word_problem
 
-    def spy(self, depth):
-        if not running:
-            built.append(depth)
-        return labels_at(self, depth)
+    def spy_init(cls):
+        init = cls.__init__
+
+        def spied(self, *args, **kwargs):
+            if not running:
+                built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spied)
 
     def check(*args, **kwargs):
         checks.append(args[0])
@@ -219,7 +225,8 @@ def test_d2_probes_build_no_labels_when_both_abelianizations_are_nonzero(
         finally:
             running.pop()
 
-    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    spy_init(PrefixTree)
+    spy_init(SupportChain)
     monkeypatch.setattr(power, "word_problem", check)
     cases = 0
     while cases < 30:
@@ -227,8 +234,7 @@ def test_d2_probes_build_no_labels_when_both_abelianizations_are_nonzero(
         v = random_reduced_word(rng, rng.randrange(1, 40), 2)
         u = (v ** rng.choice((-3, -1, 2, 5)) if is_power
              else random_reduced_word(rng, rng.randrange(1, 60), 2))
-        ab_u, ab_v = ([sum(1 if s > 0 else -1 for s in w.letters if abs(s) == i)
-                       for i in (1, 2)] for w in (u, v))
+        ab_u, ab_v = _abelianization(u, 2), _abelianization(v, 2)
         if not any(ab_u) or not any(ab_v):
             continue
         cases += 1
@@ -240,10 +246,14 @@ def test_d2_probes_build_no_labels_when_both_abelianizations_are_nonzero(
             checks.clear()
             assert power_solve(u, v, 2, 2, mode=mode,
                                rng=random.Random(cases)) == det
-            assert max(built) == 0, (mode, u, v)
+            assert built == [], (mode, u, v)
             assert len(checks) == proportional, (mode, u, v)
         assert proportional or not det.found
         assert proportional or not is_power
+    # a word of F' needs its depth: the support is built then
+    built.clear()
+    assert power_solve(C, parse("x1"), 2, 2) == FAIL
+    assert built == ["PrefixTree", "SupportChain"]
 
 
 def test_length_guard():
@@ -364,3 +374,71 @@ def test_power_at_depth3_property(seed, k):
     c2 = random_trivial_word(g, 2, 2, conjugator_len=1, factors=1)
     if not trivial_long(c2, 2, 3):
         assert power_solve(v ** k * c2, v, 2, 3) == FAIL
+
+
+def _digest_pairs(count: int):
+    """Seeded (u, v, d), d = 1..3: v with ab(v) zero or not in turn; u
+    independent of v (ab(u) zero or not in turn) or v^k c with c in
+    F^(e), 1 <= e <= d + 1, so Found and Fail answers at every depth."""
+    rng = random.Random(14071691)
+
+    def word(in_derived):
+        if in_derived:
+            return random_trivial_word(rng, 2, 1, conjugator_len=2,
+                                       factors=1)
+        while True:
+            w = random_reduced_word(rng, rng.randrange(1, 9), 2)
+            if any(_abelianization(w, 2)):
+                return w
+
+    for i in range(count):
+        d = 1 + i % 3
+        v = word(i // 3 % 2)
+        if i // 6 % 2:
+            u = word(i // 12 % 2)
+        else:
+            c = random_trivial_word(rng, 2, rng.randrange(1, d + 2),
+                                    conjugator_len=1, factors=1)
+            u = v ** rng.randrange(-2, 3) * c
+        yield u, v, d
+
+
+def test_det_answers_are_pinned():
+    # the digest was taken with every depth probed on a support and every
+    # certificate decided whole, so the shortcuts keep each answer
+    out, kinds = [], set()
+    for u, v, d in _digest_pairs(3000):
+        res = power_solve(u, v, 2, d)
+        out.append((d, res.k))
+        kinds.add((any(_abelianization(u, 2)), any(_abelianization(v, 2)),
+                   d, res.found))
+    # every (ab(u) != 0, ab(v) != 0, d, found) but the impossible: Found
+    # when ab(u) != 0 = ab(v), and Fail at d = 1 for u in F'
+    assert kinds == {(au, av, d, found)
+                     for au, av, d, found in itertools.product(
+                         (False, True), (False, True), (1, 2, 3),
+                         (False, True))
+                     if not (au and not av and found)
+                     and not (d == 1 and not au and not found)}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "8f9d4762b398dc03a639d23f4d61b4afe03c57fdbc07951c3a00e2f817f466ce"
+
+
+def test_power_memory_does_not_grow_with_rank():
+    # words in x1 and x2000000 only: exponent vectors over the generators
+    # used, and a support only when a word lies in F'
+    R = 2000000
+    y = Word((1, R), rank=R)
+    c = commutator(Word((1,), rank=R), Word((R,), rank=R))
+    # y^3 c^7 y^-3 has a core of 28 >= 3^3 letters, so its tree is built
+    for u, v, want in ((y ** 3 * c ** 7, y, FAIL),
+                       (y ** -2, y, PowerResult(-2)),
+                       (c ** 2, c, PowerResult(2)), (c, y, FAIL)):
+        tracemalloc.start()
+        try:
+            res = power_solve(u, v, R, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res == want, (u, v)
+        assert peak < 100_000, (u, v, peak)

@@ -285,6 +285,83 @@ def test_randomized_labels_rank_fingerprint_distances(rng):
                 assert list(cand.labels) == [rank[x] for x in fp.d2]
 
 
+def _stripped(w: Word) -> tuple[int, ...]:
+    """The cyclic core by one letter pair at a time, for reference."""
+    a = w.letters
+    while len(a) >= 2 and a[0] == -a[-1]:
+        a = a[1:-1]
+    return a
+
+
+def _conjugate_kinds(rng, d):
+    """Words w at d, random or in F^(1) .. F^(d), so True and False occur,
+    and random conjugators g, some sharing letters with w's ends."""
+    for trial in range(40):
+        kind = trial % (d + 1)
+        w = (random_reduced_word(rng, rng.randrange(1, 12), 2) if kind == 0
+             else random_trivial_word(rng, 2, kind, conjugator_len=2))
+        g = random_reduced_word(rng, rng.randrange(0, 12), 2)
+        if trial % 3 == 0:
+            g = g * ~w.prefix(rng.randrange(0, len(w) + 1))
+        yield w, g
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_word_problem_is_conjugation_invariant(rng, d):
+    # det mode decides on the cyclic core, and the answer is the oracle's
+    # for w and for every conjugate g w g^-1
+    seen = set()
+    for w, g in _conjugate_kinds(rng, d):
+        truth = form_long(w, 2, d).is_identity()
+        assert word_problem(w, 2, d) == truth, (w, d)
+        assert word_problem(g * w * ~g, 2, d) == truth, (w, g, d)
+        seen.add(truth)
+    assert seen == {True, False}
+
+
+def test_word_problem_builds_the_tree_of_the_cyclic_core(monkeypatch, rng):
+    # the tree holds |core| + 1 nodes, while the Monte Carlo default cube
+    # bound and the length guard still come from the input
+    trees, bounds = [], []
+    tree_cls, chain_init = wordproblem.PrefixTree, SupportChain.__init__
+
+    def spy_tree(words):
+        trees.append(tree_cls(words))
+        return trees[-1]
+
+    def spy_chain(self, tree, mode="det", rng=None, cube_bound=None):
+        bounds.append(cube_bound)
+        chain_init(self, tree, mode=mode, rng=rng, cube_bound=cube_bound)
+
+    for text, want in (("x1 x2 x1 X2 X1", "x1"), ("x1 x2 X1", "x2"),
+                       ("x1 x2 x2 X1 X2 X1", "x2 X1"), ("x1", "x1")):
+        assert wordproblem._cyclic_core(parse(text)) == parse(want)
+    monkeypatch.setattr(wordproblem, "PrefixTree", spy_tree)
+    monkeypatch.setattr(SupportChain, "__init__", spy_chain)
+    stripped = 0
+    for d in (2, 3):
+        for w, g in _conjugate_kinds(rng, d):
+            x = g * w * ~g
+            core = _stripped(x)
+            stripped += len(core) < len(x)
+            assert wordproblem._cyclic_core(x).letters == core
+            if len(core) == len(x):
+                assert wordproblem._cyclic_core(x) is x
+            for mode in ("det", "mc"):
+                trees.clear()
+                bounds.clear()
+                word_problem(x, 2, d, mode=mode, rng=random.Random(1))
+                assert len(trees) == (3 ** d <= len(core))
+                if trees:
+                    assert len(trees[0]) == len(core) + 1
+                    (path,) = trees[0].word_nodes
+                    assert path == core
+                    assert bounds == [len(x) ** 3 if mode == "mc" else None]
+            with pytest.raises(LengthGuardError):
+                word_problem(x, 2, d, max_len=len(x))
+    assert stripped > 20
+
+
 def test_word_problem_exits_at_first_split_depth(monkeypatch):
     # nonzero abelianization is a nonzero flow at depth 0: no refinement
     built = []
@@ -782,9 +859,10 @@ def test_zero_flow_iff_next_depth_joins_root_and_end_property(seed, kind, n):
 @pytest.mark.parametrize("bound", [1, None])
 def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
     # a True from word_problem implies a True from the depth-d labels of a
-    # chain with the same seed: zero flow at depth d-1 means equal anchor
-    # distances.  With B = 1 those labels join the ends of some nontrivial
-    # words of F^(d-1) that the flow test rejects
+    # chain with the same seed on the tree it refines, that of w's cyclic
+    # core: zero flow at depth d-1 means equal anchor distances.  With B =
+    # 1 those labels join the ends of some nontrivial words of F^(d-1)
+    # that the flow test rejects
     g = random.Random(17)
     fewer_errors = 0
     for seed in range(200):
@@ -795,11 +873,12 @@ def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
         B = bound if bound is not None else len(w) ** 3
         says = word_problem(w, 2, d, mode="mc", rng=random.Random(seed),
                             cube_bound=bound)
-        tree = PrefixTree([w])
+        core = wordproblem._cyclic_core(w)
+        tree = PrefixTree([core])
         chain = SupportChain(tree, "mc", rng=random.Random(seed),
                              cube_bound=B)
         labels = chain.labels_at(d)
-        ref = labels[0] == labels[tree.word_nodes[w.letters][-1]]
+        ref = labels[0] == labels[tree.word_nodes[core.letters][-1]]
         if says:
             assert ref, (seed, d)
         fewer_errors += ref and not says
