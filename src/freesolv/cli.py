@@ -245,14 +245,20 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
 
 
 def _revision() -> str | None:
-    """git HEAD of the checkout this module lives in, or None outside one."""
+    """git HEAD of the checkout this module lives in, or None outside one.
+
+    The hash ends in -dirty when tracked files differ from HEAD, so a
+    table timed before its commit does not name the parent of its code.
+    """
     here = Path(__file__).resolve()
     # look no higher than the checkout root, src/freesolv/../..
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(here.parents[3]))
+    # no tag names: --always then gives the full hash of HEAD
+    cmd = ["git", "describe", "--always", "--dirty", "--abbrev=40",
+           "--exclude=*"]
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here.parent,
-                             env=env, capture_output=True, text=True,
-                             timeout=10)
+        out = subprocess.run(cmd, cwd=here.parent, env=env,
+                             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() if out.returncode == 0 else None

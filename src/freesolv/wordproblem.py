@@ -13,16 +13,18 @@ labels each prefix by the dense lexicographic rank of its flow, exactly,
 with no hashing: ranks of the parts of the flows in a segment tree over
 the edges, for all steps of the root paths of the tree's words at once,
 several levels per pass, each pass two sorts of packed integers.
-The Monte Carlo step ranks exact squared distances to a random anchor
-point, trading a small one-sided error for vectorized integer work: the
-distances are running sums along the same paths, split into anchor limbs
-of 61 - bits(S) bits for the S steps, so that every sum is an exact int64
-for any cube bound, and ranked limb by limb with one _dense_rank each; below
-about 2^15 letters |w|^3 fits one limb.  The anchors come from one
-getrandbits call of the caller's random.Random per refinement, in 30-bit
-limbs with the components above the cube bound redrawn, so a seed fixes
-every Monte Carlo output independently of the numpy version and of the
-limb width.
+The Monte Carlo step ranks a random linear form <f, a> of the flows,
+with the anchor a uniform on the cube [0, B]^m, trading a small
+one-sided error for vectorized integer work: equal flows never split,
+and two distinct flows meet with probability at most 1/(B + 1)
+(Schwartz-Zippel).  The forms are running sums along the same paths,
+split into anchor limbs of lb = 61 - bits(S) bits for the S steps, so
+that every sum stays below S 2^lb < 2^61, an exact int64 for any cube
+bound, and ranked limb by limb with one _dense_rank each; below about
+2^15 letters |w|^3 fits one limb.  The anchors come from one getrandbits
+call of the caller's random.Random per refinement, in 30-bit limbs with
+the components above the cube bound redrawn, so a seed fixes every Monte
+Carlo output independently of the numpy version and of the limb width.
 
 word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
@@ -32,7 +34,6 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
@@ -54,47 +55,6 @@ class LengthGuardError(ValueError):
     """Input exceeds the configured length guard."""
 
 
-@dataclass(frozen=True)
-class Distinguisher:
-    """Prefix labeling of a word at some solvability depth.
-
-    For labelings produced by the deterministic chain, equal labels are
-    exactly equality of prefixes in S_{r,depth}.  Randomized candidates
-    satisfy only the coarse direction: truly equal prefixes always share
-    a label.  Label values are dense class ids in no particular order;
-    only equality between them carries meaning.
-    """
-
-    word: Word
-    depth: int
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.word) + 1:
-            raise ValueError("need one label per prefix, |w|+1 in total")
-
-    def says_trivial(self) -> bool:
-        return self.labels[0] == self.labels[-1]
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Anchor point and exact squared distances of the prefix flows to it.
-
-    The anchor has one component per quotient edge, in edge order: the
-    order of numbering_at, by (source class, generator).
-    """
-
-    anchor: tuple[int, ...]
-    d2: tuple[int, ...]
-    bound: int
-
-
-def nu0(w: Word) -> Distinguisher:
-    """The depth-0 distinguisher: S_{r,0} is trivial, everything is equal."""
-    return Distinguisher(w, 0, (0,) * (len(w) + 1))
-
-
 def _runs(ranges: np.ndarray, path_start: np.ndarray):
     """Sort steps by (range, position), one np.sort of packed keys:
     (order, new), where new[k] says that order[k] is the first step of its
@@ -111,7 +71,7 @@ def _runs(ranges: np.ndarray, path_start: np.ndarray):
 
 
 class SupportChain:
-    """Distinguisher chain over the prefix tree of a word set.
+    """Chain of distinguishers over the prefix tree of a word set.
 
     Shared engine for the word, power and conjugacy solvers.  Labels are
     computed lazily depth by depth and cached together with the canonical
@@ -144,8 +104,6 @@ class SupportChain:
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_fingerprint: Fingerprint | None = None
-        self.want_fingerprint = False
 
     # -- tree traversal ------------------------------------------------
 
@@ -189,9 +147,8 @@ class SupportChain:
         sign per edge.  Monte Carlo labels never split equal prefixes, so
         a key is a function of the true Cayley edge: a trivial word keeps
         a zero flow, and a nonzero flow is nonzero on the true edges.
-        The labels are dense class ids by construction, seeded ones
-        included (_word_chain densifies them), so they index slots as
-        they are.
+        The labels are dense class ids by construction, so they index
+        slots as they are.
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
@@ -242,27 +199,6 @@ class SupportChain:
                 nxt = self._refine_mc(prev_depth)
             self._labels.append(nxt)
         return self._labels[depth]
-
-    def _path_steps(self, depth: int):
-        """The steps of the _euler_tour paths on the depth-d quotient graph,
-        for _refine_mc.
-
-        Returns (m, edge, sign, before, path_start): per step, the quotient
-        edge it crosses, its sign, the count that edge had before the step
-        on the same path (for |f_v|^2), and the position where that path
-        starts.  The counts cost a _runs sort by (edge, position).
-        """
-        m, eid, dirs = self.numbering_at(depth)
-        nodes, starts = self._euler_tour()
-        path_start = np.repeat(starts[:-1], np.diff(starts))
-        edge, sign = eid[nodes], dirs[nodes]
-        order, new = _runs(edge, path_start)
-        s = sign[order]
-        excl = np.cumsum(s) - s
-        first = np.maximum.accumulate(np.where(new, np.arange(len(s)), 0))
-        before = np.empty_like(excl)
-        before[order] = excl - excl[first]
-        return m, edge, sign, before, path_start
 
     def _refine_det(self, depth: int) -> np.ndarray:
         """Label every node by the dense lexicographic rank of its flow.
@@ -339,61 +275,50 @@ class SupportChain:
         return labels
 
     def _refine_mc(self, depth: int) -> np.ndarray:
-        """Rank exact squared distances from a random anchor (one per node).
+        """Rank a random linear form of the flows (one value per node).
 
         With f_v the flow of node v and a the anchor, m components drawn
-        by _draw_anchors uniformly from [0, B] in edge order,
+        by _draw_anchors uniformly from [0, B] in edge order, node v is
+        ranked by
 
-          |f_v - a|^2 - |a|^2 = |f_v|^2 - 2 sum_k 2^(lb k) <f_v, a_k>,
+          <f_v, a> = sum_k 2^(lb k) <f_v, a_k>,
 
         where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a, and
-        lb = 61 - bits(S) for the S steps of the _euler_tour paths.  Along
-        those paths each step moves one flow component by +-1, so |f_v|^2
-        is the running sum of 2 s c + 1 (s the step's sign, c the count
-        its edge had before on the same path) and <f_v, a_k> the running
-        sum of s a_k[edge]; L_0 takes the first and -2 times the second
-        in one running sum.  The sums run over all S steps at once and
-        take off each path's start: a term is at most 2 S + 1 + 2^(lb+1)
-        in size, so every partial sum and every limb L_k stays below
-        S (2 S + 1) + S 2^(lb+1) < 2^63, an exact int64 while S < 2^30,
-        that is lb >= 31 (S < 2^21 under the default guards of
-        word_problem and power_solve).  Carries bring L_0..L_{K-2} into
-        [0, 2^lb).  The labels are dense ranks, taken limb by limb from
-        the top: the rank of L_{K-1}, then for each lower limb the rank of
-        (rank << lb) | L_k, below 2^61 because ranks are below V <= S + 1.
-        Carried limbs in any radix order the same integers, so lb changes
-        no label; with B < 2^lb (|w|^3 for |w| up to about 2^15 letters)
-        K = 1 and the rank is one _dense_rank.  The Fingerprint is |a|^2 +
-        sum_k L_k 2^(lb k), in Python integers.
+        lb = 61 - bits(S) for the S steps of the _euler_tour paths.  Equal
+        flows never split.  Distinct flows f != f' meet only when
+        <f - f', a> = 0, a linear equation in a with a nonzero
+        coefficient, so with probability at most 1/(B + 1) (Schwartz 1980;
+        Zippel 1979).  Along the paths each step moves one flow component
+        by +-1, so the limb L_k = <f_v, a_k> is the running sum of
+        s a_k[edge], s the step's sign.  The sums run over all S steps at
+        once and take off each path's start: a term is below 2^lb in size,
+        so every partial sum stays below S 2^lb < 2^61, an exact int64 for
+        any cube bound (lb >= 30, as _widen_limbs needs, while S < 2^31).
+        Carries bring L_0..L_{K-2} into [0, 2^lb).  The labels are dense
+        ranks, taken limb by limb from the top: the rank of L_{K-1}, then
+        for each lower limb the rank of (rank << lb) | L_k, below 2^61
+        because ranks are below V <= S + 1.  Carried limbs in any radix
+        order the same integers, so lb changes no label; with B < 2^lb
+        (|w|^3 for |w| up to about 2^15 letters) K = 1 and the rank is one
+        _dense_rank.
         """
-        m, step_eid, sd, pre, path_start = self._path_steps(depth)
-        nodes = self._euler_tour()[0]
+        m, eid, dirs = self.numbering_at(depth)
+        nodes, starts = self._euler_tour()
+        path_start = np.repeat(starts[:-1], np.diff(starts))
+        edge, sign = eid[nodes], dirs[nodes]
         lb = 61 - len(nodes).bit_length()
         anchor = _widen_limbs(_draw_anchors(self.rng, self.cube_bound, m),
                               lb, self.cube_bound)
         K = len(anchor)
-
-        def path_sums(terms):
-            total = np.cumsum(terms)
-            return total - np.concatenate(([0], total))[path_start]
-
         limbs = np.empty((K, len(nodes)), dtype=np.int64)
-        limbs[0] = path_sums(2 * sd * (pre - anchor[0][step_eid]) + 1)
-        for k in range(1, K):
-            limbs[k] = -2 * path_sums(sd * anchor[k][step_eid])
+        for k in range(K):
+            total = np.cumsum(sign * anchor[k][edge])
+            limbs[k] = total - np.concatenate(([0], total))[path_start]
         for k in range(K - 1):
             limbs[k + 1] += limbs[k] >> lb
             limbs[k] &= (1 << lb) - 1
         at = np.zeros((K, self.V), dtype=np.int64)  # the root sits at 0
         at[:, nodes] = limbs
-        if self.want_fingerprint:
-            a = [sum(x << (lb * k) for k, x in enumerate(col))
-                 for col in anchor.T.tolist()]
-            a2 = sum(x * x for x in a)
-            d2 = tuple(a2 + sum(x << (lb * k) for k, x in enumerate(col))
-                       for col in at.T.tolist())
-            self.last_fingerprint = Fingerprint(tuple(a), d2,
-                                                self.cube_bound)
         labels = _dense_rank(at[K - 1])
         for k in range(K - 2, -1, -1):
             labels = _dense_rank((labels << lb) | at[k])
@@ -480,64 +405,6 @@ def _widen_limbs(rows: np.ndarray, lb: int, B: int) -> np.ndarray:
         if fit < _LIMB and j + 1 < K:
             wide[j + 1] |= row >> fit
     return wide
-
-
-# -- single-word public operations ---------------------------------------
-
-
-def _word_chain(w: Word, labels: Sequence[int], mode: str, rng=None,
-                cube_bound: int | None = None) -> SupportChain:
-    tree = PrefixTree([w])
-    chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=cube_bound)
-    seeded = np.asarray(labels, dtype=np.int64)
-    if seeded.shape != (len(tree),):
-        raise ValueError("labeling length must be |w|+1")
-    # densify to 0..C-1: numbering_at indexes class x generator slots
-    # by label; monotone, so the edge order is unchanged
-    chain._labels = [np.unique(seeded, return_inverse=True)[1]
-                     .astype(np.int64)]
-    return chain
-
-
-def refine_deterministic(w: Word, nu_prev: Distinguisher) -> Distinguisher:
-    """One exact refinement step: depth d-1 labels to depth d labels."""
-    chain = _word_chain(w, nu_prev.labels, "det")
-    new = chain.labels_at(1)
-    return Distinguisher(w, nu_prev.depth + 1, tuple(int(x) for x in new))
-
-
-def refine_randomized(w: Word, nu_prev: Distinguisher, rng,
-                      cube_bound: int | None = None) -> Distinguisher:
-    """One Monte Carlo refinement step; the result is a candidate.
-
-    With anchor components uniform on [0, cube_bound] the candidate is a
-    true distinguisher with probability at least 1 - 1/|w| for the
-    default bound |w|^3.  The anchor has one component per quotient edge,
-    in the (source class, generator) order of numbering_at, and is drawn
-    from rng in bulk, one getrandbits call for all components plus
-    redraws of those above the bound (see _draw_anchors), so a seed fixes
-    the result.
-    """
-    B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
-    chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
-    new = chain.labels_at(1)
-    return Distinguisher(w, nu_prev.depth + 1, tuple(int(x) for x in new))
-
-
-def fingerprint(w: Word, nu_prev: Distinguisher, rng,
-                cube_bound: int | None = None) -> Fingerprint:
-    """Anchor and per-prefix squared distances for one randomized step.
-
-    The anchor is the one refine_randomized draws from the same rng
-    state: m components uniform on [0, cube_bound], one per quotient
-    edge in the (source class, generator) order of numbering_at, from one
-    bulk getrandbits draw (see _draw_anchors).
-    """
-    B = cube_bound if cube_bound is not None else max(1, len(w)) ** 3
-    chain = _word_chain(w, nu_prev.labels, "mc", rng=rng, cube_bound=B)
-    chain.want_fingerprint = True
-    chain.labels_at(1)
-    return chain.last_fingerprint
 
 
 def _cyclic_core(w: Word) -> Word:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -127,18 +130,37 @@ def test_bench_table_runs(capsys):
 
 
 def test_bench_json_names_revision_and_versions(capsys):
-    # the JSON table carries what produced it: git HEAD (None outside a
-    # checkout) and the python and numpy versions
+    # the JSON table carries what produced it: git HEAD, marked -dirty
+    # when tracked files differ (None outside a checkout), and the python
+    # and numpy versions
     code, out, _ = run(capsys, "bench", "wp", "64,128", "--mode", "mc",
                        "--seed", "3", "--json")
     assert code == EXIT_YES
     table = json.loads(out)
     assert [row["n"] for row in table["rows"]] == [64, 128]
     assert table["seed"] == 3
-    rev = table["revision"]
-    assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+    assert table["revision"] == cli._revision()
     assert table["python"].count(".") == 2
     assert table["numpy"] == np.__version__
+
+
+def test_revision_marks_a_dirty_tree():
+    # HEAD, plus -dirty exactly when a tracked file differs from it; None
+    # outside a git checkout
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, env=env,
+                              capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        assert cli._revision() is None
+        return
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout
+    assert cli._revision() == \
+        head.stdout.strip() + ("-dirty" if dirty.strip() else "")
 
 
 def test_bench_monotone_when_sizes_spread():

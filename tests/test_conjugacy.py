@@ -227,9 +227,10 @@ def test_mc_membership_noise_is_retried_then_surfaced(monkeypatch, says):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2))
-def test_conjugacy_symmetric_property(seed, kind):
-    # conjugacy is symmetric at d = 2, and every witness verifies
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2),
+       d=st.sampled_from([2, 3]))
+def test_conjugacy_symmetric_property(seed, kind, d):
+    # conjugacy is symmetric at d = 2 and 3, and every witness verifies
     g = random.Random(seed)
     x = random_reduced_word(g, g.randrange(1, 7), 2)
     z = random_reduced_word(g, g.randrange(0, 5), 2)
@@ -239,11 +240,11 @@ def test_conjugacy_symmetric_property(seed, kind):
         y = z * x * ~z * (commutator(random_reduced_word(g, 2, 2),
                                      random_reduced_word(g, 2, 2))
                           if kind == 2 else Word((), rank=2))
-    there, back = conjugacy_solve(x, y, 2, 2), conjugacy_solve(y, x, 2, 2)
+    there, back = conjugacy_solve(x, y, 2, d), conjugacy_solve(y, x, 2, d)
     assert there.conjugate == back.conjugate
     if there.conjugate:
-        assert conjugation_verified(there.witness, x, y, 2, 2)
-        assert conjugation_verified(back.witness, y, x, 2, 2)
+        assert conjugation_verified(there.witness, x, y, 2, d)
+        assert conjugation_verified(back.witness, y, x, 2, d)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -10,11 +11,8 @@ from conftest import form_long
 from freesolv import oracle, wordproblem
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
-from freesolv.wordproblem import (Distinguisher, LengthGuardError,
-                                  SupportChain, _draw_anchors, fingerprint,
-                                  nu0,
-                                  refine_deterministic, refine_randomized,
-                                  word_problem)
+from freesolv.wordproblem import (LengthGuardError, SupportChain,
+                                  _draw_anchors, word_problem)
 from freesolv.conjugacy import conjugacy_solve
 from freesolv.power import power_solve
 from freesolv.xdigraph import PrefixTree
@@ -30,101 +28,66 @@ def prefix_forms(w, r, d):
     return out
 
 
+def det_labels(w, d):
+    """Exact labels of the prefixes of w at depth d, in prefix order."""
+    tree = PrefixTree([w])
+    (path,) = tree.word_nodes.values()
+    return SupportChain(tree, "det").labels_at(d)[path].tolist()
+
+
 def test_nu0():
-    d = nu0(C)
-    assert d.labels == (0,) * 5 and d.depth == 0
+    # the depth-0 distinguisher: S_{r,0} is trivial, everything is equal
+    assert det_labels(C, 0) == [0] * 5
 
 
 def test_refine_deterministic_commutator():
-    nu1 = refine_deterministic(C, nu0(C))
-    assert nu1.depth == 1
-    assert len(set(nu1.labels)) == 4
-    assert nu1.labels[0] == nu1.labels[4]
-    assert nu1.says_trivial()
-    nu2 = refine_deterministic(C, nu1)
-    assert not nu2.says_trivial()
+    nu1 = det_labels(C, 1)
+    assert len(set(nu1)) == 4
+    assert nu1[0] == nu1[4]
+    nu2 = det_labels(C, 2)
+    assert nu2[0] != nu2[4]
 
 
 def test_refine_deterministic_power_word():
-    w = parse("x1 x1")
-    nu1 = refine_deterministic(w, nu0(w))
-    assert len(set(nu1.labels)) == 3
+    assert len(set(det_labels(parse("x1 x1"), 1))) == 3
 
 
 def test_refine_labels_match_oracle_exhaustively():
     for w in oracle.reduced_words(2, 6):
         if len(w) == 0:
             continue
-        nu = nu0(w)
         for d in (1, 2):
-            nu = refine_deterministic(w, nu)
+            labels = det_labels(w, d)
             forms = prefix_forms(w, 2, d)
             for i in range(len(w) + 1):
                 for j in range(i, len(w) + 1):
-                    assert (nu.labels[i] == nu.labels[j]) == \
+                    assert (labels[i] == labels[j]) == \
                         (forms[i] == forms[j]), (w.serialize(), d, i, j)
 
 
 def test_true_distinguisher_quotients_fold(rng):
     for _ in range(20):
         w = random_reduced_word(rng, rng.randrange(1, 10), 2)
-        nu = refine_deterministic(w, nu0(w))
-        quotient_by_labeling(PrefixTree([w]), list(nu.labels))
-
-
-def test_seeded_labels_need_not_be_dense(rng):
-    # a seeded labeling is read by its partition only: values too far
-    # apart to pack into edge codes change no refined label and no
-    # fingerprint
-    for trial in range(20):
-        w = random_reduced_word(rng, rng.randrange(2, 30), 2)
-        nu = refine_deterministic(w, nu0(w))
-        sparse = Distinguisher(w, 1, tuple((x << 40) + 3 for x in nu.labels))
-        assert refine_deterministic(w, sparse).labels == \
-            refine_deterministic(w, nu).labels
-        assert fingerprint(w, sparse, random.Random(trial)) == \
-            fingerprint(w, nu, random.Random(trial))
-
-
-def test_fingerprint_increment_matches_direct(rng):
-    # exact squared distances: incremental vs recomputed, 100 random pairs
-    for trial in range(100):
-        w = random_reduced_word(rng, rng.randrange(2, 30), 2)
-        nu_prev = refine_deterministic(w, nu0(w))
-        seed_rng = random.Random(trial)
-        fp = fingerprint(w, nu_prev, seed_rng, cube_bound=len(w) ** 3)
         tree = PrefixTree([w])
-        chain = SupportChain(tree, "det")
-        chain._labels = [np.asarray(nu_prev.labels, dtype=np.int64)]
-        m, eid, dirs = chain.numbering_at(0)
-        assert len(fp.anchor) == m
-        vec = [0] * m
-        direct = [sum(a * a for a in fp.anchor)]
-        nodes = tree.word_nodes[tuple(w.letters)]
-        for v in nodes[1:]:
-            vec[eid[v]] += int(dirs[v])
-            direct.append(sum((x - a) ** 2 for x, a in zip(vec, fp.anchor)))
-        assert list(fp.d2) == direct
-        bound = (len(w) ** 3 + len(w)) ** 2 * len(w)
-        assert all(val <= bound for val in fp.d2)
-
-
-def test_increment_identity_example():
-    # component at -6 stepping away from the anchor adds 2*6 + 1
-    assert (-7) ** 2 - (-6) ** 2 == 13
+        quotient_by_labeling(tree,
+                             SupportChain(tree, "det").labels_at(1).tolist())
 
 
 def test_randomized_refines_coarsely(rng):
-    # true label equality always implies candidate label equality
+    # true label equality always implies candidate label equality, at
+    # every depth of a Monte Carlo chain
     for trial in range(40):
         w = random_reduced_word(rng, rng.randrange(2, 15), 2)
-        nu1 = refine_deterministic(w, nu0(w))
-        true2 = refine_deterministic(w, nu1)
-        cand2 = refine_randomized(w, nu1, random.Random(trial))
-        for i in range(len(w) + 1):
-            for j in range(len(w) + 1):
-                if true2.labels[i] == true2.labels[j]:
-                    assert cand2.labels[i] == cand2.labels[j]
+        tree = PrefixTree([w])
+        true = SupportChain(tree, "det")
+        cand = SupportChain(tree, "mc", rng=random.Random(trial),
+                            cube_bound=len(w) ** 3)
+        for d in (1, 2):
+            t, c = true.labels_at(d).tolist(), cand.labels_at(d).tolist()
+            for i in range(len(w) + 1):
+                for j in range(len(w) + 1):
+                    if t[i] == t[j]:
+                        assert c[i] == c[j], (trial, d)
 
 
 def test_word_problem_examples():
@@ -172,6 +135,42 @@ def test_mc_agreement_rate(rng):
         agree += (det == mc)
     # bound 1 - log3(40)/40 is about 0.916; exact collisions are far rarer
     assert agree / n >= 0.95
+
+
+@pytest.mark.parametrize("d, B", [(2, 100), (3, 1000)])
+def test_mc_error_rate_within_union_bound(d, B):
+    # 2,000 seeded Monte Carlo calls on words of F^(d-1) that the exact
+    # mode certifies nontrivial in S_{2,d}.  Each depth 1..d-1 draws a new
+    # anchor, and each pair of the |w| + 1 prefixes with distinct flows
+    # shares a label with probability at most 1/(B + 1), so a call errs
+    # with probability at most (d - 1) C(|w| + 1, 2) / (B + 1).  The share
+    # of wrong True answers stays within the mean of that bound plus a
+    # sampling margin of three binomial standard deviations.  At these
+    # small bounds some calls do merge distinct classes
+    g = random.Random(d)
+    calls = wrong = merged = 0
+    bound = 0.0
+    while calls < 2000:
+        w = random_trivial_word(g, 2, d - 1, conjugator_len=1, factors=1)
+        if word_problem(w, 2, d):
+            continue
+        tree = PrefixTree([wordproblem._cyclic_core(w)])
+        exact = SupportChain(tree, "det")
+        for _ in range(20):
+            calls += 1
+            wrong += word_problem(w, 2, d, mode="mc",
+                                  rng=random.Random(calls), cube_bound=B)
+            bound += (d - 1) * comb(len(w) + 1, 2) / (B + 1)
+            # the chain word_problem refines, from the same seed; labels
+            # are dense, so fewer classes show in the largest label
+            mc = SupportChain(tree, "mc", rng=random.Random(calls),
+                              cube_bound=B)
+            merged += any(mc.labels_at(k).max() < exact.labels_at(k).max()
+                          for k in range(1, d))
+    p = bound / calls
+    assert p < 1
+    assert merged > 0
+    assert wrong / calls <= p + 3 * sqrt(p * (1 - p) / calls), (wrong, p)
 
 
 def test_mc_seed_determinism():
@@ -223,11 +222,6 @@ def test_length_guard():
         word_problem(w, 2, 2, max_len=10)
 
 
-def test_distinguisher_validation():
-    with pytest.raises(ValueError):
-        Distinguisher(C, 0, (0, 0))
-
-
 def tuple_reference_labels(tree, depth):
     """Labels at depths 1..depth by lexicographic rank of flow tuples.
 
@@ -271,18 +265,6 @@ def test_engine_partition_matches_tuple_reference(rng):
         for d, ref in enumerate(tuple_reference_labels(tree, 3), start=1):
             assert same_partition(chain.labels_at(d).tolist(), ref), \
                 (len(tree), len(words), d)
-
-
-def test_randomized_labels_rank_fingerprint_distances(rng):
-    # refine_randomized and fingerprint draw the same anchors from a seed
-    for n in (1, 2, 3, 10, 100, 700):
-        for seed in range(3):
-            w = random_reduced_word(rng, n, 2)
-            for nu in (nu0(w), refine_deterministic(w, nu0(w))):
-                cand = refine_randomized(w, nu, random.Random(seed))
-                fp = fingerprint(w, nu, random.Random(seed))
-                rank = {x: i for i, x in enumerate(sorted(set(fp.d2)))}
-                assert list(cand.labels) == [rank[x] for x in fp.d2]
 
 
 def _stripped(w: Word) -> tuple[int, ...]:
@@ -390,7 +372,8 @@ def root_path(tree, v):
 
 
 def mc_reference_trees(rng):
-    """(u, v, [u,v]) trees and 1-3 words that share a random prefix."""
+    """(u, v, [u,v]) trees, 1-3 words that share a random prefix, and
+    single words of 1-3 letters."""
     cases = []
     for n in (4, 40, 90):
         u = random_reduced_word(rng, n, 2)
@@ -401,14 +384,17 @@ def mc_reference_trees(rng):
             p = random_reduced_word(rng, rng.randrange(0, 20), 2)
             cases.append([p * random_reduced_word(rng, rng.randrange(1, 80), 2)
                           for _ in range(k)])
+    cases += [[random_reduced_word(rng, n, 2)] for n in (1, 2, 3)]
     return cases
 
 
 def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
                                                             rng):
-    # the engine ranks in K = ceil(bits(B) / lb) limbs of lb = 61 - bits(S)
-    # bits, S the steps of its paths: bounds on both sides of 2^lb and
-    # 2^(2 lb) run it on 1, 2 and 3 limbs, against Python-int distances
+    # the engine ranks <f_v, a>, the signed distance of the flow f_v from
+    # the hyperplane a^perp times |a|, in K = ceil(bits(B) / lb) limbs of
+    # lb = 61 - bits(S) bits, S the steps of its paths: bounds on both
+    # sides of 2^lb and 2^(2 lb) run it on 1, 2 and 3 limbs, against
+    # Python-int forms
     widths = []
     widen = wordproblem._widen_limbs
 
@@ -434,18 +420,20 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
             seed = B % 1009
             chain = SupportChain(tree, "mc", rng=random.Random(seed),
                                  cube_bound=B)
-            chain.want_fingerprint = True
+            redraw = random.Random(seed)
             for d in (1, 2):
                 labels = chain.labels_at(d).tolist()
-                # the engine's own anchors; the distances are computed here
-                anchor = chain.last_fingerprint.anchor
-                assert len(anchor) == chain.numbering_at(d - 1)[0]
+                # the engine's anchors, drawn again from the same seed one
+                # depth at a time; the forms are computed here
+                m = chain.numbering_at(d - 1)[0]
+                anchor = _anchor_ints(_draw_anchors(redraw, B, m))
                 assert all(0 <= a <= B for a in anchor)
-                d2 = [sum((x - a) ** 2 for x, a in
-                          zip(chain.flow_vector(d - 1, path).tolist(), anchor))
-                      for path in paths]
-                rank = {x: i for i, x in enumerate(sorted(set(d2)))}
-                assert labels == [rank[x] for x in d2], (V, B, d)
+                form = [sum(x * a for x, a in
+                            zip(chain.flow_vector(d - 1, path).tolist(),
+                                anchor))
+                        for path in paths]
+                rank = {x: i for i, x in enumerate(sorted(set(form)))}
+                assert labels == [rank[x] for x in form], (V, B, d)
             assert widths == [max(1, -(-B.bit_length() // lb))] * 2
             seen.update(widths)
     assert seen == {1, 2, 3}
@@ -479,7 +467,7 @@ def test_mc_labels_are_pinned_per_seed():
     # a seed fixes every Monte Carlo output; an engine change that moves
     # any of them on purpose updates this digest and says so
     assert _mc_label_digest() == \
-        "982776715380db6c583049341abebf60424abaf923fadf79011a38b0efc29ab5"
+        "dcb42e157acd78cc49a976c68eb171e439c3c264e9e98d447c700903e31f678d"
 
 
 def _det_label_digest():
@@ -770,13 +758,11 @@ def test_numbering_sorts_nothing(monkeypatch):
 
 def test_det_refinement_calls_no_unique_and_counts_no_steps(monkeypatch):
     # a leaf id changes by the step's sign and each pass ranks its ids by
-    # one sort, so neither np.unique nor the per-step counts of
-    # _path_steps are needed
+    # one sort, so neither np.unique nor per-step edge counts are needed
     def forbidden(*args, **kwargs):
         raise AssertionError("called by the deterministic refinement")
 
     monkeypatch.setattr(np, "unique", forbidden)
-    monkeypatch.setattr(SupportChain, "_path_steps", forbidden)
     g = random.Random(4)
     w = random_trivial_word(g, 3, 2) * random_reduced_word(g, 200, 3)
     labels = SupportChain(PrefixTree([w]), "det").labels_at(3)
@@ -860,7 +846,7 @@ def test_zero_flow_iff_next_depth_joins_root_and_end_property(seed, kind, n):
 def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
     # a True from word_problem implies a True from the depth-d labels of a
     # chain with the same seed on the tree it refines, that of w's cyclic
-    # core: zero flow at depth d-1 means equal anchor distances.  With B =
+    # core: zero flow at depth d-1 means equal linear forms.  With B =
     # 1 those labels join the ends of some nontrivial words of F^(d-1)
     # that the flow test rejects
     g = random.Random(17)
