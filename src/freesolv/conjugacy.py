@@ -89,10 +89,21 @@ class SchreierSupport:
     with rep(u) x_s = y^j rep(v) in S_{r,d-1}.  The shift is 0 on an edge
     that created its target and is computed once, on first use, for an
     edge that closes onto an existing coset; (v, -s) gets -j.
+
+    The membership and shift calls take words the support builds, so
+    they are guarded by a limit that follows from max_len, the guard
+    the solver's input passed (|y| < max_len), not by the default one.
+    A call pairs y with g q^-1, where g = rep(u) x_s for a traced edge
+    (u, s) and q is the rep of an existing vertex.  With R the longest
+    rep so far (longest), such a pair has at most 2 R + 1 + |y| < 2 R + 1
+    + max_len letters, the limit it gets.  Each new rep is an old one
+    with a letter added or removed, so R grows by at most one per traced
+    letter.
     """
 
     def __init__(self, y: Word, r: int, d: int, mode: str = "det", rng=None,
-                 cube_bound: int | None = None):
+                 cube_bound: int | None = None,
+                 max_len: int = DEFAULT_MAX_LEN):
         if d < 1:
             raise ValueError("Schreier supports live at depth d-1 >= 0")
         self.y = y
@@ -101,6 +112,8 @@ class SchreierSupport:
         self.mode = mode
         self.rng = rng
         self.cube_bound = cube_bound
+        self.max_len = max_len
+        self.longest = 0  # letters of the longest rep
         self.memo: dict = {}
         self.reps: list[tuple[int, ...]] = [()]
         self.vecs: list[tuple[int, ...]] = [(0,) * r]
@@ -143,7 +156,8 @@ class SchreierSupport:
                       rank=self.r, _reduced=True)
             if member_of_cyclic(gq, self.y, self.r, self.depth,
                                 mode=self.mode, rng=self.rng,
-                                cube_bound=self.cube_bound, memo=self.memo):
+                                cube_bound=self.cube_bound, memo=self.memo,
+                                max_len=self._limit()):
                 hits.append(q)
                 if self.mode == "det":
                     # exact membership never matches two cosets
@@ -154,6 +168,7 @@ class SchreierSupport:
             return hits[0]
         v = len(self.reps)
         self.reps.append(letters)
+        self.longest = max(self.longest, len(letters))
         self.vecs.append(vec)
         bucket.append(v)
         return v
@@ -186,10 +201,15 @@ class SchreierSupport:
             g = concat_reduced(concat_reduced(self.reps[u], (s,)),
                                tuple(-c for c in reversed(self.reps[v])))
             j = power_solve(Word(g, rank=self.r, _reduced=True), self.y,
-                            self.r, self.depth, mode="det").k
+                            self.r, self.depth, mode="det",
+                            max_len=self._limit()).k
             self.shifts[(u, s)] = j
             self.shifts[(v, -s)] = None if j is None else -j
         return v, self.shifts[(u, s)]
+
+    def _limit(self) -> int:
+        """The guard of a membership or shift call (see the class)."""
+        return self.max_len + 2 * self.longest + 1
 
     def lift(self, v: int, j: int) -> Word:
         """y^j rep(v): a word for the vertex at height j over coset v."""
@@ -708,7 +728,8 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
                        max_len: int) -> ConjugacyResult:
     """Scan the shifts gamma_c = y_i x[:c]^-1, c = 0..|x|, in order, for
     one whose trace on the support (d >= 3) has the flow of y."""
-    sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound)
+    sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound,
+                          max_len=max_len)
     flow_y = sup.y_flow
     if not flow_y:
         # pi_y = 0 on Sch_{d-1}(y) holds only for y = 1 in S_{r,d}

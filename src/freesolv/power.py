@@ -138,11 +138,9 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
             D = min(d, 1 + _log3_floor(n))
             tree = PrefixTree([u, v])
             chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
-            # word_nodes keeps insertion order: u's path first and v's
-            # last, one path when u = v; looking them up would hash the
-            # letter tuples again
-            paths = list(tree.word_nodes.values())
-            u_nodes, v_nodes = paths[0], paths[-1]
+            # paths keeps insertion order: u's path first and v's last,
+            # one path when u = v
+            u_nodes, v_nodes = tree.paths[0], tree.paths[-1]
             # below d the cap D never truncates a nonempty word's
             # triviality depth (|w| >= 3^s forces s <= log3 |w| < D)
             if s is None:
@@ -183,11 +181,13 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
 
 def member_of_cyclic(g: Word, y: Word, r: int, d: int, mode: str = "det",
                      rng=None, cube_bound: int | None = None,
-                     memo: dict | None = None) -> bool:
+                     memo: dict | None = None,
+                     max_len: int = DEFAULT_MAX_LEN) -> bool:
     """Is g in the cyclic subgroup <y> of S_{r,d}?
 
     Results are memoized on the freely reduced g when a table is passed;
     conjugacy reuses one table across its many membership queries.
+    max_len guards |g| + |y| as in power_solve.
     """
     if memo is not None:
         key = (g.letters, y.letters, r, d)
@@ -195,7 +195,7 @@ def member_of_cyclic(g: Word, y: Word, r: int, d: int, mode: str = "det",
         if hit is not None:
             return hit
     res = power_solve(g, y, r, d, mode=mode, rng=rng,
-                      cube_bound=cube_bound).found
+                      cube_bound=cube_bound, max_len=max_len).found
     if memo is not None:
         memo[key] = res
     return res

@@ -17,13 +17,15 @@ The Monte Carlo step ranks a random linear form <f, a> of the flows,
 with the anchor a uniform on the cube [0, B]^m, trading a small
 one-sided error for vectorized integer work: equal flows never split,
 and two distinct flows meet with probability at most 1/(B + 1)
-(Schwartz-Zippel).  The forms are running sums along the same paths,
-split into anchor limbs of lb = 61 - bits(S) bits for the S steps, so
-that every sum stays below S 2^lb < 2^61, an exact int64 for any cube
-bound, and ranked limb by limb with one _dense_rank each; below about
-2^15 letters |w|^3 fits one limb.  The anchors come from one getrandbits
-call of the caller's random.Random per refinement, in 30-bit limbs with
-the components above the cube bound redrawn, so a seed fixes every Monte
+(Schwartz-Zippel).  The forms are running sums over the tree's nodes in
+index order, with no root-path cover: each later block of nodes is
+shifted to start from its attach node.  They are split into anchor limbs
+of lb = 61 - bits(V - 1) bits for the V nodes, so that every sum stays
+below (V - 1) 2^lb < 2^61, an exact int64 for any cube bound, and ranked
+limb by limb with one _dense_rank each; below about 2^15 letters |w|^3
+fits one limb.  The anchors come from one getrandbits call of the
+caller's random.Random per refinement, in 30-bit limbs with the
+components above the cube bound redrawn, so a seed fixes every Monte
 Carlo output independently of the numpy version and of the limb width.
 
 word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
@@ -110,14 +112,16 @@ class SupportChain:
     def _euler_tour(self):
         """Root paths of the tree's words, concatenated: (nodes, starts).
 
-        The name is historical; there is no tour any more.  Every node of
-        a PrefixTree is a prefix of one of its words, so these paths
-        cover the tree with down-steps only; both refinement engines work
-        on these S steps.  Path i, without its root, is
+        Only the deterministic engine works on these S steps; the Monte
+        Carlo engine needs no cover.  The name is historical, as there is
+        no tour any more; benchmark/layers.py wraps this method by name,
+        so a rename must change both.  Every node of a PrefixTree is a
+        prefix of one of its words, so these paths cover the tree with
+        down-steps only.  Path i, without its root, is
         nodes[starts[i]:starts[i + 1]].
         """
         if self._paths is None:
-            paths = [p[1:] for p in self.tree.word_nodes.values()]
+            paths = [p[1:] for p in self.tree.paths]
             starts = np.cumsum([0] + [len(p) for p in paths])
             self._paths = (np.concatenate([starts[:0], *paths]), starts)
         return self._paths
@@ -175,7 +179,7 @@ class SupportChain:
         """Flow of a root path on the depth-d quotient graph.
 
         nodes lists the path's nodes from the root, as the int64 arrays of
-        tree.word_nodes do.  One np.bincount sums the +-1 steps per edge
+        tree.paths do.  One np.bincount sums the +-1 steps per edge
         in float64, exactly, since a flow component is at most the path
         length, below 2^53.
         """
@@ -284,41 +288,50 @@ class SupportChain:
           <f_v, a> = sum_k 2^(lb k) <f_v, a_k>,
 
         where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a, and
-        lb = 61 - bits(S) for the S steps of the _euler_tour paths.  Equal
-        flows never split.  Distinct flows f != f' meet only when
-        <f - f', a> = 0, a linear equation in a with a nonzero
-        coefficient, so with probability at most 1/(B + 1) (Schwartz 1980;
-        Zippel 1979).  Along the paths each step moves one flow component
-        by +-1, so the limb L_k = <f_v, a_k> is the running sum of
-        s a_k[edge], s the step's sign.  The sums run over all S steps at
-        once and take off each path's start: a term is below 2^lb in size,
-        so every partial sum stays below S 2^lb < 2^61, an exact int64 for
-        any cube bound (lb >= 30, as _widen_limbs needs, while S < 2^31).
-        Carries bring L_0..L_{K-2} into [0, 2^lb).  The labels are dense
-        ranks, taken limb by limb from the top: the rank of L_{K-1}, then
-        for each lower limb the rank of (rank << lb) | L_k, below 2^61
-        because ranks are below V <= S + 1.  Carried limbs in any radix
-        order the same integers, so lb changes no label; with B < 2^lb
-        (|w|^3 for |w| up to about 2^15 letters) K = 1 and the rank is one
-        _dense_rank.
+        lb = 61 - bits(V - 1) for the V nodes.  Equal flows never split.
+        Distinct flows f != f' meet only when <f - f', a> = 0, a linear
+        equation in a with a nonzero coefficient, so with probability at
+        most 1/(B + 1) (Schwartz 1980; Zippel 1979).  The edge into node v
+        moves its parent's flow by s in one component, s the edge's sign,
+        so the limb L_k = <f_v, a_k> is its parent's plus s a_k[edge].  The
+        PrefixTree numbers parents before children in blocks, each node of
+        a block but the first a child of the node before it, so one running
+        sum over the nodes 1..V-1 in index order gives every limb of the
+        first block; each later block, in block order, is then shifted by
+        its attach node's value less the raw sum just before the block.
+        A term is below 2^lb in size, so every partial sum stays below
+        (V - 1) 2^lb < 2^61, an exact int64 for any cube bound (lb >= 30,
+        as _widen_limbs needs, while V <= 2^31).  A word_problem tree is
+        one block, a power_solve probe tree at most two.  Carries bring
+        L_0..L_{K-2} into [0, 2^lb).  The labels are dense ranks, taken
+        limb by limb from the top: the rank of L_{K-1}, then for each
+        lower limb the rank of (rank << lb) | L_k, below 2^61 because
+        ranks are below V.  Carried limbs in any radix order the same
+        integers, so lb changes no label; with B < 2^lb (|w|^3 for |w|
+        up to about 2^15 letters) K = 1 and the rank is one _dense_rank.
         """
         m, eid, dirs = self.numbering_at(depth)
-        nodes, starts = self._euler_tour()
-        path_start = np.repeat(starts[:-1], np.diff(starts))
-        edge, sign = eid[nodes], dirs[nodes]
-        lb = 61 - len(nodes).bit_length()
+        V, parents = self.V, self.tree.parents
+        lb = 61 - (V - 1).bit_length()
         anchor = _widen_limbs(_draw_anchors(self.rng, self.cube_bound, m),
                               lb, self.cube_bound)
         K = len(anchor)
-        limbs = np.empty((K, len(nodes)), dtype=np.int64)
+        at = np.zeros((K, V), dtype=np.int64)  # the root sits at 0
+        edge, sign = eid[1:], dirs[1:]
         for k in range(K):
-            total = np.cumsum(sign * anchor[k][edge])
-            limbs[k] = total - np.concatenate(([0], total))[path_start]
+            row = at[k, 1:]
+            np.take(anchor[k], edge, out=row)
+            row *= sign
+            np.cumsum(row, out=row)
+        # the nodes whose parent is not the node before them start blocks
+        starts = np.flatnonzero(parents[1:] != np.arange(V - 1)) + 1
+        raw = at[:, starts - 1]  # the sums just before them, unshifted
+        for b, e, before in zip(starts.tolist(), [*starts[1:].tolist(), V],
+                                raw.T):
+            at[:, b:e] += (at[:, parents[b]] - before)[:, None]
         for k in range(K - 1):
-            limbs[k + 1] += limbs[k] >> lb
-            limbs[k] &= (1 << lb) - 1
-        at = np.zeros((K, self.V), dtype=np.int64)  # the root sits at 0
-        at[:, nodes] = limbs
+            at[k + 1] += at[k] >> lb
+            at[k] &= (1 << lb) - 1
         labels = _dense_rank(at[K - 1])
         for k in range(K - 2, -1, -1):
             labels = _dense_rank((labels << lb) | at[k])
@@ -474,7 +487,7 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
         return False
     tree = PrefixTree([core])
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
-    (path,) = tree.word_nodes.values()
+    (path,) = tree.paths
     # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d
     # settles False.  Monte Carlo labels never split equal prefixes, so
     # each quotient edge is the image of the true edges it keys, and a

@@ -27,7 +27,11 @@ class PrefixTree:
 
     Node 0 is the root; every other node was created by extending its
     parent with one signed letter.  Words never backtrack (they are
-    reduced), so the tree is folded as an X-digraph.
+    reduced), so the tree is folded as an X-digraph.  Each added word's
+    fresh suffix is one block of consecutive nodes: the block's first
+    node hangs off an older node, its attach node, and every later node
+    off the node just before it.  paths lists the node path of each
+    distinct word, in insertion order.
     """
 
     def __init__(self, words: Iterable[Word] = ()):
@@ -35,8 +39,8 @@ class PrefixTree:
         self._parents = [np.array([-1], dtype=np.int64)]
         self._letters = [np.zeros(1, dtype=np.int64)]
         self._size = 1
-        self.word_nodes: dict[tuple[int, ...], np.ndarray] = {}
-        self._sorted: list[tuple[int, ...]] = []  # word_nodes keys, sorted
+        self.paths: list[np.ndarray] = []
+        self._sorted: list[tuple[int, ...]] = []  # the words' letters, sorted
         self._sorted_paths: list[np.ndarray] = []  # their paths, in step
         for w in words:
             self.add_word(w)
@@ -65,8 +69,8 @@ class PrefixTree:
         to there; the rest of w is one fresh branch, appended as a block.
         Nodes are numbered in insertion order, parents before children.
         The bisection also finds a word already inserted, and the sorted
-        paths sit beside the sorted words, so a word is hashed once, when
-        it is stored, and its letters become an array in one C-level step.
+        paths sit beside the sorted words, so a word is never hashed, and
+        its letters become an array in one C-level step.
         """
         key = w.letters
         at = bisect_left(self._sorted, key)
@@ -88,7 +92,7 @@ class PrefixTree:
             self._size += n
         self._sorted.insert(at, key)
         self._sorted_paths.insert(at, path)
-        self.word_nodes[key] = path
+        self.paths.append(path)
         return path
 
 

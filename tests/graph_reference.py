@@ -243,7 +243,7 @@ def edge_numbering(tree: PrefixTree,
     """
     quotient_by_labeling(tree, labeling)  # fold check only
     m, eid, dirs = number_tree_edges(tree, labeling)
-    (nodes,) = tree.word_nodes.values()
+    (nodes,) = tree.paths
     return [dirs[v] * (eid[v] + 1) for v in nodes[1:]]
 
 

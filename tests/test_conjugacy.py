@@ -711,6 +711,49 @@ def test_check_words_get_limits_from_max_len(monkeypatch):
         conjugacy_solve(x, y, 2, 2, max_len=len(x) + len(y))
 
 
+@pytest.mark.parametrize("guard", [None, 1 << 22])
+def test_support_calls_get_limits_from_max_len(monkeypatch, guard):
+    # SchreierSupport's membership and shift calls take words it builds,
+    # so each gets max_len + 2 R + 1, R its longest rep at the call: above
+    # the call's |g| + |y|, and from max_len, not the default guard, both
+    # for the tightest max_len and for one above the default.  The pairs
+    # need repair at d = 3, so both kinds of call occur
+    calls, supports = [], []
+    init = SchreierSupport.__init__
+
+    def spy_init(self, *args, **kwargs):
+        supports.append(self)
+        init(self, *args, **kwargs)
+
+    def spy(name):
+        fn = getattr(conjugacy, name)
+
+        def call(g, y, *args, max_len, **kwargs):
+            reps = supports[-1].reps
+            calls.append((name, len(g) + len(y), max_len,
+                          max(map(len, reps))))
+            return fn(g, y, *args, max_len=max_len, **kwargs)
+        return call
+
+    monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
+    for name in ("member_of_cyclic", "power_solve"):
+        monkeypatch.setattr(conjugacy, name, spy(name))
+    n = commutator(C, commutator(parse("x1"), parse("X2")))
+    kinds = set()
+    for b in ("x1", "x2", "x1 x2", "x1 X2 x1"):
+        x, y = n * parse(b) * ~n, parse(b)
+        for u, v in ((x, y), (y, x)):
+            max_len = guard or len(u) + len(v) + 1
+            calls.clear()
+            res = conjugacy_solve(u, v, 2, 3, max_len=max_len)
+            assert res.conjugate
+            assert conjugation_verified(res.witness, u, v, 2, 3)
+            for name, size, limit, longest in calls:
+                assert size < limit == max_len + 2 * longest + 1
+                kinds.add(name)
+    assert kinds == {"member_of_cyclic", "power_solve"}
+
+
 def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,
                                                                rng):
     # with chi = 1 every cut hits and every invariant matches: the exact

@@ -33,7 +33,7 @@ def triviality_depth(w, r, cap):
     depth probe; the empty word reports cap."""
     assert w.rank <= r
     tree = PrefixTree([w])
-    path = tree.word_nodes[w.letters]
+    (path,) = tree.paths
     return power._first_nontrivial_depth(SupportChain(tree), path, len(w), cap)
 
 

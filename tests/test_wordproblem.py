@@ -31,7 +31,7 @@ def prefix_forms(w, r, d):
 def det_labels(w, d):
     """Exact labels of the prefixes of w at depth d, in prefix order."""
     tree = PrefixTree([w])
-    (path,) = tree.word_nodes.values()
+    (path,) = tree.paths
     return SupportChain(tree, "det").labels_at(d)[path].tolist()
 
 
@@ -336,8 +336,8 @@ def test_word_problem_builds_the_tree_of_the_cyclic_core(monkeypatch, rng):
                 assert len(trees) == (3 ** d <= len(core))
                 if trees:
                     assert len(trees[0]) == len(core) + 1
-                    (path,) = trees[0].word_nodes
-                    assert path == core
+                    (path,) = trees[0].paths
+                    assert tuple(trees[0].letters[path[1:]].tolist()) == core
                     assert bounds == [len(x) ** 3 if mode == "mc" else None]
             with pytest.raises(LengthGuardError):
                 word_problem(x, 2, d, max_len=len(x))
@@ -371,10 +371,38 @@ def root_path(tree, v):
     return path[::-1]
 
 
+def _branch(rng, letters, n, avoid):
+    """The letters and n more random ones, reduced, the first not avoid."""
+    out = list(letters)
+    for i in range(n):
+        out.append(rng.choice([s for s in (1, -1, 2, -2)
+                               if (not out or s != -out[-1])
+                               and (i or s != avoid)]))
+    return Word(tuple(out))
+
+
+def nested_words(rng):
+    """Four words, each leaving the one before inside that word's own
+    fresh branch, so each block attaches to the block before it; then a
+    prefix of the third and a repeat of the first, which add no block; a
+    branch off that prefix's end, in an older block; and an extension of
+    that branch, whose block starts right after its attach node."""
+    words = [_branch(rng, (), 40, None)]
+    cut = 0
+    for _ in range(3):
+        prev = words[-1].letters
+        cut = rng.randrange(cut + 1, len(prev))
+        words.append(_branch(rng, prev[:cut], rng.randrange(1, 30),
+                             prev[cut]))
+    p = words[2].letters[:rng.randrange(1, len(words[2]))]
+    q = _branch(rng, p, 5, words[2].letters[len(p)])
+    return words + [Word(p), words[0], q, _branch(rng, q.letters, 5, None)]
+
+
 def mc_reference_trees(rng):
-    """(u, v, [u,v]) trees, 1-3 words that share a random prefix, and
-    single words of 1-3 letters."""
-    cases = []
+    """(u, v, [u,v]) trees, 1-3 words that share a random prefix, single
+    words of 1-3 letters, and trees of nested branches (nested_words)."""
+    cases = [nested_words(rng) for _ in range(3)]
     for n in (4, 40, 90):
         u = random_reduced_word(rng, n, 2)
         v = random_reduced_word(rng, max(1, n // 3), 2)
@@ -392,9 +420,9 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
                                                             rng):
     # the engine ranks <f_v, a>, the signed distance of the flow f_v from
     # the hyperplane a^perp times |a|, in K = ceil(bits(B) / lb) limbs of
-    # lb = 61 - bits(S) bits, S the steps of its paths: bounds on both
-    # sides of 2^lb and 2^(2 lb) run it on 1, 2 and 3 limbs, against
-    # Python-int forms
+    # lb = 61 - bits(V - 1) bits for the V nodes: bounds on both sides of
+    # 2^lb and 2^(2 lb) run it on 1, 2 and 3 limbs, against Python-int
+    # forms, on trees of one block and of nested blocks
     widths = []
     widen = wordproblem._widen_limbs
 
@@ -408,12 +436,11 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
     for words in mc_reference_trees(rng):
         tree = PrefixTree(words)
         V = len(tree)
-        # the engine walks only the word paths: they must cover the tree
-        assert {v for p in tree.word_nodes.values() for v in p} == \
-            set(range(V))
+        # the deterministic engine walks only the word paths: they must
+        # cover the tree
+        assert {v for p in tree.paths for v in p} == set(range(V))
         paths = [root_path(tree, v) for v in range(V)]
-        lb = 61 - sum(len(p) - 1 for p in tree.word_nodes.values()) \
-            .bit_length()
+        lb = 61 - (V - 1).bit_length()
         for B in (1, V ** 3, 2 ** lb - 1, 2 ** lb, 2 ** (2 * lb) - 1,
                   2 ** (2 * lb), 2 ** 59 + 7, 2 ** 75 + 1, 2 ** 100):
             widths.clear()
@@ -672,7 +699,7 @@ def test_zero_flows_get_the_root_label(rng):
             tree = PrefixTree(words)
             labels = SupportChain(tree, "det").labels_at(d)
             for x in words:
-                end = tree.word_nodes[tuple(x.letters)][-1]
+                end = tree.add_word(x)[-1]
                 assert labels[end] == labels[0], (d, x.serialize())
 
 
@@ -835,7 +862,7 @@ def test_zero_flow_iff_next_depth_joins_root_and_end_property(seed, kind, n):
          else random_trivial_word(g, 2, kind))
     tree = PrefixTree([w])
     chain = SupportChain(tree, "det")
-    (path,) = tree.word_nodes.values()
+    (path,) = tree.paths
     for k in range(3):
         labels = chain.labels_at(k + 1)
         assert (not chain.flow_vector(k, path).any()) == \
@@ -864,7 +891,7 @@ def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
         chain = SupportChain(tree, "mc", rng=random.Random(seed),
                              cube_bound=B)
         labels = chain.labels_at(d)
-        ref = labels[0] == labels[tree.word_nodes[core.letters][-1]]
+        ref = labels[0] == labels[tree.add_word(core)[-1]]
         if says:
             assert ref, (seed, d)
         fewer_errors += ref and not says
@@ -891,3 +918,22 @@ def test_word_problem_memory_is_linear():
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20, (r, peak)
+
+
+def test_mc_word_problem_memory_is_linear():
+    # a 16k-letter word of F^(3), decided by Monte Carlo at d = 3, refines
+    # depths 1 and 2 within 2.4 MB of traced allocations, the room of
+    # about 19 int64 arrays over its nodes: the linear forms are summed
+    # over the nodes in place, with no root-path cover (that took 2.76 MB)
+    g = random.Random(3)
+    w = Word((), rank=2)
+    while len(w) < 1 << 14:
+        w = w * random_trivial_word(g, 2, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert word_problem(w, 2, 3, mode="mc", rng=random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 2 ** 20, peak
