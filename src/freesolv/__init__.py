@@ -1,9 +1,10 @@
 """Decision procedures for free solvable groups S_{r,d}.
 
-Word, power (cyclic membership) and conjugacy problems, each in an exact
-deterministic flavor and a faster seeded Monte Carlo flavor.  The engines
-behind them (SupportChain, SchreierSupport) stay importable from their
-own modules, and freesolv.oracle holds the independent Magnus-embedding /
+Word and power (cyclic membership) problems, each in an exact
+deterministic flavor and a faster seeded Monte Carlo flavor, and the
+conjugacy problem, exact in both modes.  The engines behind them
+(SupportChain, SchreierSupport) stay importable from their own modules,
+and freesolv.oracle holds the independent Magnus-embedding /
 Fox-derivative oracle that `freesolv selftest` checks the solvers against.
 """
 

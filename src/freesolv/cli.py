@@ -28,7 +28,6 @@ from .words import (ParseError, Word, commutator, parse, random_reduced_word,
 from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
 from .power import power_solve
 from .conjugacy import conjugacy_solve
-from .xdigraph import FoldConflict
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -163,12 +162,17 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
       problem decides on its cyclic core, c v c' v^-1 less the few letters
       that the start of c may share with v, about 2n/3 letters (for u =
       v^2 c the core would be c alone).
-    conj: conjugate pair perturbed by a commutator: abelianizations match
-      but the pair is generically not conjugate for d >= 2.  At d >= 3 the
-      shift loop runs in full; at d = 2 the flows of x and y differ in the
-      translation invariant of their hashes, so the solve is one pass over
-      each word and traces no shift (the answer never depends on the hash
-      constants).
+    conj: y = z x z^-1 c with |x| about n/3, |z| about n/6 and c a
+      commutator nested k = max(d-1, 1) deep over random leaves of about
+      n / (3 4^k) letters, so c lies in F^(k) and has about n/3 letters.
+      At d = 2, c is any nonempty commutator: the flows of x and y differ
+      in the translation invariant of their hashes, so the solve is one
+      pass over each word and traces no shift (the answer never depends
+      on the hash constants).  At d >= 3, c is drawn until it is
+      nontrivial in S_{r,d}: x and y are conjugate in S_{r,d-1}, so the
+      hash invariant cannot answer, and the solve builds the coset graph
+      of <y> at depth d-1 and traces the cuts the hash lets through on
+      it, the depth-d path.
     All families need r >= 2: every commutator in rank 1 is trivial.
     """
     if r < 2:
@@ -191,11 +195,19 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
     if problem == "conj":
         x = random_reduced_word(rng, max(1, n // 3), r)
         z = random_reduced_word(rng, max(1, n // 6), r)
+        k = max(d - 1, 1)
+        leaf = max(1, n // (3 * 4 ** k))
+
+        def nested(depth: int) -> Word:
+            if depth == 0:
+                return random_reduced_word(rng, leaf, r)
+            return commutator(nested(depth - 1), nested(depth - 1))
+
         while True:
-            a = random_reduced_word(rng, max(1, n // 12), r)
-            b = random_reduced_word(rng, max(1, n // 12), r)
-            c = commutator(a, b)
-            if len(c) > 0:
+            c = nested(k)
+            # c is trivial in S_{r,1}; at d = 2 any nonempty c keeps the
+            # instances of the committed d = 2 table
+            if not word_problem(c, r, d) if d > 2 else len(c) > 0:
                 break
         y = (z * x * ~z) * c
         return (x, y)
@@ -313,6 +325,8 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
     are checked both ways (_power_agrees), on exact powers and on pairs
     that are mostly no powers, with v generic or in F', so both the
     exponent-vector path and the support path of power_solve are met.
+    Conjugate pairs z x z^-1 must answer Yes at d = 2, and at d = 3 with
+    a witness whose Magnus form conjugates x to y.
     """
     bad = 0
     total = 0
@@ -355,6 +369,17 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
             bad += 1
             if verbose:
                 print(f"conj missed: {x.serialize()} ~ {y.serialize()}")
+    for _ in range(40):
+        x = random_reduced_word(rng, rng.randrange(1, 6), 2)
+        z = random_reduced_word(rng, rng.randrange(0, 5), 2)
+        y = z * x * ~z
+        total += 1
+        res = conjugacy_solve(x, y, 2, 3)
+        if not (res.conjugate and oracle.is_trivial(
+                res.witness * x * ~res.witness * ~y, 2, 3)):
+            bad += 1
+            if verbose:
+                print(f"conj d=3 missed: {x.serialize()} ~ {y.serialize()}")
     if verbose:
         print(f"selftest: {total} checks, {bad} mismatches")
     return bad
@@ -431,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (LengthGuardError, oracle.OracleLimitError, FoldConflict) as exc:
+    except (LengthGuardError, oracle.OracleLimitError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ParseError, ValueError) as exc:

@@ -2,24 +2,31 @@
 
 Two nontrivial words are conjugate exactly when some shift gamma_c =
 y_i x[:c]^{-1} of x, 0 <= c <= |x|, defines the same flow as y on the
-coset graph of <y> in S_{r,d-1}.  No coset graph is built at d <= 2: at
-d = 1, Z^r is abelian and equal exponent vectors decide.  At d >= 3 a
-support builds it lazily, finding cosets with the cyclic-membership
-solver, and the shifts are traced in order until one matches.
+coset graph of <y> in S_{r,d-1}.  At d = 1, Z^r is abelian and equal
+exponent vectors decide.  At every d >= 2 one exact path runs: a hash of
+flows on Cay(A), A = Z^r / Z ab(y), sieves the cuts c, and one loop
+tests the cuts it lets through, in order, on the coset graph itself.
 
-At d = 2 the coset graph is the Cayley graph of A = Z^r / Z ab(y), and
-every translation of A is an automorphism of it: gamma_c x gamma_c^{-1}
-has the flow F_x of x translated by b_c = ab(y_i) - ab(x[:c]).  A linear
-hash H(F) = sum of val * rho_s * chi(source) over the edges of F, for a
-character chi of A, turns that translation into a product, H(T_b F) =
-chi(b) H(F).  So H_chi(F) H_chi^{-1}(F) is a translation invariant: when
-x and y differ in it, no shift matches and the answer is No after one
-pass over each word.  Otherwise only the cuts with chi(b_c) H(F_x) =
-H(F_y) are compared exactly, as translates of F_x on Cay(A): the first
-that matches is the shift the scan of every cut finds, and the witness
-when it conjugates x to y on the nose (checked on Cay(Z^r)).  The hash
-steers work and never decides a Yes, so answers never depend on its
-constants: a collision costs one extra comparison.
+At d = 2 the coset graph is Cay(A), and every translation of A is an
+automorphism of it: gamma_c x gamma_c^{-1} has the flow F_x of x
+translated by b_c = ab(y_i) - ab(x[:c]).  A linear hash H(F) = sum of
+val * rho_s * chi(source) over the edges of F, for a character chi of A,
+turns that translation into a product, H(T_b F) = chi(b) H(F).  So
+H_chi(F) H_chi^{-1}(F) is a translation invariant: when x and y differ
+in it, no shift matches and the answer is No after one pass over each
+word.  Otherwise only the cuts with chi(b_c) H(F_x) = H(F_y) are
+compared exactly.  The hash steers work and never decides a Yes, so
+answers never depend on its constants: a collision costs one extra
+comparison.
+
+At d >= 3 the same hash sieves the cuts.  Conjugate elements of S_{r,d}
+are conjugate in S_{r,2}, so a differing invariant is an exact No at any
+depth.  The map <y>g -> ab(g) + Z ab(y) sends the coset graph of <y> in
+S_{r,d-1} onto Cay(A) and pushes walks and their flows forward, so a cut
+whose shift has the flow of y at depth d-1 is a hash hit, and the first
+hit that matches is the first matching cut of a scan of every cut.  The
+hits are traced on a support, built lazily, that finds cosets with the
+exact cyclic-membership solver.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
@@ -28,9 +35,8 @@ The repair solves h - h^y = delta for the leftover flow delta on the
 Cayley graph of S_{r,d-1}, realizes the solution as a product of based
 cycle words, and prepends it.  It reads one of two coset graphs of <y>
 with edge heights: the support at d >= 3, the coded Cay(Z^r) at d = 2.
-Every step that can answer Yes is exact; Monte Carlo mode randomizes
-only coset membership at d >= 3, so at d <= 2 it gives the
-deterministic answer.
+Every step is exact, so the Monte Carlo mode gives the deterministic
+answer at every depth.
 """
 
 from __future__ import annotations
@@ -38,11 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import Word, concat_reduced
-from .xdigraph import FoldConflict
 from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
 from .power import member_of_cyclic, power_solve
-
-_MC_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,10 @@ class SchreierSupport:
     Vertices are right cosets <y>g in S_{r,d-1}, keyed by their image in
     Z^r / Z ab(y).  Equal keys are necessary for equal cosets at every
     depth and exact at depth d-1 <= 1, where that quotient is S_{r,d-1}/<y>
-    itself; deeper, a bucket's candidates q are told apart by membership
-    tests g q^-1 in <y>.  Tracing follows existing edges for free and only
-    locates cosets on missing ones.
+    itself; deeper, a bucket's candidates q are told apart by exact
+    membership tests g q^-1 in <y>, so the first that holds is the coset.
+    Tracing follows existing edges for free and only locates cosets on
+    missing ones.
 
     One coset table holds, per vertex v, its representative rep(v) and
     that word's exponent vector, and, per edge (u, s) to v, the shift j
@@ -101,17 +105,13 @@ class SchreierSupport:
     letter.
     """
 
-    def __init__(self, y: Word, r: int, d: int, mode: str = "det", rng=None,
-                 cube_bound: int | None = None,
+    def __init__(self, y: Word, r: int, d: int,
                  max_len: int = DEFAULT_MAX_LEN):
         if d < 1:
             raise ValueError("Schreier supports live at depth d-1 >= 0")
         self.y = y
         self.r = r
         self.depth = d - 1
-        self.mode = mode
-        self.rng = rng
-        self.cube_bound = cube_bound
         self.max_len = max_len
         self.longest = 0  # letters of the longest rep
         self.memo: dict = {}
@@ -126,9 +126,7 @@ class SchreierSupport:
         self.y_path, self.y_flow = self.trace(y)
         if self.y_path[-1] != 0:
             # <y> y = <y>, so a correct construction closes the cycle
-            if mode == "mc":
-                raise FoldConflict("membership noise broke the base cycle")
-            raise AssertionError("deterministic y-trace failed to close")
+            raise AssertionError("the y-trace failed to close")
 
     # -- coset bookkeeping -------------------------------------------------
 
@@ -149,23 +147,13 @@ class SchreierSupport:
         bucket = self.buckets.setdefault(self._bucket_key(vec), [])
         if bucket and self.depth <= 1:
             return bucket[0]  # the key is the coset itself
-        hits = []
         for q in bucket:
             gq = Word(concat_reduced(letters,
                                      tuple(-s for s in reversed(self.reps[q]))),
                       rank=self.r, _reduced=True)
-            if member_of_cyclic(gq, self.y, self.r, self.depth,
-                                mode=self.mode, rng=self.rng,
-                                cube_bound=self.cube_bound, memo=self.memo,
+            if member_of_cyclic(gq, self.y, self.r, self.depth, memo=self.memo,
                                 max_len=self._limit()):
-                hits.append(q)
-                if self.mode == "det":
-                    # exact membership never matches two cosets
-                    return q
-        if len(hits) > 1:
-            raise FoldConflict("membership noise merged two cosets")
-        if hits:
-            return hits[0]
+                return q
         v = len(self.reps)
         self.reps.append(letters)
         self.longest = max(self.longest, len(letters))
@@ -183,9 +171,7 @@ class SchreierSupport:
         tgt = self._locate_or_add(nxt, _moved(self.vecs[u], s))
         back = self.out.get((tgt, -s))
         if back is not None and back != u:
-            if self.mode == "mc":
-                raise FoldConflict("membership noise unfolded the graph")
-            raise AssertionError("deterministic support lost foldedness")
+            raise AssertionError("the support lost foldedness")
         self.out[(u, s)] = tgt
         self.out[(tgt, -s)] = u
         if tgt == created:  # rep(u) x_s reduces to rep(tgt) itself
@@ -194,8 +180,10 @@ class SchreierSupport:
 
     def arc(self, u: int, s: int) -> tuple[int, int | None]:
         """Target v of the edge (u, s) and its shift j: rep(u) x_s =
-        y^j rep(v) in S_{r,d-1}, or None (only under Monte Carlo noise).
-        A closing edge gets j once, from one exact power problem."""
+        y^j rep(v) in S_{r,d-1}.  A closing edge gets j once, from one
+        exact power problem; j is None only if the support put two
+        cosets in one vertex, an internal fault that _witness_repair
+        reports."""
         v = self._step(u, s)
         if (u, s) not in self.shifts:
             g = concat_reduced(concat_reduced(self.reps[u], (s,)),
@@ -272,13 +260,13 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
     The check word z x z^-1 y^-1 is built here, not given, so it is
     checked under a limit that follows from max_len, not under the input
     guard.  Every circuit has at least one edge, so with L the longest
-    lift |z| <= |gamma| + |h|_1 (2 L + 1) at every depth, Monte Carlo
-    noise included; with |gamma| <= n < max_len the check word then has
-    fewer than (2 |h|_1 + 3) (2 max(max_len, L) + 1) letters, the limit
-    it gets.  At d = 2, L <= n + 1 <= max_len.
+    lift |z| <= |gamma| + |h|_1 (2 L + 1) at every depth; with |gamma|
+    <= n < max_len the check word then has fewer than (2 |h|_1 + 3)
+    (2 max(max_len, L) + 1) letters, the limit it gets.  At d = 2, L <=
+    n + 1 <= max_len.
 
-    Returns None when the premise fails, which only happens under Monte
-    Carlo membership noise; callers treat that as an inconclusive trial.
+    Returns None when the premise fails, which only a faulty coset graph
+    can cause: the caller raises AssertionError on it.
     """
     w = gamma * x * ~gamma
 
@@ -289,7 +277,7 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
         for s in u.letters:
             nxt, j = graph.arc(v, s)
             if j is None:
-                return None  # coset bookkeeping was wrong (Monte Carlo noise)
+                return None  # the coset bookkeeping was wrong
             key = (v, height, s) if s > 0 else (nxt, height + j, -s)
             val = flow.get(key, 0) + (1 if s > 0 else -1)
             if val:
@@ -336,7 +324,7 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
         bal[tail] = bal.get(tail, 0) + abs(val)
         bal[head] = bal.get(head, 0) - abs(val)
     if any(bal.values()):
-        return None  # h is not a circulation: premise was noise
+        return None  # h is not a circulation: the premise failed
 
     # one circuit per component, from its least vertex: each exhausts the
     # component, so the bases come in sorted order
@@ -383,7 +371,7 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
     return _witness_repair(x, y, gamma, graph, r, d, max_len)
 
 
-# -- d = 2: translates of one flow -----------------------------------------
+# -- Cay(A): translates of one flow ----------------------------------------
 
 _P = (1 << 61) - 1            # hashes live in F_p, p a Mersenne prime
 _G = 37                       # a primitive root mod _P
@@ -393,7 +381,8 @@ _W = 1 << 21                  # spreads t over the generators at rank >= 3
 
 
 class _FlowHash:
-    """Hashes of the flows of x and y on Cay(A), A = Z^m / Z ab(y), at d = 2.
+    """Hashes of the flows of x and y on Cay(A), A = Z^m / Z ab(y), the
+    sieve of the shift loop at every d >= 2.
 
     The character is chi(v) = G^(t.v) with t.ab(y) = 0 over Z, so it is
     well defined on A.  Off the pivot of ab(y) (its first nonzero entry),
@@ -401,8 +390,8 @@ class _FlowHash:
     and the pivot takes what makes t.ab(y) vanish; with ab(y) = 0, t = w.
     At rank 2 that is t = +-(ab(y)_2, -ab(y)_1), injective on A modulo
     torsion.  The letter table is a list of length 2m+1 read at the letter
-    itself, so -s lands at index 2m+1-s.  first_shift compares the cuts
-    the hash lets through exactly.
+    itself, so -s lands at index 2m+1-s.  _conjugacy_attempt compares
+    the cuts the hash lets through exactly.
     """
 
     def __init__(self, x: Word, y: Word, m: int, ab_y: tuple[int, ...]):
@@ -433,8 +422,7 @@ class _FlowHash:
             up, down = step[i], step[-i]
             table[i] = (rho, up, rho, down)
             table[-i] = (-rho * down % _P, down, -rho * up % _P, up)
-        self.x, self.y, self.m, self.step = x, y, m, step
-        self.ab_y = ab_y
+        self.x, self.y, self.step, self.ab_y = x, y, step, ab_y
         self.h_x, inv_x = self._hashes(x, table)
         self.h_y, inv_y = self._hashes(y, table)
         # translate flows have equal invariants H_chi H_chi^-1
@@ -465,47 +453,6 @@ class _FlowHash:
             h = h * step[-s] % _P
             if h == target:
                 yield cut
-
-    def first_shift(self, max_len: int) -> ConjugacyResult:
-        """No when no shift gamma_c = y_i x[:c]^-1 has the flow of y on
-        Cay(A), else Yes with the first that does, repaired on the coded
-        Cay(Z^m) unless it conjugates x to y on the nose.  y must be
-        nontrivial in S_{m,2}, so that it has a flow on Cay(A).
-
-        Only the cuts the hash lets through are looked at, in order.  A
-        shift conjugates x to y exactly when y_i^-1 gamma_c x gamma_c^-1
-        y_i, the rotation x[c:] x[:c], equals the rotation y[i:] y[:i] in
-        S_{m,2}: by the Magnus embedding, when their flows on Cay(Z^m)
-        agree.  Such a shift also has the flow of y on Cay(A), and every
-        flow-equal cut is a hash hit, so the first hit that conjugates is
-        the first flow-equal cut of the scan of every cut.  Otherwise the
-        hit is compared on Cay(A), where the flow of gamma_c x gamma_c^-1
-        is that of x translated by ab(gamma_c); a match there goes
-        straight to _witness_repair, since the rotations have already
-        shown that gamma_c does not conjugate on the nose."""
-        x, y = self.x.letters, self.y.letters
-        coding = _Coding(self.m, len(x) + len(y), self.ab_y)
-        keys: list[int] = []
-        flow_y = coding.walk(y, keys)
-        pick = next(i for i, key in enumerate(keys) if key in flow_y)
-        plain = _Coding(self.m, len(x) + len(y), ())
-        rotated_y = plain.walk(y[pick:] + y[:pick])
-        flow_x = None
-        for cut in self.cuts(pick):
-            gamma = self.y.prefix(pick) * ~self.x.prefix(cut)
-            if plain.walk(x[cut:] + x[:cut]) == rotated_y:
-                return ConjugacyResult(True, gamma)
-            if flow_x is None:
-                flow_x = coding.walk(x)
-            b, b_p = coding.offset(y[:pick])
-            c, c_p = coding.offset(x[:cut])
-            if coding.translate(flow_x, b - c, b_p - c_p) == flow_y:
-                witness = _witness_repair(self.x, self.y, gamma, coding,
-                                          self.m, 2, max_len)
-                if witness is None:
-                    raise AssertionError("deterministic witness repair failed")
-                return ConjugacyResult(True, witness)
-        return NO
 
 
 class _Coding:
@@ -655,19 +602,20 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     """Decide whether x and y are conjugate in S_{r,d}.
 
     Yes answers carry a witness z with z x z^-1 = y, verified
-    deterministically; at d <= 2 both modes give the same answer.  The
-    solve runs in S_{m,d}, m the number of generators x and y use, and
-    maps the witness back, so its cost does not grow with r.  No coset
-    graph is built at d <= 2.  At d = 1 equal abelianizations answer Yes
-    with the empty witness.  At d = 2 a translation invariant of the two
-    flows, hashed in one pass over each word, answers most No pairs
-    outright, only the cuts whose hashes match are compared exactly, and
-    a witness that needs repair is repaired on the coded Cay(Z^m) (see
-    the module docstring).  The hash steers work only, so the answer and
-    the witness never depend on its constants.
-    Monte Carlo trials that trip over inconsistent membership answers
-    are retried with fresh randomness a bounded number of times before
-    the conflict is surfaced.  Raises LengthGuardError when |x|+|y| >=
+    deterministically.  Every step is exact, so both modes give the exact
+    answer at every depth: mode, rng and cube_bound are taken for the
+    signature the three solvers share, and change nothing.  The solve
+    runs in S_{m,d}, m the number of generators x and y use, and maps the
+    witness back, so its cost does not grow with r.  At d = 1 equal
+    abelianizations answer Yes with the empty witness.  At every d >= 2
+    a translation invariant of the flows of x and y on Cay(A), hashed in
+    one pass over each word, answers most No pairs outright, and only
+    the cuts whose hashes match are compared exactly (see the module
+    docstring and _conjugacy_attempt): on Cay(A) itself at d = 2, where
+    no coset graph is built and a witness that needs repair is repaired
+    on the coded Cay(Z^m), and by traces on a SchreierSupport at d >= 3.
+    The hash steers work only, so the answer and the witness never
+    depend on its constants.  Raises LengthGuardError when |x|+|y| >=
     max_len, like word_problem and power_solve; the check words the
     solver builds itself get limits that follow from max_len (see
     _verified_witness and _witness_repair), not the input guard.
@@ -688,34 +636,18 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
         return NO
     if d == 1:  # S_{r,1} = Z^r is abelian
         return ConjugacyResult(True, Word((), rank=r, _reduced=True))
-    if d == 2:
-        flow_hash = _FlowHash(x, y, m, ab)
-        if not flow_hash.may_translate:
-            return NO  # F_y is no translate of F_x: no shift can match
+    flow_hash = _FlowHash(x, y, m, ab)
+    if not flow_hash.may_translate:
+        return NO  # F_y is no translate of F_x: no shift can match
     if not any(ab):
-        # a nonzero abelianization is nontrivial at every depth d >= 1;
-        # exact, since a Monte Carlo "trivial" could be wrong twice over
+        # a nonzero abelianization is nontrivial at every depth d >= 1
         xt = word_problem(x, m, d, mode="det", max_len=max_len)
         yt = word_problem(y, m, d, mode="det", max_len=max_len)
         if xt and yt:
             return ConjugacyResult(True, Word((), rank=r, _reduced=True))
         if xt or yt:
             return NO
-
-    if d == 2:
-        res = flow_hash.first_shift(max_len)
-    else:
-        B = None
-        if mode == "mc":
-            B = cube_bound if cube_bound is not None else 25 * max(1, n) ** 6
-        for _ in range(_MC_RETRIES if mode == "mc" else 1):
-            try:
-                res = _conjugacy_attempt(x, y, m, d, mode, rng, B, max_len)
-                break
-            except FoldConflict as exc:
-                conflict = exc
-        else:
-            raise conflict  # surfaced after bounded retries
+    res = _conjugacy_attempt(x, y, m, d, flow_hash, max_len)
     if old is None or not res.conjugate:
         return res
     return ConjugacyResult(True, Word(
@@ -723,32 +655,69 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
          for s in res.witness.letters], rank=r, _reduced=True))
 
 
-def _conjugacy_attempt(x: Word, y: Word, r: int, d: int, mode: str, rng,
-                       cube_bound: int | None,
+def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
+                       flow_hash: _FlowHash,
                        max_len: int) -> ConjugacyResult:
-    """Scan the shifts gamma_c = y_i x[:c]^-1, c = 0..|x|, in order, for
-    one whose trace on the support (d >= 3) has the flow of y."""
-    sup = SchreierSupport(y, r, d, mode=mode, rng=rng, cube_bound=cube_bound,
-                          max_len=max_len)
-    flow_y = sup.y_flow
+    """No when no shift gamma_c = y_i x[:c]^-1 has the flow of y on the
+    coset graph of <y> in S_{r,d-1}, else Yes with the first that does,
+    repaired unless it conjugates x to y on the nose.  y must be
+    nontrivial in S_{r,d}, so that it has a flow there (d >= 2).
+
+    Only the cuts flow_hash lets through are looked at, in order; every
+    flow-equal cut is among them (see the module docstring).  The
+    per-cut test depends on the depth.
+
+    At d = 2 a shift conjugates x to y exactly when y_i^-1 gamma_c x
+    gamma_c^-1 y_i, the rotation x[c:] x[:c], equals the rotation y[i:]
+    y[:i] in S_{r,2}: by the Magnus embedding, when their flows on
+    Cay(Z^r) agree.  Such a shift also has the flow of y on Cay(A), so
+    the first hit that conjugates is the first flow-equal cut.
+    Otherwise the hit is compared on Cay(A), where the flow of gamma_c x
+    gamma_c^-1 is that of x translated by ab(gamma_c); a match there
+    goes straight to _witness_repair on the coded Cay(Z^r), since the
+    rotations have already shown that gamma_c does not conjugate on the
+    nose.
+
+    At d >= 3 each hit is traced on a SchreierSupport, and a match goes
+    to _verified_witness on that support.
+    """
+    xs, ys = x.letters, y.letters
+    if d == 2:
+        graph = _Coding(r, len(xs) + len(ys), flow_hash.ab_y)
+        keys: list = []
+        flow_y = graph.walk(ys, keys)
+    else:
+        graph = SchreierSupport(y, r, d, max_len=max_len)
+        flow_y, path = graph.y_flow, graph.y_path
+        keys = [(path[i], s) if s > 0 else (path[i + 1], -s)
+                for i, s in enumerate(ys)]
     if not flow_y:
         # pi_y = 0 on Sch_{d-1}(y) holds only for y = 1 in S_{r,d}
-        if mode == "mc":
-            raise FoldConflict("flow of y vanished on its own Schreier graph")
         raise AssertionError("trivial flow for a word nontrivial in S_{r,d}")
     # the first letter of y on an edge of nonzero flow
-    path = sup.y_path
-    y_i = y.prefix(next(
-        i for i, s in enumerate(y.letters)
-        if flow_y.get((path[i], s) if s > 0 else (path[i + 1], -s))))
-    for cut in range(len(x) + 1):
+    pick = next(i for i, key in enumerate(keys) if key in flow_y)
+    y_i = y.prefix(pick)
+    if d == 2:
+        plain = _Coding(r, len(xs) + len(ys), ())
+        rotated_y = plain.walk(ys[pick:] + ys[:pick])
+        flow_x = None  # walked at the first hit that needs it
+    for cut in flow_hash.cuts(pick):
         gamma = y_i * ~x.prefix(cut)
-        _, flow_w = sup.trace(gamma * x * ~gamma)
-        if flow_w == flow_y:
-            witness = _verified_witness(x, y, gamma, sup, r, d, max_len)
-            if witness is None:
-                if mode == "mc":
-                    raise FoldConflict("flow equality was not certifiable")
-                raise AssertionError("deterministic witness repair failed")
-            return ConjugacyResult(True, witness)
+        if d > 2:
+            if graph.trace(gamma * x * ~gamma)[1] != flow_y:
+                continue
+            witness = _verified_witness(x, y, gamma, graph, r, d, max_len)
+        elif plain.walk(xs[cut:] + xs[:cut]) == rotated_y:
+            return ConjugacyResult(True, gamma)
+        else:
+            if flow_x is None:
+                flow_x = graph.walk(xs)
+            b, b_p = graph.offset(ys[:pick])
+            c, c_p = graph.offset(xs[:cut])
+            if graph.translate(flow_x, b - c, b_p - c_p) != flow_y:
+                continue
+            witness = _witness_repair(x, y, gamma, graph, r, 2, max_len)
+        if witness is None:
+            raise AssertionError("deterministic witness repair failed")
+        return ConjugacyResult(True, witness)
     return NO

@@ -4,7 +4,7 @@ A PrefixTree holds every prefix of its words once, as a node numbered in
 insertion order with its parent and last letter, kept in int64 arrays;
 since the words are freely reduced, the tree is a folded X-digraph rooted
 at the empty word.
-FoldConflict signals a labeling or a coset table that would unfold it.
+FoldConflict signals a labeling that would unfold it.
 """
 
 from __future__ import annotations

@@ -265,6 +265,28 @@ def test_bench_conj_no_pairs_need_no_trace(monkeypatch):
             assert traces == [] and supports == [], (n, seed)
 
 
+def test_bench_conj_reaches_depth_d(monkeypatch):
+    # at d >= 3, c lies in F^(d-1) and is nontrivial in S_{r,d}: x and y
+    # are conjugate in S_{r,d-1}, so the flow hash cannot answer, and the
+    # solve builds the coset graph of <y> at depth d-1
+    supports = []
+    init = SchreierSupport.__init__
+
+    def spy_init(self, y, r, d, **kwargs):
+        supports.append(d)
+        init(self, y, r, d, **kwargs)
+
+    monkeypatch.setattr(SchreierSupport, "__init__", spy_init)
+    for d in (3, 4):
+        for n in (24, 96):
+            for seed in range(3):
+                x, y = bench_instance("conj", n, 2, d, Random(seed))
+                assert conjugacy_solve(x, y, 2, d - 1).conjugate, (d, n, seed)
+                supports.clear()
+                conjugacy_solve(x, y, 2, d)
+                assert supports == [d], (d, n, seed)
+
+
 def test_bench_wp_generator_matches_product_loop():
     # one reduction stack gives the word of the old product loop
     for n in (1, 40, 700, 3000):
