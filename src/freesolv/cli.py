@@ -61,6 +61,12 @@ class RunConfig:
                    seed=seed, cube_exp=args.cube_exp, trials=args.trials,
                    as_json=args.json, max_len=args.max_len)
 
+    @property
+    def runs(self) -> int:
+        """Solves per decision: --trials repeats only Monte Carlo work, as a
+        deterministic solve gives the same answer every time."""
+        return self.trials if self.mode == "mc" else 1
+
     def cube_bound(self, n: int) -> int | None:
         if self.mode != "mc":
             return None
@@ -92,7 +98,7 @@ def cmd_wp(args) -> int:
     answers = [word_problem(w, r, cfg.degree, mode=cfg.mode, rng=rng,
                             cube_bound=cfg.cube_bound(len(w)),
                             max_len=cfg.max_len)
-               for _ in range(cfg.trials)]
+               for _ in range(cfg.runs)]
     # false-biased: any single False certifies nontriviality
     ans = all(answers)
     elapsed = (time.perf_counter() - t0) * 1000
@@ -111,7 +117,7 @@ def cmd_pow(args) -> int:
     t0 = time.perf_counter()
     results = [power_solve(u, v, r, cfg.degree, mode=cfg.mode, rng=rng,
                            cube_bound=cfg.cube_bound(n), max_len=cfg.max_len)
-               for _ in range(cfg.trials)]
+               for _ in range(cfg.runs)]
     res = max(set(results), key=results.count)  # majority across trials
     elapsed = (time.perf_counter() - t0) * 1000
     report = {"problem": "pow", "inputs": [u.serialize(), v.serialize()],
@@ -125,18 +131,12 @@ def cmd_conj(args) -> int:
     x = parse(args.x, cfg.rank)
     y = parse(args.y, cfg.rank)
     r = cfg.rank if cfg.rank is not None else max(x.rank, y.rank)
-    rng = Random(cfg.seed)
     n = len(x) + len(y)
     t0 = time.perf_counter()
-    outcomes = [conjugacy_solve(x, y, r, cfg.degree, mode=cfg.mode, rng=rng,
-                                cube_bound=cfg.cube_bound(n),
-                                max_len=cfg.max_len)
-                for _ in range(cfg.trials)]
-    yes = [o for o in outcomes if o.conjugate]
-    if 2 * len(yes) > len(outcomes):
-        res = yes[0]
-    else:
-        res = next((o for o in outcomes if not o.conjugate), outcomes[0])
+    # exact in both modes, so one solve whatever --trials says
+    res = conjugacy_solve(x, y, r, cfg.degree, mode=cfg.mode,
+                          rng=Random(cfg.seed), cube_bound=cfg.cube_bound(n),
+                          max_len=cfg.max_len)
     elapsed = (time.perf_counter() - t0) * 1000
     report = {"problem": "conj", "inputs": [x.serialize(), y.serialize()],
               "answer": res.conjugate,
@@ -404,7 +404,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="PRNG seed (default: OS entropy, echoed in output)")
     p.add_argument("--cube-exp", type=int, default=None,
                    help="anchor cube exponent override for mc mode")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=1,
+                   help="Monte Carlo wp and pow: solves per answer, "
+                        "combined (any False for wp, the majority for "
+                        "pow); deterministic solves and conj solve once. "
+                        "bench: instances per size")
     p.add_argument("--json", action="store_true", help="JSON report")
     p.add_argument("--max-len", type=int, default=1 << 20,
                    help="input length guard")

@@ -28,7 +28,7 @@ import numpy as np
 from .words import Word, commutator
 from .xdigraph import PrefixTree, letter_array
 from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
-                          word_problem)
+                          _dense_ids, word_problem)
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,16 @@ def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
 
     These are the flows of u and v on the depth-0 quotient graph, the
     bouquet of loops, in the (source class, generator) edge order of
-    SupportChain.numbering_at.  One np.unique of the letters' generators
-    numbers them, so the cost follows |u| + |v|, not r.
+    SupportChain.numbering_at.  _dense_ids numbers the generators as it
+    numbers those edges, by counting while they are dense and by one
+    np.unique otherwise, so the cost follows |u| + |v|, not r.
     """
     letters = letter_array(u.letters + v.letters)
-    gens, gen = np.unique(np.abs(letters), return_inverse=True)
+    gens, gen = _dense_ids(np.abs(letters) - 1, max(u.rank, v.rank))
     signs = np.sign(letters)
     cut = len(u)
     return tuple(np.bincount(gen[part], weights=signs[part],
-                             minlength=len(gens)).astype(np.int64)
+                             minlength=gens).astype(np.int64)
                  for part in (slice(0, cut), slice(cut, None)))
 
 

@@ -12,7 +12,9 @@ and the group ids are the labels at depth d.  The deterministic step
 labels each prefix by the dense lexicographic rank of its flow, exactly,
 with no hashing: ranks of the parts of the flows in a segment tree over
 the edges, for all steps of the root paths of the tree's words at once,
-several levels per pass, each pass two sorts of packed integers.
+several levels per pass.  A pass below the top sorts packed integers
+twice, to order the steps and to rank them; the top pass, one range,
+sorts only to rank, so a refinement with one pass makes one sort.
 The Monte Carlo step ranks a random linear form <f, a> of the flows,
 with the anchor a uniform on the cube [0, B]^m, trading a small
 one-sided error for vectorized integer work: equal flows never split,
@@ -47,7 +49,7 @@ from .xdigraph import PrefixTree
 DEFAULT_MAX_LEN = 1 << 20
 _LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
 _LIMB_MASK = (1 << _LIMB) - 1
-# numbering_at counts keys in at most this many slots per node
+# _dense_ids counts keys in at most this many slots per key
 _SLOTS_PER_NODE = 8
 # _dense_rank sorts packed keys (value << bits(n)) | index below 2^_KEY_BITS
 _KEY_BITS = 63
@@ -57,19 +59,59 @@ class LengthGuardError(ValueError):
     """Input exceeds the configured length guard."""
 
 
-def _runs(ranges: np.ndarray, path_start: np.ndarray):
+def _runs(ranges: np.ndarray, path_start: np.ndarray | None,
+          idx: np.ndarray):
     """Sort steps by (range, position), one np.sort of packed keys:
     (order, new), where new[k] says that order[k] is the first step of its
-    range on its path."""
-    S = len(ranges)
-    sh = S.bit_length()
-    key = np.sort((ranges << sh) | np.arange(S))
+    range on its path.  idx is np.arange(S); path_start gives each step's
+    path by its first step, None when there is one path."""
+    sh = len(ranges).bit_length()
+    key = ranges << sh
+    key |= idx
+    key.sort()
     order = key & ((1 << sh) - 1)
-    run = key - order + path_start[order]  # (range, path start) packed
-    new = np.empty(S, dtype=bool)
+    if path_start is None:
+        key >>= sh  # the range alone
+    else:
+        key -= order
+        key += path_start[order]  # (range, path start) packed
+    new = np.empty(len(key), dtype=bool)
     new[:1] = True
-    np.not_equal(run[1:], run[:-1], out=new[1:])
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     return order, new
+
+
+def _counted(slots: int, n: int) -> bool:
+    """Whether _dense_ids numbers n keys below slots by counting."""
+    return 0 < slots <= _SLOTS_PER_NODE * n
+
+
+def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
+    """The values of keys, in [0, slots), numbered 0..n-1 in increasing
+    order: (n, the id of each key).
+
+    One counting pass (mark the keys in the slots, take the running count,
+    read it back), with no sort, while there are at most _SLOTS_PER_NODE
+    slots per key; else one np.unique, so memory stays O(len(keys))
+    whatever slots is.  Both ways give the same ids.
+    """
+    if _counted(slots, len(keys)):
+        used = np.zeros(slots, dtype=np.int64)
+        used[keys] = 1
+        used.cumsum(out=used)
+        ids = used[keys]
+        ids -= 1
+        return int(used[-1]), ids
+    values, ids = np.unique(keys, return_inverse=True)
+    return len(values), ids
+
+
+def _run_sums(x: np.ndarray, first: np.ndarray, out: np.ndarray) -> None:
+    """Running sums of x restarted at each run, into out; first[i] is the
+    index where i's run starts.  The running sum over all of x may wrap
+    mod 2^64, but its differences within a run are exact."""
+    x.cumsum(out=out)
+    out -= (out - x)[first]
 
 
 class SupportChain:
@@ -98,14 +140,17 @@ class SupportChain:
         # forward for x_i (g its parent) and backward for x_i^-1 (g = v):
         # its source node, generator index i - 1 and sign, fixed per chain
         letters = tree.letters
-        self._r_max = int(np.abs(letters).max(initial=1))
+        size = np.abs(letters)
+        self._r_max = int(size.max(initial=1))
         self._tail = np.where(letters > 0, tree.parents,
                               np.arange(self.V))[1:]
-        self._gen = np.abs(letters[1:]) - 1
+        self._gen = size[1:] - 1
         self._dirs = np.sign(letters)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
+        self._classes = [1]  # the number of labels per depth
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
+        self._steps: tuple | None = None  # per-step arrays of _refine_det
 
     # -- tree traversal ------------------------------------------------
 
@@ -136,14 +181,14 @@ class SupportChain:
         edge of Cay(S_{r,k}) is fixed by its source and its generator, so
         the key of a node is (class of its edge's source, generator):
         labels[tail] * r_max + i - 1, with dirs the sign of the letter.
-        The keys are made dense by marking them in the classes x r_max
-        slots and taking the running count, with no sort.  When there are
-        more than _SLOTS_PER_NODE slots per node (generator indices far
-        above the number of classes per node), one np.unique numbers the
-        keys instead, so memory stays O(V) whatever the rank; both ways
-        give the same ids.  Edges are numbered by (source class,
-        generator), not in the order of canonical triples of
-        number_tree_edges in tests/graph_reference.py.
+        _dense_ids numbers the keys in the classes x r_max slots: by
+        counting, with no sort, or by np.unique past _SLOTS_PER_NODE slots
+        per node (generator indices far above the number of classes per
+        node), where the generators are first numbered densely in order,
+        so that the keys stay below V^2 and keep their order.  Edges are
+        numbered by (source class, generator), not in the order of
+        canonical triples of number_tree_edges in
+        tests/graph_reference.py.
 
         With exact labels (deterministic mode) this is the same partition
         of the tree edges as that reference's, since the source and the
@@ -152,26 +197,16 @@ class SupportChain:
         a key is a function of the true Cayley edge: a trivial word keeps
         a zero flow, and a nonzero flow is nonzero on the true edges.
         The labels are dense class ids by construction, so they index
-        slots as they are.
+        slots as they are, and their number C is kept with them.
         """
         if depth not in self._numberings:
             labels = self.labels_at(depth)
-            slots = (int(labels.max(initial=0)) + 1) * self._r_max
+            C = self._classes[depth]
+            gens, gen = self._r_max, self._gen
+            if not _counted(C * gens, len(gen)):
+                gens, gen = _dense_ids(gen, gens)
             eid = np.zeros(self.V, dtype=np.int64)
-            if slots <= _SLOTS_PER_NODE * self.V:
-                key = labels[self._tail] * self._r_max + self._gen
-                used = np.zeros(slots, dtype=np.int64)
-                used[key] = 1
-                np.cumsum(used, out=used)
-                m = int(used[-1])
-                eid[1:] = used[key] - 1
-            else:
-                # generators renumbered densely in order, so the keys stay
-                # below V^2 and keep their (class, generator) order
-                gens, gen = np.unique(self._gen, return_inverse=True)
-                keys, eid[1:] = np.unique(
-                    labels[self._tail] * len(gens) + gen, return_inverse=True)
-                m = len(keys)
+            m, eid[1:] = _dense_ids(labels[self._tail] * gens + gen, C * gens)
             self._numberings[depth] = (m, eid, self._dirs)
         return self._numberings[depth]
 
@@ -181,12 +216,16 @@ class SupportChain:
         nodes lists the path's nodes from the root, as the int64 arrays of
         tree.paths do.  One np.bincount sums the +-1 steps per edge
         in float64, exactly, since a flow component is at most the path
-        length, below 2^53.
+        length, below 2^53.  A path through all V nodes visits them in
+        index order (the tree is a chain, parents numbered first), so its
+        steps are read off the numbering as they are, with no gather.
         """
         m, eid, dirs = self.numbering_at(depth)
-        idx = nodes[1:]
-        return np.bincount(eid[idx], weights=dirs[idx],
-                           minlength=m).astype(np.int64)
+        if len(nodes) == self.V:
+            eid, dirs = eid[1:], dirs[1:]
+        else:
+            eid, dirs = eid[nodes[1:]], dirs[nodes[1:]]
+        return np.bincount(eid, weights=dirs, minlength=m).astype(np.int64)
 
     # -- refinement ------------------------------------------------------
 
@@ -198,13 +237,14 @@ class SupportChain:
         while len(self._labels) <= depth:
             prev_depth = len(self._labels) - 1
             if self.mode == "det":
-                nxt = self._refine_det(prev_depth)
+                nxt, classes = self._refine_det(prev_depth)
             else:
-                nxt = self._refine_mc(prev_depth)
+                nxt, classes = self._refine_mc(prev_depth)
             self._labels.append(nxt)
+            self._classes.append(classes)
         return self._labels[depth]
 
-    def _refine_det(self, depth: int) -> np.ndarray:
+    def _refine_det(self, depth: int) -> tuple[np.ndarray, int]:
         """Label every node by the dense lexicographic rank of its flow.
 
         The flows live in a segment tree over the m quotient edge ids,
@@ -216,69 +256,87 @@ class SupportChain:
 
         One pass goes up k levels at once: it packs the 2^k child ids of a
         parent range as sum_j id_j D^(2^k - 1 - j), base D above every
-        child id, which is lexicographic in the children.  A step changes
-        only its own child range, so along each (parent range, path) run
-        of the steps sorted by (parent range, position) the packed id is
-        the zero one plus the running sum of (new - old child id) times the
-        child's weight: at the leaves new - old is the step's sign, above
-        them the step's id minus that of the step before it in the last
-        pass's order (zero's id at the start of a run).  The running sum
-        over all runs wraps mod 2^64, but the part within a run is exact.
-        _dense_rank ranks the packed ids together with the zero one, and
-        the ranks are the parent ranges' ids.
+        child id, which is lexicographic in the children and lies in
+        [0, D^(2^k)).  A step changes only its own child range, so along
+        each (parent range, path) run of the steps sorted by (parent range,
+        position) the packed id less the zero one (all children at zero's
+        id) is the running sum of (new - old child id) times the child's
+        weight: at the leaves new - old is the step's sign, above them the
+        step's id minus that of the step before it in the last pass's
+        order (zero's id at the start of a run).  The running sum over all
+        runs wraps mod 2^64, but the part within a run is exact.  These
+        differences, in (-D^(2^k), D^(2^k)), are ranked together with the
+        zero one's, 0, as a shift changes no rank; the ranks are the parent
+        ranges' ids, and the next D is their number.
 
         k is the largest with D^(2^k) <= 2^(_KEY_BITS - bits(S)) for the
-        S steps of the _euler_tour paths, so the rank is one packed
-        np.sort; where even k = 1 is wider (at the leaves D is up to 2S +
-        1), it is an argsort.  Packed ids are exact int64 while S < 2^30.
-        The ranks of the top pass are the labels, the root's being zero's;
-        a pass costs two sorts, each of S integers.
+        S steps of the _euler_tour paths, and that known bound alone, with
+        no min or max pass, makes the rank one np.sort of (difference <<
+        bits(S)) | index; where even k = 1 is wider (at the leaves D is up
+        to 2S + 1), it is an argsort.  Packed ids are exact int64 while S <
+        2^30.  A pass below the top first sorts its steps by (parent range,
+        position), one np.sort of S packed integers (_runs): it costs two
+        sorts.  The top pass has a single range, so its steps are in that
+        order already and its runs are the paths (on a one-path tree, one
+        running sum): it sorts only to rank, and its ranks are the labels,
+        the root's being zero's.  Returns the labels and their number.
         """
         m, eid, dirs = self.numbering_at(depth)
         nodes, starts = self._euler_tour()
         S = len(nodes)
         if S == 0:
-            return np.zeros(self.V, dtype=np.int64)
-        path_start = np.repeat(starts[:-1], np.diff(starts))
+            return np.zeros(self.V, dtype=np.int64), 1
+        if self._steps is None:
+            # a one-path tree has nodes 1..V-1 in order; on several paths,
+            # the node of each packed id (the root's first) and the first
+            # step of each step's path
+            several = len(starts) > 2
+            self._steps = (
+                np.arange(S + 1),
+                np.append(0, nodes) if several else None,
+                np.repeat(starts[:-1], np.diff(starts)) if several else None)
+        steps, reach, path_start = self._steps
+        idx = steps[:S]
         edge = eid[nodes]  # each step's range at the current level
         change = dirs[nodes]  # the change of its id that the step makes
         zero = int(np.bincount(edge).max())
         D = 2 * zero + 1
         sh = S.bit_length()
         left = max(m - 1, 0).bit_length()  # levels above the current one
-        steps = np.arange(S)
+        # packed ids less the zero one's, which is packed[0] = 0
+        packed = np.zeros(S + 1, dtype=np.int64)
+        ranks = np.empty(S + 1, dtype=np.int64)
         while True:
             k = min(left, 1)
             while (k < left and (D ** (2 << k) - 1).bit_length() + sh
                    <= _KEY_BITS):
                 k += 1
-            weight = D ** np.arange((1 << k) - 1, -1, -1, dtype=np.int64)
-            change *= weight[edge & ((1 << k) - 1)]
-            base = zero * int(weight.sum())  # the zero packing
-            edge >>= k
+            weight = np.array([D ** j for j in range((1 << k) - 1, -1, -1)])
+            fits = (D ** (1 << k) - 1).bit_length() + sh <= _KEY_BITS
             left -= k
-            order, new = _runs(edge, path_start)
-            change = change[order]
-            total = change.cumsum()
-            packed = np.full(S + 1, base, dtype=np.int64)  # the last is zero
-            packed[:S] += total
-            packed[:S] -= (total - change)[
-                np.maximum.accumulate(np.where(new, steps, 0))]
-            ranks = _dense_rank(packed)
-            ids, zero = ranks[:S], int(ranks[S])  # ids in the order of order
-            if not left:
+            if not left:  # edge < 2^k: the top pass
+                change *= weight[edge]
                 break
-            D = int(ranks.max()) + 1
-            old = np.empty_like(ids)
-            old[1:] = ids[:-1]
-            old[new] = zero
-            change = np.empty_like(ids)
-            change[order] = ids - old
-        labels = np.full(self.V, zero, dtype=np.int64)
-        labels[nodes[order]] = ids
-        return labels
+            change *= weight[edge & ((1 << k) - 1)]
+            edge >>= k
+            order, new = _runs(edge, path_start, idx)
+            change = change[order]
+            _run_sums(change, np.maximum.accumulate(np.where(new, idx, 0)),
+                      packed[1:])
+            D = _dense_rank(packed, fits, steps, out=ranks)
+            # the id of the step at position i is ranks[i + 1]; the one
+            # before it on its run is ranks[i], or zero's, ranks[0]
+            change[order] = ranks[1:] - ranks[np.where(new, 0, idx)]
+        # the top pass: one range, whose runs are the paths in step order
+        if path_start is None:
+            change.cumsum(out=packed[1:])
+        else:
+            _run_sums(change, path_start, packed[1:])
+        labels = np.empty(self.V, dtype=np.int64)
+        C = _dense_rank(packed, fits, steps, at=reach, out=labels)
+        return labels, C
 
-    def _refine_mc(self, depth: int) -> np.ndarray:
+    def _refine_mc(self, depth: int) -> tuple[np.ndarray, int]:
         """Rank a random linear form of the flows (one value per node).
 
         With f_v the flow of node v and a the anchor, m components drawn
@@ -332,36 +390,49 @@ class SupportChain:
         for k in range(K - 1):
             at[k + 1] += at[k] >> lb
             at[k] &= (1 << lb) - 1
-        labels = _dense_rank(at[K - 1])
+        labels = np.empty(V, dtype=np.int64)
+        C = _dense_rank(at[K - 1], out=labels)
         for k in range(K - 2, -1, -1):
-            labels = _dense_rank((labels << lb) | at[k])
-        return labels
+            C = _dense_rank((labels << lb) | at[k], out=labels)
+        return labels, C
 
 
-def _dense_rank(x: np.ndarray) -> np.ndarray:
-    """Dense ranks 0..C-1 of the values of x (at least one).
+def _dense_rank(x: np.ndarray, fits: bool | None = None,
+                idx: np.ndarray | None = None, at: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> int:
+    """Dense ranks 0..C-1 of the values of x (at least one) into out;
+    returns C.
 
-    One np.sort of ((x - min) << sh) | index, sh = bits(len(x) - 1), when
-    that key stays below 2^_KEY_BITS, else one argsort.
+    One np.sort of (x << sh) | index, sh = bits(len(x) - 1), when that key
+    stays in (-2^_KEY_BITS, 2^_KEY_BITS), else one argsort; a negative x
+    sorts as well, as x << sh keeps its sign.  A caller that knows whether
+    |x| < 2^(_KEY_BITS - sh) says so by fits; otherwise x - min(x) is
+    sorted when it fits.  idx, if given, is np.arange(len(x)).  The rank
+    of x[i] goes to out[at[i]], or to out[i] without at.
     """
     n = len(x)
     sh = (n - 1).bit_length()
-    lo = int(x.min())
-    if (int(x.max()) - lo).bit_length() + sh <= _KEY_BITS:
-        key = x - lo
-        key <<= sh
-        key |= np.arange(n)
+    if fits is None:
+        lo = int(x.min())
+        fits = (int(x.max()) - lo).bit_length() + sh <= _KEY_BITS
+        if fits:
+            x = x - lo
+    if fits:
+        key = x << sh
+        key |= np.arange(n) if idx is None else idx
         key.sort()
         order = key & ((1 << sh) - 1)
-        srt = key >> sh
+        key >>= sh
+        srt = key
     else:
         order = np.argsort(x)
         srt = x[order]
-    step = np.zeros(n, dtype=np.int64)
+    step = np.empty(n, dtype=np.int64)
+    step[0] = 0
     np.not_equal(srt[1:], srt[:-1], out=step[1:])
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.cumsum(step, out=step)
-    return ranks
+    step.cumsum(out=step)
+    out[order if at is None else at[order]] = step
+    return int(step[-1]) + 1
 
 
 def _draw_anchors(rng, B: int, m: int) -> np.ndarray:

@@ -164,9 +164,44 @@ def test_revision_marks_a_dirty_tree():
 
 
 def test_bench_monotone_when_sizes_spread():
-    table = run_bench("wp", [64, 512, 4096], 2, 2, "det", seed=5, trials=3)
+    # sizes 8x apart where per-letter work dominates the fixed cost of a
+    # solve, so host noise cannot reorder the medians (at 64 and 512
+    # letters they were about 1.5x apart)
+    table = run_bench("wp", [512, 4096, 32768], 2, 2, "det", seed=5,
+                      trials=3)
     meds = [row["median_s"] for row in table["rows"]]
     assert meds[0] <= meds[1] <= meds[2]
+
+
+@pytest.mark.parametrize("mode", ["det", "mc"])
+def test_trials_repeat_only_randomized_work(monkeypatch, capsys, mode):
+    # a deterministic wp or pow solve, and a conj solve in either mode,
+    # gives the same answer every time, so --trials 3 solves it once and
+    # reports what --trials 1 does; Monte Carlo wp and pow solve 3 times
+    calls = []
+    for name in ("word_problem", "power_solve", "conjugacy_solve"):
+        def spy(*args, _solve=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    runs = 3 if mode == "mc" else 1
+    for argv, solver, want in (
+            (("wp", "x1 x2 X1 X2 x1 X2 X1 x2 x2 x1 X2 X1 X2 x1 x2 X1"),
+             "word_problem", runs),
+            (("pow", "x1 x2 X1 X2 x1 x2 X1 X2", "x1 x2 X1 X2"),
+             "power_solve", runs),
+            (("conj", "x1 x2 x1 X2", "x2 x1 X2 x1"), "conjugacy_solve", 1)):
+        reports = []
+        for trials in ("3", "1"):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, "--mode", mode, "--seed", "2",
+                               "--trials", trials, "--json")
+            assert code == EXIT_YES, argv
+            reports.append(json.loads(out))
+            reports[-1].pop("elapsed_ms")
+            assert calls == [solver] * (want if trials == "3" else 1), argv
+        assert reports[0] == reports[1], argv
 
 
 def test_bench_pow_reaches_commutator_check():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import form_long, trivial_long
-from freesolv import oracle, power
+from freesolv import oracle, power, wordproblem
 from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve
 from freesolv.wordproblem import LengthGuardError, SupportChain
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
@@ -422,6 +422,28 @@ def test_det_answers_are_pinned():
                      and not (d == 1 and not au and not found)}
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "8f9d4762b398dc03a639d23f4d61b4afe03c57fdbc07951c3a00e2f817f466ce"
+
+
+def test_exponent_vectors_are_the_same_counted_or_sorted(monkeypatch):
+    # the generators are numbered by counting while they are dense and by
+    # np.unique past wordproblem._SLOTS_PER_NODE slots per letter; both
+    # give ab(u) and ab(v) over the generators used, in order
+    def vectors(slots_per_letter, u, v):
+        monkeypatch.setattr(wordproblem, "_SLOTS_PER_NODE", slots_per_letter)
+        return [x.tolist() for x in power._exponent_vectors(u, v)]
+
+    g = random.Random(9)
+    for r in (1, 2, 5, 300, 2 ** 40):
+        for _ in range(8):
+            u = random_reduced_word(g, g.randrange(0, 30), min(r, 6))
+            v = random_reduced_word(g, g.randrange(0, 30), min(r, 6))
+            u, v = (Word([s * (r // min(r, 6)) for s in w.letters], rank=r)
+                    for w in (u, v))
+            used = sorted({abs(s) for s in u.letters + v.letters})
+            want = [[sum((s > 0) - (s < 0) for s in w.letters if abs(s) == i)
+                     for i in used] for w in (u, v)]
+            assert vectors(0, u, v) == want, r
+            assert vectors(10 ** 9, u, v) == want, r
 
 
 def test_power_memory_does_not_grow_with_rank():

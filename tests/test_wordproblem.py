@@ -796,6 +796,66 @@ def test_det_refinement_calls_no_unique_and_counts_no_steps(monkeypatch):
     assert labels.max() > 0
 
 
+def test_det_refinement_sorts_steps_below_the_top_pass_only(monkeypatch):
+    # each pass ranks its packed ids once; a pass below the top also sorts
+    # the steps by (range, position), while the top pass, a single range
+    # whose runs are the paths, takes the steps in the order they come
+    sorts, passes = [], []
+
+    def spy(name, calls):
+        orig = getattr(wordproblem, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(len(args[0]))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(wordproblem, name, wrapped)
+
+    spy("_runs", sorts)
+    spy("_dense_rank", passes)
+    g = random.Random(6)
+    p = random_reduced_word(g, 40, 3)
+    seen = set()
+    for words in ([random_reduced_word(g, 1500, 3)],
+                  [random_trivial_word(g, 2, 2) * random_reduced_word(g, 300, 2)],
+                  [p * random_reduced_word(g, k, 3) for k in (1, 200, 700)],
+                  [Word((), rank=2), p, p * random_reduced_word(g, 90, 3)]):
+        chain = SupportChain(PrefixTree(words), "det")
+        for depth in range(3):
+            chain.labels_at(depth)
+            sorts.clear(), passes.clear()
+            chain.labels_at(depth + 1)
+            assert len(passes) >= 1
+            assert len(sorts) == len(passes) - 1, (depth, len(passes))
+            seen.add(min(len(passes), 3))
+    assert {1, 3} <= seen
+
+
+def test_flow_of_a_path_through_every_node_is_the_gathered_flow():
+    # a path that visits every node visits them in index order, so its
+    # flow is read from the numbering as it is, with no gather; it must be
+    # the flow gathered along the path, on one-path and multi-word trees
+    g = random.Random(8)
+    for _ in range(6):
+        w = random_trivial_word(g, 2, 2) * random_reduced_word(g, 60, 3)
+        v = Word(w.letters[:len(w) // 2], rank=3, _reduced=True)
+        branch = v * random_reduced_word(g, 30, 3)
+        for words in ([w], [v, w], [w, v], [w, branch], [Word((), rank=3)]):
+            tree = PrefixTree(words)
+            chain = SupportChain(tree, "det")
+            whole = 0
+            for path in tree.paths:
+                whole += len(path) == len(tree)
+                for depth in range(3):
+                    m, eid, dirs = chain.numbering_at(depth)
+                    want = np.bincount(eid[path[1:]], weights=dirs[path[1:]],
+                                       minlength=m).astype(np.int64)
+                    got = chain.flow_vector(depth, path)
+                    assert got.dtype == want.dtype
+                    assert got.tolist() == want.tolist()
+            assert whole == (words != [w, branch])
+
+
 @pytest.mark.parametrize("mode", ["det", "mc"])
 def test_numbering_is_the_same_counted_or_sorted(monkeypatch, mode):
     # past _SLOTS_PER_NODE slots per node the keys are numbered by
