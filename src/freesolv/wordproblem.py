@@ -51,7 +51,8 @@ _LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
 _LIMB_MASK = (1 << _LIMB) - 1
 # _dense_ids counts keys in at most this many slots per key
 _SLOTS_PER_NODE = 8
-# _dense_rank sorts packed keys (value << bits(n)) | index below 2^_KEY_BITS
+# _dense_rank sorts packed keys (value << bits(n)) | index of size below
+# 2^_KEY_BITS
 _KEY_BITS = 63
 
 
@@ -323,7 +324,7 @@ class SupportChain:
             change = change[order]
             _run_sums(change, np.maximum.accumulate(np.where(new, idx, 0)),
                       packed[1:])
-            D = _dense_rank(packed, fits, steps, out=ranks)
+            D = _dense_rank(packed, ranks, fits, steps)
             # the id of the step at position i is ranks[i + 1]; the one
             # before it on its run is ranks[i], or zero's, ranks[0]
             change[order] = ranks[1:] - ranks[np.where(new, 0, idx)]
@@ -333,7 +334,7 @@ class SupportChain:
         else:
             _run_sums(change, path_start, packed[1:])
         labels = np.empty(self.V, dtype=np.int64)
-        C = _dense_rank(packed, fits, steps, at=reach, out=labels)
+        C = _dense_rank(packed, labels, fits, steps, at=reach)
         return labels, C
 
     def _refine_mc(self, depth: int) -> tuple[np.ndarray, int]:
@@ -391,15 +392,15 @@ class SupportChain:
             at[k + 1] += at[k] >> lb
             at[k] &= (1 << lb) - 1
         labels = np.empty(V, dtype=np.int64)
-        C = _dense_rank(at[K - 1], out=labels)
+        C = _dense_rank(at[K - 1], labels)
         for k in range(K - 2, -1, -1):
-            C = _dense_rank((labels << lb) | at[k], out=labels)
+            C = _dense_rank((labels << lb) | at[k], labels)
         return labels, C
 
 
-def _dense_rank(x: np.ndarray, fits: bool | None = None,
-                idx: np.ndarray | None = None, at: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> int:
+def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
+                idx: np.ndarray | None = None,
+                at: np.ndarray | None = None) -> int:
     """Dense ranks 0..C-1 of the values of x (at least one) into out;
     returns C.
 

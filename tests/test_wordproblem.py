@@ -817,7 +817,8 @@ def test_det_refinement_sorts_steps_below_the_top_pass_only(monkeypatch):
     p = random_reduced_word(g, 40, 3)
     seen = set()
     for words in ([random_reduced_word(g, 1500, 3)],
-                  [random_trivial_word(g, 2, 2) * random_reduced_word(g, 300, 2)],
+                  [random_trivial_word(g, 2, 2)
+                   * random_reduced_word(g, 300, 2)],
                   [p * random_reduced_word(g, k, 3) for k in (1, 200, 700)],
                   [Word((), rank=2), p, p * random_reduced_word(g, 90, 3)]):
         chain = SupportChain(PrefixTree(words), "det")
