@@ -107,7 +107,10 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     (errors both ways are possible) with success probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default anchor cube
     [0, 9(|u|+|v|)^3]: the certificate word u v^-q, or [u, v] when u v^-q
-    would be longer, has at most 2(|u|+|v|) letters either way.  Raises
+    would be longer, has at most 2(|u|+|v|) letters either way.  Edge ids
+    keyed by the forms at the edges' sources merge two true edges only
+    when those forms collide at the same generator, as labels of the
+    forms would, so the bound holds as it did over labels.  Raises
     LengthGuardError when |u|+|v| >= max_len, like word_problem; the guard
     also keeps the packed (range, position) sort keys of the refinement
     engines far below 2^63.

@@ -15,20 +15,24 @@ the edges, for all steps of the root paths of the tree's words at once,
 several levels per pass.  A pass below the top sorts packed integers
 twice, to order the steps and to rank them; the top pass, one range,
 sorts only to rank, so a refinement with one pass makes one sort.
-The Monte Carlo step ranks a random linear form <f, a> of the flows,
+The Monte Carlo step replaces each flow f by a random linear form <f, a>,
 with the anchor a uniform on the cube [0, B]^m, trading a small
 one-sided error for vectorized integer work: equal flows never split,
 and two distinct flows meet with probability at most 1/(B + 1)
 (Schwartz-Zippel).  The forms are running sums over the tree's nodes in
-index order, with no root-path cover: each later block of nodes is
-shifted to start from its attach node.  They are split into anchor limbs
-of lb = 61 - bits(V - 1) bits for the V nodes, so that every sum stays
-below (V - 1) 2^lb < 2^61, an exact int64 for any cube bound, and ranked
-limb by limb with one _dense_rank each; below about 2^15 letters |w|^3
-fits one limb.  The anchors come from one getrandbits call of the
-caller's random.Random per refinement, in 30-bit limbs with the
-components above the cube bound redrawn, so a seed fixes every Monte
-Carlo output independently of the numpy version and of the limb width.
+index order, with no root-path cover: each later block of nodes
+(PrefixTree.blocks) is shifted to start from its attach node.  No labels
+are built on the way (labels_at ranks the forms only when asked): the
+next quotient edges are numbered at once by one dense rank of edge keys,
+(form at the edge's source, generator).  A rank keeps the order of the
+forms, so these are the ids that the keys (class of the source,
+generator) of the labels would get.  The forms are split into anchor
+limbs of lb bits, so that every sum and key stays an exact int64 for any
+cube bound; below about 2^15 letters |w|^3 fits one limb.  The anchors
+come from one getrandbits call of the caller's random.Random per
+refinement, in 30-bit limbs with the components above the cube bound
+redrawn, so a seed fixes every Monte Carlo output independently of the
+numpy version and of the limb width.
 
 word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
@@ -118,9 +122,11 @@ def _run_sums(x: np.ndarray, first: np.ndarray, out: np.ndarray) -> None:
 class SupportChain:
     """Chain of distinguishers over the prefix tree of a word set.
 
-    Shared engine for the word, power and conjugacy solvers.  Labels are
-    computed lazily depth by depth and cached together with the canonical
-    edge numbering of each quotient support graph.
+    Shared engine for the word, power and conjugacy solvers.  The edge
+    numbering of each quotient support graph is computed lazily depth by
+    depth and cached: from the labels in deterministic mode, which are
+    cached too, and from the linear forms in Monte Carlo mode, where only
+    the anchors are kept.
     """
 
     def __init__(self, tree: PrefixTree, mode: str = "det", rng=None,
@@ -139,17 +145,19 @@ class SupportChain:
         self.cube_bound = cube_bound
         # the edge into node v >= 1 is the Cayley edge (g, g x_i) read
         # forward for x_i (g its parent) and backward for x_i^-1 (g = v):
-        # its source node, generator index i - 1 and sign, fixed per chain
+        # its generator index i - 1 and sign, fixed per chain, and its
+        # source node (_tail, built by the deterministic numbering only)
         letters = tree.letters
         size = np.abs(letters)
         self._r_max = int(size.max(initial=1))
-        self._tail = np.where(letters > 0, tree.parents,
-                              np.arange(self.V))[1:]
+        self._tail: np.ndarray | None = None
         self._gen = size[1:] - 1
         self._dirs = np.sign(letters)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
         self._classes = [1]  # the number of labels per depth
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._anchors: list[np.ndarray] = []  # Monte Carlo, per depth 1..
+        self._lb: int | None = None  # their limb bits, once known
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
         self._steps: tuple | None = None  # per-step arrays of _refine_det
 
@@ -175,41 +183,75 @@ class SupportChain:
     # -- quotient edge numbering ----------------------------------------
 
     def numbering_at(self, depth: int):
-        """Quotient edge numbering at this depth, by one counting pass.
+        """Quotient edge numbering at this depth.
 
         Returns (m, eid, dirs): per non-root node, the edge its parent
-        edge maps to and the sign against that edge's orientation.  An
-        edge of Cay(S_{r,k}) is fixed by its source and its generator, so
-        the key of a node is (class of its edge's source, generator):
-        labels[tail] * r_max + i - 1, with dirs the sign of the letter.
-        _dense_ids numbers the keys in the classes x r_max slots: by
-        counting, with no sort, or by np.unique past _SLOTS_PER_NODE slots
-        per node (generator indices far above the number of classes per
-        node), where the generators are first numbered densely in order,
-        so that the keys stay below V^2 and keep their order.  Edges are
-        numbered by (source class, generator), not in the order of
-        canonical triples of number_tree_edges in
-        tests/graph_reference.py.
+        edge maps to and the sign against that edge's orientation (eid[0]
+        is 0).  An edge of Cay(S_{r,k}) is fixed by its source and its
+        generator, so the key of a node is (class of its edge's source,
+        generator i - 1), with dirs the sign of the letter, and the edges
+        are numbered in increasing key order, not in the order of
+        canonical triples of number_tree_edges in tests/graph_reference.py.
+        Depth 0 has one class: the edges are the generators, numbered by
+        _dense_ids.
 
-        With exact labels (deterministic mode) this is the same partition
-        of the tree edges as that reference's, since the source and the
-        generator fix the target; dirs may differ from its dirs by one
-        sign per edge.  Monte Carlo labels never split equal prefixes, so
-        a key is a function of the true Cayley edge: a trivial word keeps
-        a zero flow, and a nonzero flow is nonzero on the true edges.
-        The labels are dense class ids by construction, so they index
-        slots as they are, and their number C is kept with them.
+        Deterministic mode keys a node by labels[tail] * r_max + i - 1 and
+        numbers the keys in the classes x r_max slots with _dense_ids: by
+        counting, with no sort, or by np.unique past _SLOTS_PER_NODE slots
+        per node, where the generators are first numbered densely in order,
+        so that the keys stay below V^2 and keep their order.  The labels
+        are dense class ids, so they index slots as they are.  With these
+        exact labels this is the same partition of the tree edges as the
+        reference's, since the source and the generator fix the target;
+        dirs may differ from its dirs by one sign per edge.
+
+        Monte Carlo mode builds no labels: _number_mc ranks the keys (form
+        at the edge's source, generator) in one _dense_rank.  The labels
+        at this depth would be the dense ranks of those forms, which keep
+        their order, so the ids are the ones their keys would get.  Forms
+        never split equal prefixes, so a key is a function of the true
+        Cayley edge: a trivial word keeps a zero flow, and a nonzero flow
+        is nonzero on the true edges.
         """
         if depth not in self._numberings:
-            labels = self.labels_at(depth)
-            C = self._classes[depth]
-            gens, gen = self._r_max, self._gen
-            if not _counted(C * gens, len(gen)):
-                gens, gen = _dense_ids(gen, gens)
-            eid = np.zeros(self.V, dtype=np.int64)
-            m, eid[1:] = _dense_ids(labels[self._tail] * gens + gen, C * gens)
+            eid = np.empty(self.V, dtype=np.int64)
+            eid[0] = 0  # the root has no parent edge
+            if depth == 0:
+                m, eid[1:] = _dense_ids(self._gen, self._r_max)
+            elif self.mode == "mc":
+                m = self._number_mc(depth, eid[1:])
+            else:
+                labels = self.labels_at(depth)
+                C = self._classes[depth]
+                gens, gen = self._r_max, self._gen
+                if not _counted(C * gens, len(gen)):
+                    gens, gen = _dense_ids(gen, gens)
+                if self._tail is None:
+                    self._tail = np.where(self.tree.letters > 0,
+                                          self.tree.parents,
+                                          np.arange(self.V))[1:]
+                m, eid[1:] = _dense_ids(labels[self._tail] * gens + gen,
+                                        C * gens)
             self._numberings[depth] = (m, eid, self._dirs)
         return self._numberings[depth]
+
+    def _number_mc(self, depth: int, out: np.ndarray) -> int:
+        """Monte Carlo edge ids at depth >= 1 into out (one per non-root
+        node); returns their number.
+
+        F(v) is node v's form at this depth (_forms), and c_v = s a[e],
+        for its letter's sign s and its edge e one depth down, is the term
+        its edge adds, so F(v) = F(parent) + c_v.  The edge's source is
+        the parent for x_i and v itself for x_i^-1, and its form is
+        F(v) - max(c_v, 0) either way, as a >= 0.  Each node is keyed by
+        (that source form, dense generator id), ranked by _rank_limbs with
+        the generator in its last step: one _dense_rank for a one-limb
+        form whose key packs with the generator.
+        """
+        G, gens = self.numbering_at(0)[:2]
+        rows = self._forms(depth, source=True)
+        return _rank_limbs(rows[:, 1:], self._limb_bits(), out,
+                           (G, gens[1:]))
 
     def flow_vector(self, depth: int, nodes: Sequence[int]) -> np.ndarray:
         """Flow of a root path on the depth-d quotient graph.
@@ -234,6 +276,8 @@ class SupportChain:
         """Per-node labels at this depth: equal labels mean equal elements.
 
         Refined labels are dense class ids 0..C-1 in no particular order.
+        The deterministic numbering reads them; in Monte Carlo mode only
+        callers outside the solvers ask for them (_refine_mc).
         """
         while len(self._labels) <= depth:
             prev_depth = len(self._labels) - 1
@@ -338,64 +382,132 @@ class SupportChain:
         return labels, C
 
     def _refine_mc(self, depth: int) -> tuple[np.ndarray, int]:
-        """Rank a random linear form of the flows (one value per node).
+        """Labels at depth + 1: the dense ranks of the nodes' forms there
+        (_forms), limb by limb (_rank_limbs).
 
-        With f_v the flow of node v and a the anchor, m components drawn
-        by _draw_anchors uniformly from [0, B] in edge order, node v is
-        ranked by
+        The solvers never ask for them: the Monte Carlo numbering ranks
+        the forms at the edges' sources instead (_number_mc).
+        """
+        labels = np.empty(self.V, dtype=np.int64)
+        C = _rank_limbs(self._forms(depth + 1, source=False),
+                        self._limb_bits(), labels)
+        return labels, C
+
+    def _limb_bits(self) -> int:
+        """lb, the bits of an anchor limb: 62 - bits(V - 1) - max(1,
+        bits(G - 1)) for the V nodes and the G generators the tree uses.
+
+        A limb L of a form is a sum of at most V - 1 terms below 2^lb in
+        size, so |L| < 2^(bits(V - 1) + lb) <= 2^61, and the pair keys of
+        _rank_limbs, (L - min L) G + g and ((rank << lb) | L) G + g, stay
+        below 2^63: exact int64 for any cube bound.  Up to two generators
+        that is lb = 61 - bits(V - 1).
+        """
+        if self._lb is None:
+            G = self.numbering_at(0)[0]
+            self._lb = (62 - (self.V - 1).bit_length()
+                        - max(1, (G - 1).bit_length()))
+        return self._lb
+
+    def _forms(self, depth: int, source: bool) -> np.ndarray:
+        """The Monte Carlo forms at depth >= 1, one column per node, as K
+        rows of limbs L_k (the form is sum_k 2^(lb k) L_k), not carried.
+        With source, column v holds the form at the source of the edge
+        into v instead (column 0, the root's, is then unused).
+
+        With f_v the flow of node v on the depth - 1 quotient graph and a
+        the anchor, m components drawn by _draw_anchors uniformly from [0,
+        B] in edge order, the form of v is
 
           <f_v, a> = sum_k 2^(lb k) <f_v, a_k>,
 
-        where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a, and
-        lb = 61 - bits(V - 1) for the V nodes.  Equal flows never split.
+        where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a
+        (_limb_bits).  The anchor of a depth is drawn the first time its
+        forms are needed, depth by depth.  Equal flows never split.
         Distinct flows f != f' meet only when <f - f', a> = 0, a linear
         equation in a with a nonzero coefficient, so with probability at
         most 1/(B + 1) (Schwartz 1980; Zippel 1979).  The edge into node v
         moves its parent's flow by s in one component, s the edge's sign,
-        so the limb L_k = <f_v, a_k> is its parent's plus s a_k[edge].  The
-        PrefixTree numbers parents before children in blocks, each node of
-        a block but the first a child of the node before it, so one running
-        sum over the nodes 1..V-1 in index order gives every limb of the
-        first block; each later block, in block order, is then shifted by
-        its attach node's value less the raw sum just before the block.
-        A term is below 2^lb in size, so every partial sum stays below
-        (V - 1) 2^lb < 2^61, an exact int64 for any cube bound (lb >= 30,
-        as _widen_limbs needs, while V <= 2^31).  A word_problem tree is
-        one block, a power_solve probe tree at most two.  Carries bring
-        L_0..L_{K-2} into [0, 2^lb).  The labels are dense ranks, taken
-        limb by limb from the top: the rank of L_{K-1}, then for each
-        lower limb the rank of (rank << lb) | L_k, below 2^61 because
-        ranks are below V.  Carried limbs in any radix order the same
-        integers, so lb changes no label; with B < 2^lb (|w|^3 for |w|
-        up to about 2^15 letters) K = 1 and the rank is one _dense_rank.
+        so the limb L_k = <f_v, a_k> is its parent's plus c_v = s
+        a_k[edge].  The PrefixTree numbers parents before children in
+        blocks, each node of a block but the first a child of the node
+        before it, so one running sum over the nodes 1..V-1 in index order
+        gives every limb of the first block; each later block, in block
+        order, is then shifted to start from its attach node (a block that
+        continues the node before it keeps the shift of the block before).
+        A word_problem tree is one block, a power_solve probe tree at most
+        two.  The source forms are L_k - max(c_v, 0), taken before any
+        carry.
         """
-        m, eid, dirs = self.numbering_at(depth)
-        V, parents = self.V, self.tree.parents
-        lb = 61 - (V - 1).bit_length()
-        anchor = _widen_limbs(_draw_anchors(self.rng, self.cube_bound, m),
-                              lb, self.cube_bound)
-        K = len(anchor)
-        at = np.zeros((K, V), dtype=np.int64)  # the root sits at 0
+        m, eid, dirs = self.numbering_at(depth - 1)
+        if len(self._anchors) < depth:
+            self._anchors.append(_widen_limbs(
+                _draw_anchors(self.rng, self.cube_bound, m),
+                self._limb_bits(), self.cube_bound))
+        V = self.V
+        rows = np.empty((len(self._anchors[depth - 1]), V), dtype=np.int64)
+        rows[:, 0] = 0  # the root's form
         edge, sign = eid[1:], dirs[1:]
-        for k in range(K):
-            row = at[k, 1:]
-            np.take(anchor[k], edge, out=row)
-            row *= sign
-            np.cumsum(row, out=row)
-        # the nodes whose parent is not the node before them start blocks
-        starts = np.flatnonzero(parents[1:] != np.arange(V - 1)) + 1
-        raw = at[:, starts - 1]  # the sums just before them, unshifted
-        for b, e, before in zip(starts.tolist(), [*starts[1:].tolist(), V],
-                                raw.T):
-            at[:, b:e] += (at[:, parents[b]] - before)[:, None]
-        for k in range(K - 1):
-            at[k + 1] += at[k] >> lb
-            at[k] &= (1 << lb) - 1
-        labels = np.empty(V, dtype=np.int64)
-        C = _dense_rank(at[K - 1], labels)
-        for k in range(K - 2, -1, -1):
-            C = _dense_rank((labels << lb) | at[k], labels)
-        return labels, C
+        blocks = self.tree.blocks[1:]  # the first hangs off the root
+        ends = [b for b, _ in blocks[1:]] + [V]
+        positive = np.empty(V - 1, dtype=np.int64) if source else None
+        for a, row in zip(self._anchors[depth - 1], rows):
+            terms = row[1:]
+            # every id is in range; "clip" spares the buffered check
+            np.take(a, edge, out=terms, mode="clip")
+            terms *= sign
+            if source:
+                np.maximum(terms, 0, out=positive)
+            terms.cumsum(out=terms)
+            # row[b - 1] holds the raw sum before block b plus the shift of
+            # the block before it, so the new shift is row[attach] - raw
+            shift = 0
+            for (b, attach), e in zip(blocks, ends):
+                shift += int(row[attach]) - int(row[b - 1])
+                row[b:e] += shift
+            if source:
+                terms -= positive
+        return rows
+
+
+def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
+                gens: tuple[int, np.ndarray] | None = None) -> int:
+    """Dense ranks into out of the integers sum_k 2^(lb k) rows[k], or, with
+    gens = (G, gen), of the pairs (integer, gen) in order, gen < G; returns
+    their number.
+
+    Carries bring rows 0..K-2 into [0, 2^lb), in place.  Carried limbs in
+    any radix order the same integers, so lb changes no rank.  The ranks
+    are taken limb by limb from the top: the rank of the top row, then for
+    each lower limb the rank of (rank << lb) | L_k, and the generator
+    joins the last key as (key - min) * G + gen.  With one limb that is
+    one _dense_rank.  Where the key alone would pack into a sort key and
+    the factor G would push it past _KEY_BITS, the key is ranked alone
+    first, so the pairs take two sorts rather than one argsort.
+    """
+    if not rows.shape[1]:
+        return 0
+    K = len(rows)
+    for k in range(K - 1):
+        rows[k + 1] += rows[k] >> lb
+        rows[k] &= (1 << lb) - 1
+    key = rows[K - 1]
+    for k in range(K - 2, -1, -1):
+        _dense_rank(key, out)
+        key = (out << lb) | rows[k]
+    if gens is None:
+        return _dense_rank(key, out)
+    G, gen = gens
+    lo = int(key.min())
+    span, sh = int(key.max()) - lo, (len(key) - 1).bit_length()
+    key -= lo
+    if ((span * G + G - 1).bit_length() + sh > _KEY_BITS
+            >= span.bit_length() + sh):
+        key, span = out, _dense_rank(key, out, True) - 1
+    key *= G
+    key += gen
+    return _dense_rank(key, out,
+                       (span * G + G - 1).bit_length() + sh <= _KEY_BITS)
 
 
 def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
@@ -475,20 +587,23 @@ def _draw_anchors(rng, B: int, m: int) -> np.ndarray:
 
 
 def _widen_limbs(rows: np.ndarray, lb: int, B: int) -> np.ndarray:
-    """The 30-bit limb rows of _draw_anchors as rows of lb >= 30 bits.
+    """The 30-bit limb rows of _draw_anchors as the K = ceil(bits(B)/lb)
+    rows of lb bits.
 
-    Row k holds bits 30k .. 30k+29 of each component.  They land in row
-    30k // lb of the K = ceil(bits(B)/lb) wide rows and, where they cross
-    its top, in the row above; every component keeps its value.
+    Row k holds bits 30k .. 30k+29 of each component.  Each piece of it
+    between multiples of lb lands in its wide row; bits from row K up are
+    zero, as the components are at most B.  Every component keeps its
+    value.
     """
     K = max(1, -(-B.bit_length() // lb))
     wide = np.zeros((K, rows.shape[1]), dtype=np.int64)
     for k, row in enumerate(rows):
-        j, sh = divmod(_LIMB * k, lb)
-        fit = lb - sh  # bits of the row below the top of wide row j
-        wide[j] |= (row & ((1 << fit) - 1)) << sh
-        if fit < _LIMB and j + 1 < K:
-            wide[j + 1] |= row >> fit
+        lo = _LIMB * k
+        while lo < _LIMB * (k + 1) and lo < lb * K:
+            j, sh = divmod(lo, lb)
+            take = min(lb - sh, _LIMB * (k + 1) - lo)
+            wide[j] |= ((row >> (lo - _LIMB * k)) & ((1 << take) - 1)) << sh
+            lo += take
     return wide
 
 
@@ -539,7 +654,11 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     is false-biased: trivial words always come back True; a nontrivial word
     is reported False with probability at least (1 - 1/|w|)^(d-1) at the
     default cube bound |w|^3 (d - 1 < log3 |w| once 3^d <= |w|), a bound
-    that a core of at most |w| letters only helps.
+    that a core of at most |w| letters only helps.  Numbering the edges by
+    the forms at their sources, with no labels, keeps these bounds: two
+    true edges share an id only when their sources' forms collide at the
+    same generator, the event in which labels of those forms would merge
+    the sources.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -561,7 +680,7 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
     (path,) = tree.paths
     # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d
-    # settles False.  Monte Carlo labels never split equal prefixes, so
+    # settles False.  Monte Carlo forms never split equal prefixes, so
     # each quotient edge is the image of the true edges it keys, and a
     # flow nonzero on the image is nonzero on the true graph too
     for k in range(d):

@@ -30,8 +30,9 @@ class PrefixTree:
     reduced), so the tree is folded as an X-digraph.  Each added word's
     fresh suffix is one block of consecutive nodes: the block's first
     node hangs off an older node, its attach node, and every later node
-    off the node just before it.  paths lists the node path of each
-    distinct word, in insertion order.
+    off the node just before it.  blocks lists (first node, attach node)
+    of each block, in order, and paths the node path of each distinct
+    word, in insertion order.
     """
 
     def __init__(self, words: Iterable[Word] = ()):
@@ -39,6 +40,7 @@ class PrefixTree:
         self._parents = [np.array([-1], dtype=np.int64)]
         self._letters = [np.zeros(1, dtype=np.int64)]
         self._size = 1
+        self.blocks: list[tuple[int, int]] = []
         self.paths: list[np.ndarray] = []
         self._sorted: list[tuple[int, ...]] = []  # the words' letters, sorted
         self._sorted_paths: list[np.ndarray] = []  # their paths, in step
@@ -87,6 +89,7 @@ class PrefixTree:
         path[:j + 1] = shared
         path.flags.writeable = False  # shared with the tree's blocks
         if n:
+            self.blocks.append((start, int(path[j])))
             self._parents.append(path[j:-1])
             self._letters.append(letter_array(key[j:]))
             self._size += n

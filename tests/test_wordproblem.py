@@ -345,15 +345,16 @@ def test_word_problem_builds_the_tree_of_the_cyclic_core(monkeypatch, rng):
 
 
 def test_word_problem_exits_at_first_split_depth(monkeypatch):
-    # nonzero abelianization is a nonzero flow at depth 0: no refinement
+    # nonzero abelianization is a nonzero flow at depth 0: no refinement,
+    # so no numbering past depth 0 in either mode
     built = []
-    labels_at = SupportChain.labels_at
+    numbering_at = SupportChain.numbering_at
 
     def spy(self, depth):
         built.append(depth)
-        return labels_at(self, depth)
+        return numbering_at(self, depth)
 
-    monkeypatch.setattr(SupportChain, "labels_at", spy)
+    monkeypatch.setattr(SupportChain, "numbering_at", spy)
     w = parse("x1 x2 x1 X2") ** 500  # abelianization (1000, 0)
     assert not word_problem(w, 2, 3)
     assert max(built) == 0
@@ -495,6 +496,147 @@ def test_mc_labels_are_pinned_per_seed():
     # any of them on purpose updates this digest and says so
     assert _mc_label_digest() == \
         "dcb42e157acd78cc49a976c68eb171e439c3c264e9e98d447c700903e31f678d"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3, 5]),
+       prefix=st.integers(0, 40),
+       tails=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2)),
+                      min_size=1, max_size=3),
+       bound=st.sampled_from(["1", "V^3", "2^lb", "2^(2 lb)", "2^100"]))
+def test_mc_numbering_is_the_numbering_of_the_labels_property(
+        seed, r, prefix, tails, bound):
+    # the Monte Carlo numbering ranks (form at the edge's source,
+    # generator) keys and builds no labels; the labels are ranks of the
+    # forms, so its ids are those that _dense_ids gives the (label of the
+    # source, generator) keys, at one to three limbs
+    g = random.Random(seed)
+    p = random_reduced_word(g, prefix, r)
+    words = [p * (random_reduced_word(g, n, r) if kind == 0
+                  else random_trivial_word(g, r, kind, conjugator_len=1))
+             for n, kind in tails]
+    tree = PrefixTree(words)
+    V = len(tree)
+    lb = SupportChain(tree, "det")._limb_bits()
+    B = {"1": 1, "V^3": V ** 3, "2^lb": 2 ** lb, "2^(2 lb)": 2 ** (2 * lb),
+         "2^100": 2 ** 100}[bound]
+    chain = SupportChain(tree, "mc", rng=random.Random(seed), cube_bound=B)
+    letters = tree.letters
+    tail = np.where(letters > 0, tree.parents, np.arange(V))[1:]
+    gen = np.abs(letters[1:]) - 1
+    for k in range(4):
+        m, eid, _ = chain.numbering_at(k)
+        labels = chain.labels_at(k)
+        C = int(labels.max()) + 1
+        want_m, want = wordproblem._dense_ids(labels[tail] * r + gen, C * r)
+        assert m == want_m and eid[1:].tolist() == want.tolist(), (k, B)
+
+
+def test_mc_word_problem_ranks_once_per_refined_depth(monkeypatch):
+    # a one-limb Monte Carlo word_problem at depth d numbers the
+    # generators by _dense_ids at depth 0 and then each depth 1..d-1 by one
+    # _dense_rank of edge keys: no labels, and no counting pass after depth
+    # 0.  Words of F^(d) keep a zero flow, so every depth is reached
+    calls = {"_dense_rank": 0, "_dense_ids": 0}
+    for name in calls:
+        def wrapped(*args, _name=name, _orig=getattr(wordproblem, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(wordproblem, name, wrapped)
+    g = random.Random(9)
+    for d in (2, 3, 4):
+        w = Word((), rank=2)
+        while len(wordproblem._cyclic_core(w)) < 3 ** d:
+            w = w * random_trivial_word(g, 2, d)
+        for seed in range(3):
+            calls.update({name: 0 for name in calls})
+            assert word_problem(w, 2, d, mode="mc", rng=random.Random(seed))
+            assert calls == {"_dense_rank": d - 1, "_dense_ids": 1}, d
+
+
+def test_mc_forms_shift_the_blocks_the_tree_records(rng):
+    # PrefixTree.blocks holds each appended block's first node and attach
+    # node; the forms shift each later block to start from its attach
+    # node, and a block that continues the node before it (nested_words
+    # ends with one) keeps the shift before it.  The forms, and the forms
+    # at the edges' sources, are the Python-int forms of the flows, at one,
+    # two and four limbs
+    continuing, limbs = 0, set()
+    for words in mc_reference_trees(rng):
+        tree = PrefixTree(words)
+        V = len(tree)
+        parents, letters = tree.parents.tolist(), tree.letters.tolist()
+        assert all(parents[b] == a for b, a in tree.blocks)
+        assert [b for b, _ in tree.blocks] == sorted(
+            {b for b, _ in tree.blocks})
+        assert {v for v in range(1, V) if parents[v] != v - 1} <= \
+            {b for b, _ in tree.blocks}
+        continuing += sum(a == b - 1 for b, a in tree.blocks[1:])
+        paths = [root_path(tree, v) for v in range(V)]
+        tail = [parents[v] if letters[v] > 0 else v for v in range(V)]
+        for B in (V ** 3, 2 ** 100, 2 ** 200):
+            chain = SupportChain(tree, "mc", rng=random.Random(V),
+                                 cube_bound=B)
+            lb = chain._limb_bits()
+            for d in (1, 2):
+                rows = chain._forms(d, source=False).tolist()
+                limbs.add(len(rows))
+                sources = chain._forms(d, source=True).tolist()
+                anchor = [sum(int(x) << (lb * k) for k, x in enumerate(col))
+                          for col in chain._anchors[d - 1].T.tolist()]
+                form = [sum(x * a for x, a in
+                            zip(chain.flow_vector(d - 1, path).tolist(),
+                                anchor))
+                        for path in paths]
+
+                def value(rows, v):
+                    return sum(row[v] << (lb * k) for k, row in
+                               enumerate(rows))
+
+                assert [value(rows, v) for v in range(V)] == form, (V, d)
+                assert [value(sources, v) for v in range(1, V)] == \
+                    [form[tail[v]] for v in range(1, V)], (V, d)
+    assert continuing > 0 and limbs == {1, 2, 4}
+
+
+@pytest.mark.parametrize("key_bits", [63, 40, 24, 12])
+def test_rank_limbs_ranks_pairs_in_order_whatever_fits(monkeypatch,
+                                                       key_bits):
+    # the pairs (integer, generator) are ranked by one packed sort, by two
+    # where only the integer packs, and by an argsort where neither does;
+    # the ranks are the dense ranks of the pairs every way
+    monkeypatch.setattr(wordproblem, "_KEY_BITS", key_bits)
+    g = np.random.default_rng(key_bits)
+    for K, lb, hi, G in ((1, 40, 2 ** 40, 2), (1, 30, 2 ** 14, 2),
+                         (1, 30, 2 ** 20, 5),
+                         (2, 30, 2 ** 30, 3), (3, 20, 2 ** 10, 2),
+                         (1, 30, 4, 7)):
+        n = 300
+        rows = g.integers(-hi, hi, (K, n))
+        gen = g.integers(0, G, n)
+        pairs = [(sum(int(x) << (lb * k) for k, x in enumerate(col)), int(c))
+                 for col, c in zip(rows.T.tolist(), gen.tolist())]
+        rank = {p: i for i, p in enumerate(sorted(set(pairs)))}
+        out = np.empty(n, dtype=np.int64)
+        C = wordproblem._rank_limbs(rows, lb, out, (G, gen))
+        assert C == len(rank) and out.tolist() == [rank[p] for p in pairs]
+
+
+@pytest.mark.parametrize("B", [1, 2 ** 44 + 5, 2 ** 100])
+def test_widened_limbs_narrower_than_the_drawn_ones(B):
+    # many generators bring lb below the 30 bits of a drawn limb, which
+    # then spreads over up to 31 wide rows
+    for lb in range(1, 31):
+        rows = _draw_anchors(random.Random(lb), B, 50)
+        wide = wordproblem._widen_limbs(rows, lb, B)
+        assert len(wide) == max(1, -(-B.bit_length() // lb))
+        assert wide.min() >= 0 and wide.max() < 2 ** lb
+        vals = [0] * wide.shape[1]
+        for row in wide[::-1].tolist():
+            vals = [(v << lb) | x for v, x in zip(vals, row)]
+        assert vals == _anchor_ints(rows), (B, lb)
 
 
 def _det_label_digest():
