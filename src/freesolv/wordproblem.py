@@ -30,9 +30,9 @@ generator) of the labels would get.  The forms are split into anchor
 limbs of lb bits, so that every sum and key stays an exact int64 for any
 cube bound; below about 2^15 letters |w|^3 fits one limb.  The anchors
 come from one getrandbits call of the caller's random.Random per
-refinement, in 30-bit limbs with the components above the cube bound
-redrawn, so a seed fixes every Monte Carlo output independently of the
-numpy version and of the limb width.
+refinement in the common case, in 30-bit limbs, so a seed fixes every
+Monte Carlo output independently of the numpy version and of the limb
+width.
 
 word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
@@ -42,6 +42,7 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 
 from __future__ import annotations
 
+from math import ceil, sqrt
 from operator import add
 from typing import Sequence
 
@@ -551,39 +552,38 @@ def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
 def _draw_anchors(rng, B: int, m: int) -> np.ndarray:
     """m anchor components uniform on [0, B], as K rows of 30-bit limbs.
 
-    One rng.getrandbits call gives K 32-bit words per component; the low
+    One rng.getrandbits call gives K 32-bit words per candidate; the low
     rows keep 30 bits and the top row the bits of B above 30 (K - 1), so
-    a component is uniform on [0, 2^bits(B)).  The components above B
-    are drawn again, all together, until none is left; each draw is above
-    B with probability below 1/2, since B has its top bit set.  Python's
-    Mersenne Twister keeps its getrandbits stream across versions, so a
-    seed fixes the anchors whatever the numpy version.
+    a candidate is uniform on [0, 2^bits(B)) and at most B with
+    probability p = (B + 1) / 2^bits(B) > 1/2.  The components are the
+    first m candidates at most B, in draw order, so they are independent
+    and uniform on [0, B].  A call draws (m + 4 sqrt(m (1 - p)) + 8 (1 -
+    p)) / p candidates, four standard deviations of the passing count
+    above m, and exactly m when p = 1; only when fewer than m pass does
+    it draw again, sized the same way, for the rest.  Python's Mersenne
+    Twister keeps its getrandbits stream across versions, so a seed fixes
+    the anchors whatever the numpy version.
     """
     K = max(1, -(-B.bit_length() // _LIMB))
     top = B.bit_length() - _LIMB * (K - 1)
     b = [(B >> (_LIMB * k)) & _LIMB_MASK for k in range(K)]
-
-    def draw(count):
+    p = (B + 1) / (1 << B.bit_length())
+    parts, need = [np.empty((K, 0), dtype=np.int64)], m
+    while need > 0:
+        count = ceil((need + 4 * sqrt(need * (1 - p)) + 8 * (1 - p)) / p)
         raw = rng.getrandbits(32 * K * count).to_bytes(4 * K * count, "little")
         a = np.frombuffer(raw, dtype="<u4").reshape(K, count).astype(np.int64)
         a[:K - 1] &= _LIMB_MASK
         a[K - 1] &= (1 << top) - 1
-        return a
-
-    def above(a):  # compare limbs top-down against B's
-        gt = np.zeros(a.shape[1], dtype=bool)
-        eq = np.ones(a.shape[1], dtype=bool)
+        # compare limbs top-down against B's
+        gt = np.zeros(count, dtype=bool)
+        eq = np.ones(count, dtype=bool)
         for k in range(K - 1, -1, -1):
             gt |= eq & (a[k] > b[k])
             eq &= a[k] == b[k]
-        return gt
-
-    anchor = draw(m)
-    redo = np.flatnonzero(above(anchor))
-    while len(redo):
-        anchor[:, redo] = draw(len(redo))
-        redo = redo[above(anchor[:, redo])]
-    return anchor
+        parts.append(a[:, np.flatnonzero(~gt)[:need]])
+        need -= parts[-1].shape[1]
+    return parts[-1] if len(parts) == 2 else np.concatenate(parts, axis=1)
 
 
 def _widen_limbs(rows: np.ndarray, lb: int, B: int) -> np.ndarray:

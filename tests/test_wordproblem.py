@@ -495,7 +495,7 @@ def test_mc_labels_are_pinned_per_seed():
     # a seed fixes every Monte Carlo output; an engine change that moves
     # any of them on purpose updates this digest and says so
     assert _mc_label_digest() == \
-        "dcb42e157acd78cc49a976c68eb171e439c3c264e9e98d447c700903e31f678d"
+        "c93afa9d3ba90f83c5cd980683b93e3ed72b70685f9a2ecf04eeb12b14bed8b3"
 
 
 @settings(max_examples=40, deadline=None)
@@ -708,10 +708,28 @@ def test_mc_labels_repeat_for_a_seed(seed, lengths, bound):
         assert runs[0].labels_at(d).tolist() == runs[1].labels_at(d).tolist()
 
 
-class _CountingRandom(random.Random):
+class _RecordingRandom(random.Random):
     def getrandbits(self, k):
-        self.calls = getattr(self, "calls", 0) + 1
-        return super().getrandbits(k)
+        out = super().getrandbits(k)
+        self.draws = getattr(self, "draws", []) + [(k, out)]
+        return out
+
+
+def _candidates(draws, B):
+    """The candidates of _draw_anchors's getrandbits draws, in draw order:
+    K 32-bit words each, limb-major, cut to 30 bits and to the bits of B."""
+    K = max(1, -(-B.bit_length() // 30))
+    widths = [30] * (K - 1) + [B.bit_length() - 30 * (K - 1)]
+    out = []
+    for k, x in draws:
+        words = np.frombuffer(x.to_bytes(k // 8, "little"), dtype="<u4")
+        rows = words.reshape(K, k // (32 * K)).tolist()
+        for col in zip(*rows):
+            v = 0
+            for j in range(K - 1, -1, -1):
+                v = (v << 30) | (col[j] & ((1 << widths[j]) - 1))
+            out.append(v)
+    return out
 
 
 def _anchor_ints(limbs):
@@ -725,7 +743,7 @@ def _anchor_ints(limbs):
                                2 ** 60 + 12345, 2 ** 100])
 def test_anchors_are_uniform_on_the_cube(B):
     n = 100_000
-    g = _CountingRandom(B % 10007)
+    g = _RecordingRandom(B % 10007)
     a = _anchor_ints(_draw_anchors(g, B, n))
     assert len(a) == n and all(0 <= x <= B for x in a)
     if B <= 6:  # every value, each as often as the others
@@ -735,9 +753,41 @@ def test_anchors_are_uniform_on_the_cube(B):
         octiles = np.bincount([x * 8 // (B + 1) for x in a], minlength=8)
         assert np.abs(octiles / n - 1 / 8).max() < 0.01, octiles
     if B == 3 * 2 ** 30 + 1:
-        assert g.calls > 1  # a quarter of the first draw lies above B
+        # a quarter of the candidates lie above B: they are rejected, and
+        # the components are the other candidates in draw order
+        cands = _candidates(g.draws, B)
+        kept = [c for c in cands if c <= B]
+        assert a == kept[:n] and len(cands) - len(kept) > n // 5
     again = _draw_anchors(random.Random(B % 10007), B, n)
     assert _anchor_ints(again) == a
+
+
+def test_anchor_draws_take_one_call_and_redraw_only_the_rest():
+    # the overdraw leaves fewer than m passing candidates about once in
+    # 10^4 calls, near p = 1/2 too; a call then draws again for the rest,
+    # which a first draw of candidates that all lie above B forces here
+    calls = extra = 0
+    for B in (1, 6, 2 ** 30 + 1, 3 * 2 ** 30 + 1, 9 * 5000 ** 3, 2 ** 100):
+        for m in (1, 2, 10, 1000):
+            for seed in range(25):
+                g = _RecordingRandom(seed)
+                _draw_anchors(g, B, m)
+                calls += 1
+                extra += len(g.draws) - 1
+    assert extra <= 2, (extra, calls)
+
+    class Spoiled(_RecordingRandom):
+        def getrandbits(self, k):
+            if not getattr(self, "draws", None):
+                self.draws = [(k, 2 ** k - 1)]
+                return 2 ** k - 1
+            return super().getrandbits(k)
+
+    for B in (6, 3 * 2 ** 30 + 1, 2 ** 100):
+        g = Spoiled(B % 101)
+        a = _anchor_ints(_draw_anchors(g, B, 50))
+        cands = _candidates(g.draws, B)
+        assert len(g.draws) == 2 and a == [c for c in cands if c <= B][:50]
 
 
 def test_anchor_limbs_are_the_getrandbits_words():
