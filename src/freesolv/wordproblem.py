@@ -99,12 +99,16 @@ def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
     One counting pass (mark the keys in the slots, take the running count,
     read it back), with no sort, while there are at most _SLOTS_PER_NODE
     slots per key; else one np.unique, so memory stays O(len(keys))
-    whatever slots is.  Both ways give the same ids.
+    whatever slots is.  Both ways give the same ids.  When every slot is
+    used, as the generators of a word at rank 2 mostly are, the keys are
+    their own ids and are returned as they are.
     """
     if _counted(slots, len(keys)):
         used = np.zeros(slots, dtype=np.int64)
         used[keys] = 1
         used.cumsum(out=used)
+        if used[-1] == slots:
+            return slots, keys
         ids = used[keys]
         ids -= 1
         return int(used[-1]), ids
@@ -455,7 +459,7 @@ class SupportChain:
         for a, row in zip(self._anchors[depth - 1], rows):
             terms = row[1:]
             # every id is in range; "clip" spares the buffered check
-            np.take(a, edge, out=terms, mode="clip")
+            a.take(edge, out=terms, mode="clip")
             terms *= sign
             if source:
                 np.maximum(terms, 0, out=positive)
