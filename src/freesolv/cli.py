@@ -222,30 +222,32 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
     CPU time of this process (time.process_time), not wall time, so the
     time a loaded host keeps the process off a core does not count.  The
     instances are about n letters, a few above n for wp, so a table up to
-    n = 2^20 needs a max_len above the default guard.
+    n = 2^20 needs a max_len above the default guard.  One untimed solve
+    of the first instance comes first, so that no row carries the
+    one-time costs of the process (imports, first allocations).
     """
-    rows = []
-    for n in sizes:
-        times = []
-        for t in range(trials):
-            rng = Random(seed * 1_000_003 + n * 1009 + t)
-            inst = bench_instance(problem, n, r, d, rng)
-            total = sum(len(w) for w in inst)
-            cube = (max(1, total) ** cube_exp
-                    if cube_exp is not None and mode == "mc" else None)
-            run_rng = Random(seed * 1_000_003 + n * 1009 + t + 500_000_001)
-            t0 = time.process_time()
-            if problem == "wp":
-                word_problem(inst[0], r, d, mode=mode, rng=run_rng,
-                             cube_bound=cube, max_len=max_len)
-            elif problem == "pow":
-                power_solve(inst[0], inst[1], r, d, mode=mode, rng=run_rng,
-                            cube_bound=cube, max_len=max_len)
-            else:
-                conjugacy_solve(inst[0], inst[1], r, d, mode=mode,
-                                rng=run_rng, cube_bound=cube, max_len=max_len)
-            times.append(time.process_time() - t0)
-        rows.append({"n": n, "median_s": statistics.median(times)})
+    def timed(n: int, t: int) -> float:
+        rng = Random(seed * 1_000_003 + n * 1009 + t)
+        inst = bench_instance(problem, n, r, d, rng)
+        total = sum(len(w) for w in inst)
+        cube = (max(1, total) ** cube_exp
+                if cube_exp is not None and mode == "mc" else None)
+        run_rng = Random(seed * 1_000_003 + n * 1009 + t + 500_000_001)
+        t0 = time.process_time()
+        if problem == "wp":
+            word_problem(inst[0], r, d, mode=mode, rng=run_rng,
+                         cube_bound=cube, max_len=max_len)
+        elif problem == "pow":
+            power_solve(inst[0], inst[1], r, d, mode=mode, rng=run_rng,
+                        cube_bound=cube, max_len=max_len)
+        else:
+            conjugacy_solve(inst[0], inst[1], r, d, mode=mode,
+                            rng=run_rng, cube_bound=cube, max_len=max_len)
+        return time.process_time() - t0
+
+    timed(sizes[0], 0)  # the warm-up
+    rows = [{"n": n, "median_s": statistics.median(
+        timed(n, t) for t in range(trials))} for n in sizes]
     for prev, cur in zip(rows, rows[1:]):
         if cur["n"] == 2 * prev["n"] and prev["median_s"] > 0:
             cur["doubling_ratio"] = cur["median_s"] / prev["median_s"]
@@ -447,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="oracle agreement sweep")
     p.add_argument("--wp-len", type=int, default=6,
                    help="exhaustive word-problem length bound")
-    _add_common(p)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

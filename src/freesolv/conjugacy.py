@@ -148,9 +148,8 @@ class SchreierSupport:
         if bucket and self.depth <= 1:
             return bucket[0]  # the key is the coset itself
         for q in bucket:
-            gq = Word(concat_reduced(letters,
-                                     tuple(-s for s in reversed(self.reps[q]))),
-                      rank=self.r, _reduced=True)
+            gq = Word._trusted(concat_reduced(
+                letters, tuple(-s for s in reversed(self.reps[q]))), self.r)
             if member_of_cyclic(gq, self.y, self.r, self.depth, memo=self.memo,
                                 max_len=self._limit()):
                 return q
@@ -188,7 +187,7 @@ class SchreierSupport:
         if (u, s) not in self.shifts:
             g = concat_reduced(concat_reduced(self.reps[u], (s,)),
                                tuple(-c for c in reversed(self.reps[v])))
-            j = power_solve(Word(g, rank=self.r, _reduced=True), self.y,
+            j = power_solve(Word._trusted(g, self.r), self.y,
                             self.r, self.depth, mode="det",
                             max_len=self._limit()).k
             self.shifts[(u, s)] = j
@@ -650,9 +649,9 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     res = _conjugacy_attempt(x, y, m, d, flow_hash, max_len)
     if old is None or not res.conjugate:
         return res
-    return ConjugacyResult(True, Word(
-        [old[s - 1] if s > 0 else -old[-s - 1]
-         for s in res.witness.letters], rank=r, _reduced=True))
+    return ConjugacyResult(True, Word._trusted(
+        tuple(old[s - 1] if s > 0 else -old[-s - 1]
+              for s in res.witness.letters), r))
 
 
 def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,

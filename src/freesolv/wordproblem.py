@@ -1,40 +1,38 @@
 """Deterministic and Monte Carlo word problem via distinguisher chains.
 
-A distinguisher at depth d labels the prefixes of a word so that equal
-labels mean equal group elements in S_{r,d}.  Starting from the constant
-labeling (depth 0, the trivial group), each refinement step
+A distinguisher at depth d gives each prefix of a word a node value, a
+code of its flow on the depth-(d-1) quotient support graph, so that
+equal values mean equal group elements in S_{r,d}.  Starting from the
+constant value (depth 0, the trivial group), each refinement step numbers
+the edges of the quotient support graph at depth d-1 and follows the
+prefixes, each one edge beyond its parent, to their flows there.  A mode
+is only a way to compute the node values:
 
-  1. numbers the edges of the quotient support graph at depth d-1,
-  2. follows the prefixes, each one edge beyond its parent,
-  3. groups the prefixes by their flow data,
+  * deterministic (_refine_det): an exact, order-preserving code of the
+    flow, with no hashing: ranks of the parts of the flows in a segment
+    tree over the edges, for all steps of the root paths of the tree's
+    words at once, several levels per pass; the top pass's packed ids,
+    unranked, are the values;
+  * Monte Carlo (_forms): a random linear form <f, a> of the flow f, with
+    the anchor a uniform on the cube [0, B]^m, trading a small one-sided
+    error for vectorized integer work: equal flows never split, and two
+    distinct flows meet with probability at most 1/(B + 1)
+    (Schwartz-Zippel).  The forms are running sums over the tree's nodes
+    in index order, with no root-path cover, and are split into anchor
+    limbs of lb bits, so that every sum and key stays an exact int64 for
+    any cube bound; below about 2^15 letters |w|^3 fits one limb.  The
+    anchors come from one getrandbits call of the caller's random.Random
+    per refinement in the common case, in 30-bit limbs, so a seed fixes
+    every Monte Carlo output independently of the numpy version and of
+    the limb width.
 
-and the group ids are the labels at depth d.  The deterministic step
-labels each prefix by the dense lexicographic rank of its flow, exactly,
-with no hashing: ranks of the parts of the flows in a segment tree over
-the edges, for all steps of the root paths of the tree's words at once,
-several levels per pass.  A pass below the top sorts packed integers
-twice, to order the steps and to rank them; the top pass, one range,
-sorts only to rank, so a refinement with one pass makes one sort.
-The Monte Carlo step replaces each flow f by a random linear form <f, a>,
-with the anchor a uniform on the cube [0, B]^m, trading a small
-one-sided error for vectorized integer work: equal flows never split,
-and two distinct flows meet with probability at most 1/(B + 1)
-(Schwartz-Zippel).  The forms are running sums over the tree's nodes in
-index order, with no root-path cover: each later block of nodes
-(PrefixTree.blocks) is shifted to start from its attach node.  No labels
-are built on the way (labels_at ranks the forms only when asked): the
-next quotient edges are numbered at once by one dense rank of edge keys,
-(form at the edge's source, generator).  A rank keeps the order of the
-forms, so these are the ids that the keys (class of the source,
-generator) of the labels would get.  The forms are split into anchor
-limbs of lb bits, so that every sum and key stays an exact int64 for any
-cube bound; below about 2^15 letters |w|^3 fits one limb.  The anchors
-come from one getrandbits call of the caller's random.Random per
-refinement in the common case, in 30-bit limbs, so a seed fixes every
-Monte Carlo output independently of the numpy version and of the limb
-width.
+The rest is shared.  numbering_at numbers the next quotient edges by one
+dense rank of edge keys (value at the edge's source, generator), and
+labels_at, which the solvers never call, gives the dense ranks of the
+values.  A rank keeps the order of the values, so the edge ids are the
+ones that the keys (label of the source, generator) would get.
 
-word_problem needs no labels at depth d: w = 1 in S_{r,d} iff the flow
+word_problem needs no values at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
 tests each depth k < d that way, so only depths 1..d-1 are refined, and
 in Monte Carlo mode only they are randomized: d = 1 is exact.
@@ -49,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .words import Word
-from .xdigraph import PrefixTree
+from .xdigraph import PrefixTree, _longest_agreement
 
 DEFAULT_MAX_LEN = 1 << 20
 _LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
@@ -87,11 +85,6 @@ def _runs(ranges: np.ndarray, path_start: np.ndarray | None,
     return order, new
 
 
-def _counted(slots: int, n: int) -> bool:
-    """Whether _dense_ids numbers n keys below slots by counting."""
-    return 0 < slots <= _SLOTS_PER_NODE * n
-
-
 def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
     """The values of keys, in [0, slots), numbered 0..n-1 in increasing
     order: (n, the id of each key).
@@ -103,7 +96,7 @@ def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
     used, as the generators of a word at rank 2 mostly are, the keys are
     their own ids and are returned as they are.
     """
-    if _counted(slots, len(keys)):
+    if 0 < slots <= _SLOTS_PER_NODE * len(keys):
         used = np.zeros(slots, dtype=np.int64)
         used[keys] = 1
         used.cumsum(out=used)
@@ -127,11 +120,10 @@ def _run_sums(x: np.ndarray, first: np.ndarray, out: np.ndarray) -> None:
 class SupportChain:
     """Chain of distinguishers over the prefix tree of a word set.
 
-    Shared engine for the word, power and conjugacy solvers.  The edge
-    numbering of each quotient support graph is computed lazily depth by
-    depth and cached: from the labels in deterministic mode, which are
-    cached too, and from the linear forms in Monte Carlo mode, where only
-    the anchors are kept.
+    Shared engine for the word, power and conjugacy solvers.  A mode
+    computes node values (_values); the edge numbering of each quotient
+    support graph is a rank of them, computed lazily depth by depth and
+    cached, and so are the Monte Carlo anchors.  The values are not kept.
     """
 
     def __init__(self, tree: PrefixTree, mode: str = "det", rng=None,
@@ -151,7 +143,7 @@ class SupportChain:
         # the edge into node v >= 1 is the Cayley edge (g, g x_i) read
         # forward for x_i (g its parent) and backward for x_i^-1 (g = v):
         # its generator index i - 1 and sign, fixed per chain, and its
-        # source node (_tail, built by the deterministic numbering only)
+        # source node (_tail, built by the deterministic values only)
         letters = tree.letters
         size = np.abs(letters)
         self._r_max = int(size.max(initial=1))
@@ -159,7 +151,6 @@ class SupportChain:
         self._gen = size[1:] - 1
         self._dirs = np.sign(letters)
         self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
-        self._classes = [1]  # the number of labels per depth
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._anchors: list[np.ndarray] = []  # Monte Carlo, per depth 1..
         self._lb: int | None = None  # their limb bits, once known
@@ -193,70 +184,35 @@ class SupportChain:
         Returns (m, eid, dirs): per non-root node, the edge its parent
         edge maps to and the sign against that edge's orientation (eid[0]
         is 0).  An edge of Cay(S_{r,k}) is fixed by its source and its
-        generator, so the key of a node is (class of its edge's source,
-        generator i - 1), with dirs the sign of the letter, and the edges
-        are numbered in increasing key order, not in the order of
-        canonical triples of number_tree_edges in tests/graph_reference.py.
-        Depth 0 has one class: the edges are the generators, numbered by
-        _dense_ids.
+        generator, so a node is keyed by (value at its edge's source,
+        generator i - 1), with dirs the sign of the letter, and the keys
+        are numbered in increasing order by one _rank_limbs, not in the
+        order of canonical triples of number_tree_edges in
+        tests/graph_reference.py.  Depth 0 has one value: the edges are
+        the generators, numbered by _dense_ids, whose dense ids are the
+        generators of the keys above.
 
-        Deterministic mode keys a node by labels[tail] * r_max + i - 1 and
-        numbers the keys in the classes x r_max slots with _dense_ids: by
-        counting, with no sort, or by np.unique past _SLOTS_PER_NODE slots
-        per node, where the generators are first numbered densely in order,
-        so that the keys stay below V^2 and keep their order.  The labels
-        are dense class ids, so they index slots as they are.  With these
-        exact labels this is the same partition of the tree edges as the
+        The labels at this depth are the dense ranks of the values, which
+        keep their order, so the ids are the ones that the keys (label of
+        the source, generator) would get.  Deterministic values are exact,
+        so this is the same partition of the tree edges as the
         reference's, since the source and the generator fix the target;
-        dirs may differ from its dirs by one sign per edge.
-
-        Monte Carlo mode builds no labels: _number_mc ranks the keys (form
-        at the edge's source, generator) in one _dense_rank.  The labels
-        at this depth would be the dense ranks of those forms, which keep
-        their order, so the ids are the ones their keys would get.  Forms
-        never split equal prefixes, so a key is a function of the true
-        Cayley edge: a trivial word keeps a zero flow, and a nonzero flow
-        is nonzero on the true edges.
+        dirs may differ from its dirs by one sign per edge.  Monte Carlo
+        forms never split equal prefixes, so a key is a function of the
+        true Cayley edge: a trivial word keeps a zero flow, and a nonzero
+        flow is nonzero on the true edges.
         """
         if depth not in self._numberings:
             eid = np.empty(self.V, dtype=np.int64)
             eid[0] = 0  # the root has no parent edge
             if depth == 0:
                 m, eid[1:] = _dense_ids(self._gen, self._r_max)
-            elif self.mode == "mc":
-                m = self._number_mc(depth, eid[1:])
             else:
-                labels = self.labels_at(depth)
-                C = self._classes[depth]
-                gens, gen = self._r_max, self._gen
-                if not _counted(C * gens, len(gen)):
-                    gens, gen = _dense_ids(gen, gens)
-                if self._tail is None:
-                    self._tail = np.where(self.tree.letters > 0,
-                                          self.tree.parents,
-                                          np.arange(self.V))[1:]
-                m, eid[1:] = _dense_ids(labels[self._tail] * gens + gen,
-                                        C * gens)
+                G, gens = self.numbering_at(0)[:2]
+                m = _rank_limbs(self._values(depth, source=True)[:, 1:],
+                                self._limb_bits(), eid[1:], (G, gens[1:]))
             self._numberings[depth] = (m, eid, self._dirs)
         return self._numberings[depth]
-
-    def _number_mc(self, depth: int, out: np.ndarray) -> int:
-        """Monte Carlo edge ids at depth >= 1 into out (one per non-root
-        node); returns their number.
-
-        F(v) is node v's form at this depth (_forms), and c_v = s a[e],
-        for its letter's sign s and its edge e one depth down, is the term
-        its edge adds, so F(v) = F(parent) + c_v.  The edge's source is
-        the parent for x_i and v itself for x_i^-1, and its form is
-        F(v) - max(c_v, 0) either way, as a >= 0.  Each node is keyed by
-        (that source form, dense generator id), ranked by _rank_limbs with
-        the generator in its last step: one _dense_rank for a one-limb
-        form whose key packs with the generator.
-        """
-        G, gens = self.numbering_at(0)[:2]
-        rows = self._forms(depth, source=True)
-        return _rank_limbs(rows[:, 1:], self._limb_bits(), out,
-                           (G, gens[1:]))
 
     def flow_vector(self, depth: int, nodes: Sequence[int]) -> np.ndarray:
         """Flow of a root path on the depth-d quotient graph.
@@ -280,22 +236,37 @@ class SupportChain:
     def labels_at(self, depth: int) -> np.ndarray:
         """Per-node labels at this depth: equal labels mean equal elements.
 
-        Refined labels are dense class ids 0..C-1 in no particular order.
-        The deterministic numbering reads them; in Monte Carlo mode only
-        callers outside the solvers ask for them (_refine_mc).
+        The labels are the dense ranks 0..C-1 of the node values
+        (_values), cached.  The solvers never ask for them: numbering_at
+        ranks the values at the edges' sources instead.
         """
         while len(self._labels) <= depth:
-            prev_depth = len(self._labels) - 1
-            if self.mode == "det":
-                nxt, classes = self._refine_det(prev_depth)
-            else:
-                nxt, classes = self._refine_mc(prev_depth)
-            self._labels.append(nxt)
-            self._classes.append(classes)
+            labels = np.empty(self.V, dtype=np.int64)
+            _rank_limbs(self._values(len(self._labels), source=False),
+                        self._limb_bits(), labels)
+            self._labels.append(labels)
         return self._labels[depth]
 
-    def _refine_det(self, depth: int) -> tuple[np.ndarray, int]:
-        """Label every node by the dense lexicographic rank of its flow.
+    def _values(self, depth: int, source: bool) -> np.ndarray:
+        """The node values at depth >= 1, one column per node, as K rows
+        of limbs (the value is sum_k 2^(lb k) row k): the Monte Carlo forms
+        (_forms), or the deterministic packed flow ids (_refine_det) as
+        one row.  With source, column v holds the value at the source of
+        the edge into v instead (column 0, the root's, is then unused).
+        """
+        if self.mode == "mc":
+            return self._forms(depth, source)
+        values = self._refine_det(depth - 1)
+        if source:
+            if self._tail is None:
+                self._tail = np.where(self.tree.letters > 0,
+                                      self.tree.parents, np.arange(self.V))
+            values = values[self._tail]
+        return values[None]
+
+    def _refine_det(self, depth: int) -> np.ndarray:
+        """Node values at depth + 1: each node's packed flow id, an exact
+        code of its flow that keeps the lexicographic order of the flows.
 
         The flows live in a segment tree over the m quotient edge ids,
         padded to 2^L leaves.  A range's id at a step stands for the
@@ -328,14 +299,15 @@ class SupportChain:
         position), one np.sort of S packed integers (_runs): it costs two
         sorts.  The top pass has a single range, so its steps are in that
         order already and its runs are the paths (on a one-path tree, one
-        running sum): it sorts only to rank, and its ranks are the labels,
-        the root's being zero's.  Returns the labels and their number.
+        running sum): it ranks nothing, as its packed ids less the zero
+        one are the values, the root's being 0.  On several paths the
+        steps of a node all carry its value, and reach scatters it there.
         """
         m, eid, dirs = self.numbering_at(depth)
         nodes, starts = self._euler_tour()
         S = len(nodes)
         if S == 0:
-            return np.zeros(self.V, dtype=np.int64), 1
+            return np.zeros(self.V, dtype=np.int64)
         if self._steps is None:
             # a one-path tree has nodes 1..V-1 in order; on several paths,
             # the node of each packed id (the root's first) and the first
@@ -362,7 +334,6 @@ class SupportChain:
                    <= _KEY_BITS):
                 k += 1
             weight = np.array([D ** j for j in range((1 << k) - 1, -1, -1)])
-            fits = (D ** (1 << k) - 1).bit_length() + sh <= _KEY_BITS
             left -= k
             if not left:  # edge < 2^k: the top pass
                 change *= weight[edge]
@@ -373,6 +344,7 @@ class SupportChain:
             change = change[order]
             _run_sums(change, np.maximum.accumulate(np.where(new, idx, 0)),
                       packed[1:])
+            fits = (D ** (1 << k) - 1).bit_length() + sh <= _KEY_BITS
             D = _dense_rank(packed, ranks, fits, steps)
             # the id of the step at position i is ranks[i + 1]; the one
             # before it on its run is ranks[i], or zero's, ranks[0]
@@ -380,23 +352,11 @@ class SupportChain:
         # the top pass: one range, whose runs are the paths in step order
         if path_start is None:
             change.cumsum(out=packed[1:])
-        else:
-            _run_sums(change, path_start, packed[1:])
-        labels = np.empty(self.V, dtype=np.int64)
-        C = _dense_rank(packed, labels, fits, steps, at=reach)
-        return labels, C
-
-    def _refine_mc(self, depth: int) -> tuple[np.ndarray, int]:
-        """Labels at depth + 1: the dense ranks of the nodes' forms there
-        (_forms), limb by limb (_rank_limbs).
-
-        The solvers never ask for them: the Monte Carlo numbering ranks
-        the forms at the edges' sources instead (_number_mc).
-        """
-        labels = np.empty(self.V, dtype=np.int64)
-        C = _rank_limbs(self._forms(depth + 1, source=False),
-                        self._limb_bits(), labels)
-        return labels, C
+            return packed
+        _run_sums(change, path_start, packed[1:])
+        values = np.empty(self.V, dtype=np.int64)
+        values[reach] = packed
+        return values
 
     def _limb_bits(self) -> int:
         """lb, the bits of an anchor limb: 62 - bits(V - 1) - max(1,
@@ -441,8 +401,9 @@ class SupportChain:
         order, is then shifted to start from its attach node (a block that
         continues the node before it keeps the shift of the block before).
         A word_problem tree is one block, a power_solve probe tree at most
-        two.  The source forms are L_k - max(c_v, 0), taken before any
-        carry.
+        two.  The edge's source is the parent for x_i and v itself for
+        x_i^-1, so its limb is L_k - max(c_v, 0) either way, as a >= 0,
+        taken before any carry.
         """
         m, eid, dirs = self.numbering_at(depth - 1)
         if len(self._anchors) < depth:
@@ -485,10 +446,13 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     any radix order the same integers, so lb changes no rank.  The ranks
     are taken limb by limb from the top: the rank of the top row, then for
     each lower limb the rank of (rank << lb) | L_k, and the generator
-    joins the last key as (key - min) * G + gen.  With one limb that is
-    one _dense_rank.  Where the key alone would pack into a sort key and
-    the factor G would push it past _KEY_BITS, the key is ranked alone
-    first, so the pairs take two sorts rather than one argsort.
+    joins the last key as (key - min) * G + gen.  With one limb, as the
+    deterministic values always are, that is one _dense_rank.  Where the
+    key alone would pack into a sort key and the factor G would push it
+    past _KEY_BITS, the key is ranked alone first, so the pairs take two
+    sorts rather than one argsort; so it is where the pair would pass
+    int64, which _limb_bits rules out for forms but a deterministic value
+    wider than a sort key (past about 2^20 steps) allows.
     """
     if not rows.shape[1]:
         return 0
@@ -506,18 +470,18 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     lo = int(key.min())
     span, sh = int(key.max()) - lo, (len(key) - 1).bit_length()
     key -= lo
-    if ((span * G + G - 1).bit_length() + sh > _KEY_BITS
-            >= span.bit_length() + sh):
-        key, span = out, _dense_rank(key, out, True) - 1
+    alone = span.bit_length() + sh <= _KEY_BITS
+    pair = (span * G + G - 1).bit_length()
+    if pair + sh > _KEY_BITS and (alone or pair > 63):
+        key, span = out, _dense_rank(key, out, alone) - 1
+        pair = (span * G + G - 1).bit_length()
     key *= G
     key += gen
-    return _dense_rank(key, out,
-                       (span * G + G - 1).bit_length() + sh <= _KEY_BITS)
+    return _dense_rank(key, out, pair + sh <= _KEY_BITS)
 
 
 def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
-                idx: np.ndarray | None = None,
-                at: np.ndarray | None = None) -> int:
+                idx: np.ndarray | None = None) -> int:
     """Dense ranks 0..C-1 of the values of x (at least one) into out;
     returns C.
 
@@ -525,8 +489,7 @@ def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
     stays in (-2^_KEY_BITS, 2^_KEY_BITS), else one argsort; a negative x
     sorts as well, as x << sh keeps its sign.  A caller that knows whether
     |x| < 2^(_KEY_BITS - sh) says so by fits; otherwise x - min(x) is
-    sorted when it fits.  idx, if given, is np.arange(len(x)).  The rank
-    of x[i] goes to out[at[i]], or to out[i] without at.
+    sorted when it fits.  idx, if given, is np.arange(len(x)).
     """
     n = len(x)
     sh = (n - 1).bit_length()
@@ -549,7 +512,7 @@ def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
     step[0] = 0
     np.not_equal(srt[1:], srt[:-1], out=step[1:])
     step.cumsum(out=step)
-    out[order if at is None else at[order]] = step
+    out[order] = step
     return int(step[-1]) + 1
 
 
@@ -615,30 +578,18 @@ def _cyclic_core(w: Word) -> Word:
     """w with each leading letter stripped while it inverts the trailing one.
 
     The stripped length c is the longest common prefix of w and w^-1,
-    below |w|/2 as w is reduced.  It is found as xdigraph._common_prefix
-    finds one, by slice compares: the known-equal length doubles, each
-    step comparing only its new half, then the last step is bisected.  A
-    compare adds letter i of w to letter n-1-i in C-level steps, so the
-    cost is O(c), and O(1) when w_1 != w_n^-1.
+    below |w|/2 as w is reduced, found by the slice compares of
+    xdigraph._longest_agreement: a compare adds letter i of w to letter
+    n-1-i in C-level steps, so the cost is O(c), and O(1) when w_1 !=
+    w_n^-1.
     """
     a, n = w.letters, len(w)
     if n < 2 or a[0] != -a[-1]:
         return w
-
-    def inverted(i: int, j: int) -> bool:  # w and w^-1 agree on i..j-1
-        return not any(map(add, a[i:j], a[n - 1 - i:n - 1 - j:-1]))
-
-    lo, hi, half = 1, 2, n // 2
-    while hi <= half and inverted(lo, hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, half)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if inverted(lo, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return Word._trusted(a[lo:n - lo], w.rank)
+    c = _longest_agreement(  # w and w^-1 agree on i..j-1
+        lambda i, j: not any(map(add, a[i:j], a[n - 1 - i:n - 1 - j:-1])),
+        n // 2, 1)
+    return Word._trusted(a[c:n - c], w.rank)
 
 
 def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
@@ -652,8 +603,8 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     The max_len guard and the default Monte Carlo cube bound |w|^3 still
     come from the input w; the 3^d > |core| shortcut and the prefix tree
     take the core.  Depth k is decided by the flow test: w = 1 in S_{r,k+1}
-    iff its flow on the depth-k quotient graph is zero, so labels are built
-    up to depth d-1 only.  Deterministic mode is always correct.  Monte
+    iff its flow on the depth-k quotient graph is zero, so edges are
+    numbered up to depth d-1 only.  Deterministic mode is always correct.  Monte
     Carlo mode randomizes only depths 1..d-1, so it is exact at d = 1.  It
     is false-biased: trivial words always come back True; a nontrivial word
     is reported False with probability at least (1 - 1/|w|)^(d-1) at the

@@ -114,15 +114,27 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Length of the longest common prefix, by slice compares: it doubles
-    a known-equal length, then bisects the last step."""
-    hi = 1
-    while hi <= min(len(a), len(b)) and a[:hi] == b[:hi]:
-        hi *= 2
-    lo, hi = hi // 2, min(hi, len(a), len(b))
+    """Length of the longest common prefix, by slice compares
+    (_longest_agreement)."""
+    return _longest_agreement(lambda i, j: a[i:j] == b[i:j],
+                              min(len(a), len(b)))
+
+
+def _longest_agreement(agree, n: int, lo: int = 0) -> int:
+    """The largest c <= n with agree(0, c), where agree(i, j) says that
+    positions i..j-1 agree, given that the first lo positions do.
+
+    The known-agreeing length doubles, each step asking agree only about
+    the new half, then the last step is bisected, so a C-level compare
+    makes the cost O(c), and one agree call when position lo disagrees.
+    """
+    hi = max(2 * lo, 1)
+    while hi <= n and agree(lo, hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi - 1, n)  # agree(lo, hi) failed, or hi > n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a[lo:mid] == b[lo:mid]:
+        if agree(lo, mid):
             lo = mid
         else:
             hi = mid - 1

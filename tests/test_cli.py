@@ -252,7 +252,7 @@ def test_bench_passes_cube_exp_zero(monkeypatch):
 
     monkeypatch.setattr(cli, "word_problem", spy)
     run_bench("wp", [64], 2, 2, "mc", seed=1, trials=1, cube_exp=0)
-    assert bounds == [1]
+    assert bounds == [1, 1]  # the untimed warm-up solve, then the row
 
 
 def test_bench_passes_max_len(capsys):
@@ -274,6 +274,12 @@ def test_bench_rejects_unsorted(capsys):
 
 def test_selftest_small():
     assert run_selftest(max_len=4, verbose=False) == 0
+
+
+def test_selftest_takes_only_its_length_bound(capsys):
+    # the sweep is fixed, so an option it would ignore is a usage error
+    code, _, err = run(capsys, "selftest", "--seed", "1")
+    assert code == EXIT_USAGE and "--seed" in err
 
 
 def test_bench_conj_no_pairs_need_no_trace(monkeypatch):

@@ -503,13 +503,14 @@ def test_mc_labels_are_pinned_per_seed():
        prefix=st.integers(0, 40),
        tails=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2)),
                       min_size=1, max_size=3),
-       bound=st.sampled_from(["1", "V^3", "2^lb", "2^(2 lb)", "2^100"]))
+       bound=st.sampled_from(["1", "V^3", "2^lb", "2^(2 lb)", "2^100"]),
+       mode=st.sampled_from(["det", "mc"]))
 def test_mc_numbering_is_the_numbering_of_the_labels_property(
-        seed, r, prefix, tails, bound):
-    # the Monte Carlo numbering ranks (form at the edge's source,
-    # generator) keys and builds no labels; the labels are ranks of the
-    # forms, so its ids are those that _dense_ids gives the (label of the
-    # source, generator) keys, at one to three limbs
+        seed, r, prefix, tails, bound, mode):
+    # the numbering ranks (node value at the edge's source, generator) keys
+    # and builds no labels; the labels are ranks of the values, so its ids
+    # are those that _dense_ids gives the (label of the source, generator)
+    # keys, in both modes and at one to three Monte Carlo limbs
     g = random.Random(seed)
     p = random_reduced_word(g, prefix, r)
     words = [p * (random_reduced_word(g, n, r) if kind == 0
@@ -520,7 +521,7 @@ def test_mc_numbering_is_the_numbering_of_the_labels_property(
     lb = SupportChain(tree, "det")._limb_bits()
     B = {"1": 1, "V^3": V ** 3, "2^lb": 2 ** lb, "2^(2 lb)": 2 ** (2 * lb),
          "2^100": 2 ** 100}[bound]
-    chain = SupportChain(tree, "mc", rng=random.Random(seed), cube_bound=B)
+    chain = SupportChain(tree, mode, rng=random.Random(seed), cube_bound=B)
     letters = tree.letters
     tail = np.where(letters > 0, tree.parents, np.arange(V))[1:]
     gen = np.abs(letters[1:]) - 1
@@ -529,7 +530,8 @@ def test_mc_numbering_is_the_numbering_of_the_labels_property(
         labels = chain.labels_at(k)
         C = int(labels.max()) + 1
         want_m, want = wordproblem._dense_ids(labels[tail] * r + gen, C * r)
-        assert m == want_m and eid[1:].tolist() == want.tolist(), (k, B)
+        assert m == want_m and eid[1:].tolist() == want.tolist(), \
+            (mode, k, B)
 
 
 def test_mc_word_problem_ranks_once_per_refined_depth(monkeypatch):
@@ -605,14 +607,16 @@ def test_mc_forms_shift_the_blocks_the_tree_records(rng):
 def test_rank_limbs_ranks_pairs_in_order_whatever_fits(monkeypatch,
                                                        key_bits):
     # the pairs (integer, generator) are ranked by one packed sort, by two
-    # where only the integer packs, and by an argsort where neither does;
-    # the ranks are the dense ranks of the pairs every way
+    # where only the integer packs, and by an argsort where neither does,
+    # after ranking the integer where the pair would pass int64, as a wide
+    # deterministic value can; the ranks are the dense ranks of the pairs
+    # every way
     monkeypatch.setattr(wordproblem, "_KEY_BITS", key_bits)
     g = np.random.default_rng(key_bits)
     for K, lb, hi, G in ((1, 40, 2 ** 40, 2), (1, 30, 2 ** 14, 2),
                          (1, 30, 2 ** 20, 5),
                          (2, 30, 2 ** 30, 3), (3, 20, 2 ** 10, 2),
-                         (1, 30, 4, 7)):
+                         (1, 30, 4, 7), (1, 62, 2 ** 62, 2 ** 10)):
         n = 300
         rows = g.integers(-hi, hi, (K, n))
         gen = g.integers(0, G, n)
@@ -959,8 +963,9 @@ def test_numbering_matches_reference_edges_property(seed, r, prefix, tails):
 
 
 def test_numbering_sorts_nothing(monkeypatch):
-    # at low rank the edge numbering is one counting pass over class x
-    # generator slots
+    # at low rank the edge numbering counts the generators at depth 0 and
+    # above it ranks packed keys in place (ndarray.sort), with no np.unique
+    # and no argsort fallback
     tree = PrefixTree([random_trivial_word(random.Random(2), 3, 2)])
     chain = SupportChain(tree, "det")
     chain.labels_at(2)
@@ -989,10 +994,11 @@ def test_det_refinement_calls_no_unique_and_counts_no_steps(monkeypatch):
 
 
 def test_det_refinement_sorts_steps_below_the_top_pass_only(monkeypatch):
-    # each pass ranks its packed ids once; a pass below the top also sorts
-    # the steps by (range, position), while the top pass, a single range
-    # whose runs are the paths, takes the steps in the order they come
-    sorts, passes = [], []
+    # a pass below the top sorts its steps by (range, position) and ranks
+    # its packed ids, one _runs and one _dense_rank; the top pass, a single
+    # range whose runs are the paths, takes the steps in the order they
+    # come and returns its packed ids as the values, unranked
+    sorts, ranks = [], []
 
     def spy(name, calls):
         orig = getattr(wordproblem, name)
@@ -1004,7 +1010,7 @@ def test_det_refinement_sorts_steps_below_the_top_pass_only(monkeypatch):
         monkeypatch.setattr(wordproblem, name, wrapped)
 
     spy("_runs", sorts)
-    spy("_dense_rank", passes)
+    spy("_dense_rank", ranks)
     g = random.Random(6)
     p = random_reduced_word(g, 40, 3)
     seen = set()
@@ -1013,15 +1019,15 @@ def test_det_refinement_sorts_steps_below_the_top_pass_only(monkeypatch):
                    * random_reduced_word(g, 300, 2)],
                   [p * random_reduced_word(g, k, 3) for k in (1, 200, 700)],
                   [Word((), rank=2), p, p * random_reduced_word(g, 90, 3)]):
-        chain = SupportChain(PrefixTree(words), "det")
+        tree = PrefixTree(words)
+        chain = SupportChain(tree, "det")
         for depth in range(3):
-            chain.labels_at(depth)
-            sorts.clear(), passes.clear()
-            chain.labels_at(depth + 1)
-            assert len(passes) >= 1
-            assert len(sorts) == len(passes) - 1, (depth, len(passes))
-            seen.add(min(len(passes), 3))
-    assert {1, 3} <= seen
+            chain.numbering_at(depth)
+            sorts.clear(), ranks.clear()
+            chain._refine_det(depth)
+            assert len(sorts) == len(ranks), depth
+            seen.add((len(tree.paths) > 1, min(len(ranks), 2)))
+    assert {(False, 0), (False, 2), (True, 0), (True, 2)} <= seen, seen
 
 
 def test_flow_of_a_path_through_every_node_is_the_gathered_flow():
