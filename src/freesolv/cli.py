@@ -118,7 +118,8 @@ def cmd_pow(args) -> int:
     results = [power_solve(u, v, r, cfg.degree, mode=cfg.mode, rng=rng,
                            cube_bound=cfg.cube_bound(n), max_len=cfg.max_len)
                for _ in range(cfg.runs)]
-    res = max(set(results), key=results.count)  # majority across trials
+    # majority across trials; a tie goes to the earliest trial
+    res = max(results, key=results.count)
     elapsed = (time.perf_counter() - t0) * 1000
     report = {"problem": "pow", "inputs": [u.serialize(), v.serialize()],
               "answer": res.found, "k": res.k, "rank": r,
@@ -281,8 +282,8 @@ def _revision() -> str | None:
 def cmd_bench(args) -> int:
     cfg = RunConfig.from_args(args)
     sizes = [int(s) for s in args.sizes.split(",")]
-    if sizes != sorted(sizes):
-        raise ParseError("sizes must be ascending")
+    if sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ParseError("sizes must be positive and strictly ascending")
     r = cfg.rank if cfg.rank is not None else 2
     table = run_bench(args.problem, sizes, r, cfg.degree, cfg.mode,
                       cfg.seed, cfg.trials, cfg.cube_exp, cfg.max_len)
@@ -405,11 +406,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="PRNG seed (default: OS entropy, echoed in output)")
     p.add_argument("--cube-exp", type=int, default=None,
-                   help="anchor cube exponent override for mc mode")
+                   help="mc mode: anchor bound B = (input letters)^EXP "
+                        "instead of the solver default; each depth draws "
+                        "its anchors once, uniform on [0, 2^bits(B)), which "
+                        "holds [0, B], so two distinct flows meet with "
+                        "probability at most 2^-bits(B) <= 1/(B+1)")
     p.add_argument("--trials", type=int, default=1,
                    help="Monte Carlo wp and pow: solves per answer, "
                         "combined (any False for wp, the majority for "
-                        "pow); deterministic solves and conj solve once. "
+                        "pow, a tie to the earliest trial); deterministic "
+                        "solves and conj solve once. "
                         "bench: instances per size")
     p.add_argument("--json", action="store_true", help="JSON report")
     p.add_argument("--max-len", type=int, default=1 << 20,
@@ -442,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="scaling table for one problem")
     p.add_argument("problem", choices=("wp", "pow", "conj"))
-    p.add_argument("sizes", help="comma-separated ascending instance sizes")
+    p.add_argument("sizes", help="comma-separated instance sizes, positive "
+                                 "and strictly ascending")
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 

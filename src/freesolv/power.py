@@ -28,7 +28,7 @@ import numpy as np
 from .words import Word, commutator
 from .xdigraph import PrefixTree, letter_array
 from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
-                          _dense_ids, word_problem)
+                          _dense_ids, _first_nontrivial_depth, word_problem)
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,6 @@ class PowerResult:
 
 
 FAIL = PowerResult(None)
-
-
-def _log3_floor(n: int) -> int:
-    if n < 1:
-        return 0
-    e = 0
-    while 3 ** (e + 1) <= n:
-        e += 1
-    return e
-
-
-def _first_nontrivial_depth(chain: SupportChain, path, length: int,
-                            cap: int) -> int:
-    """Largest s <= cap at which the word (given by its node path) is trivial.
-
-    Depth i is tested by the word's flow on the depth-(i-1) quotient
-    graph, so labels are built no deeper than cap - 1.
-    """
-    for i in range(1, cap + 1):
-        if length and 3 ** i > length:
-            # shorter than the shortest depth-i relator: nontrivial from here on
-            return i - 1
-        if chain.flow_vector(i - 1, path).any():
-            return i - 1
-    return cap
 
 
 def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +79,11 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     Deterministic mode is exact.  Monte Carlo mode randomizes only the
     labels of depths 1..d-1 (triviality is read off flows, see
     _first_nontrivial_depth), so it is exact at d = 1.  It is unbiased
-    (errors both ways are possible) with success probability at least
-    (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default anchor cube
-    [0, 9(|u|+|v|)^3]: the certificate word u v^-q, or [u, v] when u v^-q
+    (errors both ways are possible).  Its anchors are uniform on
+    [0, 2^b)^m, b = bits(B), so two distinct flows meet with probability
+    at most 2^-b <= 1/(B + 1), and it succeeds with probability at least
+    (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default bound B =
+    9(|u|+|v|)^3: the certificate word u v^-q, or [u, v] when u v^-q
     would be longer, has at most 2(|u|+|v|) letters either way.  Edge ids
     keyed by the forms at the edges' sources merge two true edges only
     when those forms collide at the same generator, as labels of the
@@ -139,18 +116,15 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
         s = d if len(u) == 0 else None
         t = 0 if pv.any() else (d if len(v) == 0 else None)
         if s is None or t is None:
-            D = min(d, 1 + _log3_floor(n))
             tree = PrefixTree([u, v])
             chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
             # paths keeps insertion order: u's path first and v's last,
             # one path when u = v
             u_nodes, v_nodes = tree.paths[0], tree.paths[-1]
-            # below d the cap D never truncates a nonempty word's
-            # triviality depth (|w| >= 3^s forces s <= log3 |w| < D)
             if s is None:
-                s = _first_nontrivial_depth(chain, u_nodes, len(u), D)
+                s = _first_nontrivial_depth(chain, u_nodes, len(u), d)
             if t is None:
-                t = _first_nontrivial_depth(chain, v_nodes, len(v), D)
+                t = _first_nontrivial_depth(chain, v_nodes, len(v), d)
         if d <= s and d <= t:
             return PowerResult(1)
         if t < d <= s:

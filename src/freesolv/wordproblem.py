@@ -14,17 +14,16 @@ is only a way to compute the node values:
     words at once, several levels per pass; the top pass's packed ids,
     unranked, are the values;
   * Monte Carlo (_forms): a random linear form <f, a> of the flow f, with
-    the anchor a uniform on the cube [0, B]^m, trading a small one-sided
-    error for vectorized integer work: equal flows never split, and two
-    distinct flows meet with probability at most 1/(B + 1)
-    (Schwartz-Zippel).  The forms are running sums over the tree's nodes
-    in index order, with no root-path cover, and are split into anchor
-    limbs of lb bits, so that every sum and key stays an exact int64 for
-    any cube bound; below about 2^15 letters |w|^3 fits one limb.  The
-    anchors come from one getrandbits call of the caller's random.Random
-    per refinement in the common case, in 30-bit limbs, so a seed fixes
-    every Monte Carlo output independently of the numpy version and of
-    the limb width.
+    the anchor a uniform on the cube [0, 2^b)^m, b = bits(B), which holds
+    [0, B]^m, trading a small one-sided error for vectorized integer
+    work: equal flows never split, and two distinct flows meet with
+    probability at most 2^-b <= 1/(B + 1) (Schwartz-Zippel).  The forms
+    are running sums over the tree's nodes in index order, with no
+    root-path cover, in anchor limbs of lb bits, so that every sum and key
+    stays an exact int64 for any cube bound; below about 2^15 letters
+    |w|^3 fits one limb.  One getrandbits call of the caller's
+    random.Random per refinement draws the anchors as those limbs, so a
+    seed fixes every Monte Carlo output whatever the numpy version.
 
 The rest is shared.  numbering_at numbers the next quotient edges by one
 dense rank of edge keys (value at the edge's source, generator), and
@@ -40,7 +39,6 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 
 from __future__ import annotations
 
-from math import ceil, sqrt
 from operator import add
 from typing import Sequence
 
@@ -50,8 +48,6 @@ from .words import Word
 from .xdigraph import PrefixTree, _longest_agreement
 
 DEFAULT_MAX_LEN = 1 << 20
-_LIMB = 30  # bits per limb of the drawn Monte Carlo anchors
-_LIMB_MASK = (1 << _LIMB) - 1
 # _dense_ids counts keys in at most this many slots per key
 _SLOTS_PER_NODE = 8
 # _dense_rank sorts packed keys (value << bits(n)) | index of size below
@@ -381,17 +377,17 @@ class SupportChain:
         into v instead (column 0, the root's, is then unused).
 
         With f_v the flow of node v on the depth - 1 quotient graph and a
-        the anchor, m components drawn by _draw_anchors uniformly from [0,
-        B] in edge order, the form of v is
+        the anchor, m components uniform on [0, 2^b), b = bits(B), in edge
+        order, the form of v is
 
           <f_v, a> = sum_k 2^(lb k) <f_v, a_k>,
 
-        where a_k are the K = ceil(bits(B)/lb) limbs of lb bits of a
-        (_limb_bits).  The anchor of a depth is drawn the first time its
-        forms are needed, depth by depth.  Equal flows never split.
-        Distinct flows f != f' meet only when <f - f', a> = 0, a linear
-        equation in a with a nonzero coefficient, so with probability at
-        most 1/(B + 1) (Schwartz 1980; Zippel 1979).  The edge into node v
+        where a_k are the K limbs of lb bits (_limb_bits) of a, as
+        _draw_anchors draws them the first time a depth's forms are
+        needed.  Equal flows never split.  Distinct flows f != f' meet only
+        when <f - f', a> = 0, a linear equation in a with a nonzero
+        coefficient, so with probability at most 2^-b <= 1/(B + 1)
+        (Schwartz 1980; Zippel 1979).  The edge into node v
         moves its parent's flow by s in one component, s the edge's sign,
         so the limb L_k = <f_v, a_k> is its parent's plus c_v = s
         a_k[edge].  The PrefixTree numbers parents before children in
@@ -407,9 +403,8 @@ class SupportChain:
         """
         m, eid, dirs = self.numbering_at(depth - 1)
         if len(self._anchors) < depth:
-            self._anchors.append(_widen_limbs(
-                _draw_anchors(self.rng, self.cube_bound, m),
-                self._limb_bits(), self.cube_bound))
+            self._anchors.append(_draw_anchors(
+                self.rng, self.cube_bound, m, self._limb_bits()))
         V = self.V
         rows = np.empty((len(self._anchors[depth - 1]), V), dtype=np.int64)
         rows[:, 0] = 0  # the root's form
@@ -449,10 +444,10 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     joins the last key as (key - min) * G + gen.  With one limb, as the
     deterministic values always are, that is one _dense_rank.  Where the
     key alone would pack into a sort key and the factor G would push it
-    past _KEY_BITS, the key is ranked alone first, so the pairs take two
-    sorts rather than one argsort; so it is where the pair would pass
-    int64, which _limb_bits rules out for forms but a deterministic value
-    wider than a sort key (past about 2^20 steps) allows.
+    past _KEY_BITS, the key is ranked alone and _dense_ids counts the
+    pairs (rank, gen): one sort and a count, not one argsort.  So it is
+    where the pair would pass int64, which _limb_bits rules out for forms
+    but a deterministic value wider than a sort key (~2^20 steps) allows.
     """
     if not rows.shape[1]:
         return 0
@@ -473,8 +468,9 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     alone = span.bit_length() + sh <= _KEY_BITS
     pair = (span * G + G - 1).bit_length()
     if pair + sh > _KEY_BITS and (alone or pair > 63):
-        key, span = out, _dense_rank(key, out, alone) - 1
-        pair = (span * G + G - 1).bit_length()
+        C = _dense_rank(key, out, alone)
+        C, out[:] = _dense_ids(out * G + gen, C * G)
+        return C
     key *= G
     key += gen
     return _dense_rank(key, out, pair + sh <= _KEY_BITS)
@@ -516,62 +512,23 @@ def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
     return int(step[-1]) + 1
 
 
-def _draw_anchors(rng, B: int, m: int) -> np.ndarray:
-    """m anchor components uniform on [0, B], as K rows of 30-bit limbs.
+def _draw_anchors(rng, B: int, m: int, lb: int) -> np.ndarray:
+    """m anchor components uniform on [0, 2^b), b = bits(B), as the K =
+    max(1, ceil(b / lb)) rows of lb-bit limbs that _forms sums.
 
-    One rng.getrandbits call gives K 32-bit words per candidate; the low
-    rows keep 30 bits and the top row the bits of B above 30 (K - 1), so
-    a candidate is uniform on [0, 2^bits(B)) and at most B with
-    probability p = (B + 1) / 2^bits(B) > 1/2.  The components are the
-    first m candidates at most B, in draw order, so they are independent
-    and uniform on [0, B].  A call draws (m + 4 sqrt(m (1 - p)) + 8 (1 -
-    p)) / p candidates, four standard deviations of the passing count
-    above m, and exactly m when p = 1; only when fewer than m pass does
-    it draw again, sized the same way, for the rest.  Python's Mersenne
-    Twister keeps its getrandbits stream across versions, so a seed fixes
-    the anchors whatever the numpy version.
+    One rng.getrandbits call gives K m little-endian 64-bit words, row by
+    row; each keeps its low lb bits, and the top row's the b - lb (K - 1)
+    bits of B above the lower rows.  The cube [0, 2^b) holds [0, B], so
+    two distinct flows meet with probability at most 2^-b <= 1/(B + 1).
+    Python's Mersenne Twister keeps its getrandbits stream across
+    versions, so a seed fixes the anchors whatever the numpy version.
     """
-    K = max(1, -(-B.bit_length() // _LIMB))
-    top = B.bit_length() - _LIMB * (K - 1)
-    b = [(B >> (_LIMB * k)) & _LIMB_MASK for k in range(K)]
-    p = (B + 1) / (1 << B.bit_length())
-    parts, need = [np.empty((K, 0), dtype=np.int64)], m
-    while need > 0:
-        count = ceil((need + 4 * sqrt(need * (1 - p)) + 8 * (1 - p)) / p)
-        raw = rng.getrandbits(32 * K * count).to_bytes(4 * K * count, "little")
-        a = np.frombuffer(raw, dtype="<u4").reshape(K, count).astype(np.int64)
-        a[:K - 1] &= _LIMB_MASK
-        a[K - 1] &= (1 << top) - 1
-        # compare limbs top-down against B's
-        gt = np.zeros(count, dtype=bool)
-        eq = np.ones(count, dtype=bool)
-        for k in range(K - 1, -1, -1):
-            gt |= eq & (a[k] > b[k])
-            eq &= a[k] == b[k]
-        parts.append(a[:, np.flatnonzero(~gt)[:need]])
-        need -= parts[-1].shape[1]
-    return parts[-1] if len(parts) == 2 else np.concatenate(parts, axis=1)
-
-
-def _widen_limbs(rows: np.ndarray, lb: int, B: int) -> np.ndarray:
-    """The 30-bit limb rows of _draw_anchors as the K = ceil(bits(B)/lb)
-    rows of lb bits.
-
-    Row k holds bits 30k .. 30k+29 of each component.  Each piece of it
-    between multiples of lb lands in its wide row; bits from row K up are
-    zero, as the components are at most B.  Every component keeps its
-    value.
-    """
-    K = max(1, -(-B.bit_length() // lb))
-    wide = np.zeros((K, rows.shape[1]), dtype=np.int64)
-    for k, row in enumerate(rows):
-        lo = _LIMB * k
-        while lo < _LIMB * (k + 1) and lo < lb * K:
-            j, sh = divmod(lo, lb)
-            take = min(lb - sh, _LIMB * (k + 1) - lo)
-            wide[j] |= ((row >> (lo - _LIMB * k)) & ((1 << take) - 1)) << sh
-            lo += take
-    return wide
+    b = B.bit_length()
+    K = max(1, -(-b // lb))
+    raw = rng.getrandbits(64 * K * m).to_bytes(8 * K * m, "little")
+    a = np.frombuffer(raw, dtype="<i8").reshape(K, m) & ((1 << lb) - 1)
+    a[K - 1] &= (1 << (b - lb * (K - 1))) - 1
+    return a
 
 
 def _cyclic_core(w: Word) -> Word:
@@ -592,6 +549,21 @@ def _cyclic_core(w: Word) -> Word:
     return Word._trusted(a[c:n - c], w.rank)
 
 
+def _first_nontrivial_depth(chain: SupportChain, path, length: int,
+                            cap: int) -> int:
+    """Largest s <= cap at which the word of this node path and length is
+    trivial: i - 1 for the first i <= cap at which it is shorter than 3^i,
+    the shortest depth-i relator, or its flow on the depth-(i-1) quotient
+    graph is nonzero.  Monte Carlo forms never split equal prefixes, so
+    each quotient edge is the image of the true edges it keys, and a flow
+    nonzero on the image is nonzero on the true graph too.
+    """
+    for i in range(1, cap + 1):
+        if 0 < length < 3 ** i or chain.flow_vector(i - 1, path).any():
+            return i - 1
+    return cap
+
+
 def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
                  cube_bound: int | None = None,
                  max_len: int = DEFAULT_MAX_LEN) -> bool:
@@ -600,20 +572,20 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     Triviality is invariant under conjugation, so it is decided on the
     cyclic core of w: w with each leading letter stripped while it inverts
     the trailing one (_cyclic_core), a conjugate of w that is never longer.
-    The max_len guard and the default Monte Carlo cube bound |w|^3 still
-    come from the input w; the 3^d > |core| shortcut and the prefix tree
-    take the core.  Depth k is decided by the flow test: w = 1 in S_{r,k+1}
-    iff its flow on the depth-k quotient graph is zero, so edges are
-    numbered up to depth d-1 only.  Deterministic mode is always correct.  Monte
-    Carlo mode randomizes only depths 1..d-1, so it is exact at d = 1.  It
-    is false-biased: trivial words always come back True; a nontrivial word
-    is reported False with probability at least (1 - 1/|w|)^(d-1) at the
-    default cube bound |w|^3 (d - 1 < log3 |w| once 3^d <= |w|), a bound
-    that a core of at most |w| letters only helps.  Numbering the edges by
-    the forms at their sources, with no labels, keeps these bounds: two
-    true edges share an id only when their sources' forms collide at the
-    same generator, the event in which labels of those forms would merge
-    the sources.
+    The max_len guard and the default Monte Carlo cube bound B = |w|^3
+    still come from the input w; the 3^d > |core| shortcut and the prefix
+    tree take the core.  w = 1 in S_{r,d} iff its flows on the depth-k
+    quotient graphs, k < d, are zero (_first_nontrivial_depth).
+    Deterministic mode is always correct.  Monte Carlo mode randomizes
+    only depths 1..d-1, so it is exact at d = 1.  It is false-biased:
+    trivial words always come back True.  Its anchors are uniform on
+    [0, 2^b)^m, b = bits(B), so two distinct flows meet with probability
+    at most 2^-b <= 1/(B + 1), and a nontrivial word is reported False
+    with probability at least (1 - 1/|w|)^(d-1) at the default B (d - 1 <
+    log3 |w| once 3^d <= |w|), a bound that a core of at most |w| letters
+    only helps.  Two true edges share an id only when their sources' forms
+    collide at the same generator, as labels of those forms would merge
+    the sources, so numbering the edges with no labels keeps the bound.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -623,10 +595,9 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
         raise LengthGuardError(f"|w| = {len(w)} exceeds guard {max_len}")
     if len(w) == 0 or d == 0:
         return True
+    B = None
     if mode == "mc":
         B = cube_bound if cube_bound is not None else len(w) ** 3
-    else:
-        B = None
     core = _cyclic_core(w)
     if 3 ** d > len(core):
         # the shortest nontrivial relator of S_{r,d} has length >= 3^d
@@ -634,11 +605,4 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     tree = PrefixTree([core])
     chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
     (path,) = tree.paths
-    # S_{r,k+1} is a quotient of S_{r,d}, so a nonzero flow at any k < d
-    # settles False.  Monte Carlo forms never split equal prefixes, so
-    # each quotient edge is the image of the true edges it keys, and a
-    # flow nonzero on the image is nonzero on the true graph too
-    for k in range(d):
-        if chain.flow_vector(k, path).any():
-            return False
-    return True
+    return _first_nontrivial_depth(chain, path, len(core), d) == d

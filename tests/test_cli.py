@@ -11,7 +11,7 @@ from freesolv import cli, wordproblem
 from freesolv.cli import (EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES,
                           bench_instance, main, run_bench, run_selftest)
 from freesolv.conjugacy import SchreierSupport, conjugacy_solve
-from freesolv.power import power_solve
+from freesolv.power import PowerResult, power_solve
 from freesolv.words import Word, commutator, random_trivial_word
 from freesolv.wordproblem import SupportChain, word_problem
 
@@ -204,6 +204,17 @@ def test_trials_repeat_only_randomized_work(monkeypatch, capsys, mode):
         assert reports[0] == reports[1], argv
 
 
+def test_pow_trials_split_vote_goes_to_the_earliest_trial(monkeypatch,
+                                                          capsys):
+    # a tie is broken by trial order, not by the order of a set, which for
+    # Fail (hash(None)) varies between processes
+    answers = iter([PowerResult(5), PowerResult(1)])
+    monkeypatch.setattr(cli, "power_solve", lambda *a, **k: next(answers))
+    code, out, _ = run(capsys, "pow", "x1 x1 x1 x1 x1", "x1", "--mode",
+                       "mc", "--seed", "1", "--trials", "2", "--json")
+    assert code == EXIT_YES and json.loads(out)["k"] == 5
+
+
 def test_bench_pow_reaches_commutator_check():
     # [v^2, v] and v^2 v^-2 reduce freely to 1; the factors c, c' of
     # u = v c v c' keep the timed check alive, on u v^-2 or on [u, v], and
@@ -267,9 +278,17 @@ def test_bench_rejects_rank_one(capsys):
     assert code == EXIT_USAGE and "rank" in err
 
 
-def test_bench_rejects_unsorted(capsys):
-    code, _, err = run(capsys, "bench", "wp", "128,64")
-    assert code == EXIT_USAGE
+def test_bench_rejects_unsorted(monkeypatch, capsys):
+    # sizes must be positive and strictly ascending, checked before any
+    # solve: a size 0 leaves nothing to fit, and a repeated size gives a
+    # meaningless slope
+    calls = []
+    for name in ("word_problem", "power_solve", "conjugacy_solve"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    for sizes in ("128,64", "0,4", "8,8"):
+        code, _, err = run(capsys, "bench", "wp", sizes)
+        assert code == EXIT_USAGE and "ascending" in err, sizes
+    assert calls == []
 
 
 def test_selftest_small():

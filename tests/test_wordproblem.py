@@ -425,14 +425,14 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
     # 2^lb and 2^(2 lb) run it on 1, 2 and 3 limbs, against Python-int
     # forms, on trees of one block and of nested blocks
     widths = []
-    widen = wordproblem._widen_limbs
+    draw = wordproblem._draw_anchors
 
-    def spy(rows, lb, B):
-        wide = widen(rows, lb, B)
-        widths.append(len(wide))
-        return wide
+    def spy(rng, B, m, lb):
+        rows = draw(rng, B, m, lb)
+        widths.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(wordproblem, "_widen_limbs", spy)
+    monkeypatch.setattr(wordproblem, "_draw_anchors", spy)
     seen = set()
     for words in mc_reference_trees(rng):
         tree = PrefixTree(words)
@@ -454,8 +454,8 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
                 # the engine's anchors, drawn again from the same seed one
                 # depth at a time; the forms are computed here
                 m = chain.numbering_at(d - 1)[0]
-                anchor = _anchor_ints(_draw_anchors(redraw, B, m))
-                assert all(0 <= a <= B for a in anchor)
+                anchor = _anchor_ints(draw(redraw, B, m, lb), lb)
+                assert all(0 <= a < 2 ** B.bit_length() for a in anchor)
                 form = [sum(x * a for x, a in
                             zip(chain.flow_vector(d - 1, path).tolist(),
                                 anchor))
@@ -495,7 +495,7 @@ def test_mc_labels_are_pinned_per_seed():
     # a seed fixes every Monte Carlo output; an engine change that moves
     # any of them on purpose updates this digest and says so
     assert _mc_label_digest() == \
-        "c93afa9d3ba90f83c5cd980683b93e3ed72b70685f9a2ecf04eeb12b14bed8b3"
+        "c1bbd027d83bf804160d8891e3498413a1d93016f004c53703cb03c6f444199c"
 
 
 @settings(max_examples=40, deadline=None)
@@ -586,8 +586,7 @@ def test_mc_forms_shift_the_blocks_the_tree_records(rng):
                 rows = chain._forms(d, source=False).tolist()
                 limbs.add(len(rows))
                 sources = chain._forms(d, source=True).tolist()
-                anchor = [sum(int(x) << (lb * k) for k, x in enumerate(col))
-                          for col in chain._anchors[d - 1].T.tolist()]
+                anchor = _anchor_ints(chain._anchors[d - 1], lb)
                 form = [sum(x * a for x, a in
                             zip(chain.flow_vector(d - 1, path).tolist(),
                                 anchor))
@@ -628,19 +627,17 @@ def test_rank_limbs_ranks_pairs_in_order_whatever_fits(monkeypatch,
         assert C == len(rank) and out.tolist() == [rank[p] for p in pairs]
 
 
-@pytest.mark.parametrize("B", [1, 2 ** 44 + 5, 2 ** 100])
-def test_widened_limbs_narrower_than_the_drawn_ones(B):
-    # many generators bring lb below the 30 bits of a drawn limb, which
-    # then spreads over up to 31 wide rows
-    for lb in range(1, 31):
-        rows = _draw_anchors(random.Random(lb), B, 50)
-        wide = wordproblem._widen_limbs(rows, lb, B)
-        assert len(wide) == max(1, -(-B.bit_length() // lb))
-        assert wide.min() >= 0 and wide.max() < 2 ** lb
-        vals = [0] * wide.shape[1]
-        for row in wide[::-1].tolist():
-            vals = [(v << lb) | x for v, x in zip(vals, row)]
-        assert vals == _anchor_ints(rows), (B, lb)
+@pytest.mark.parametrize("B", [0, 1, 6, 2 ** 44 + 5, 2 ** 100])
+def test_anchor_rows_are_limbs_below_the_cube(B):
+    # at every limb width the rows number K = max(1, ceil(b / lb)), b =
+    # bits(B), each limb has lb bits, and the joined components lie below
+    # 2^b; B = 0 gives zero anchors
+    b = B.bit_length()
+    for lb in range(1, 62):
+        rows = _draw_anchors(random.Random(lb), B, 50, lb)
+        assert rows.shape == (max(1, -(-b // lb)), 50)
+        assert rows.min() >= 0 and rows.max() < 2 ** lb
+        assert all(0 <= a < 2 ** b for a in _anchor_ints(rows, lb)), lb
 
 
 def _det_label_digest():
@@ -675,20 +672,6 @@ def test_det_labels_are_pinned():
         "5f6f6579ebd01dcf8f02b8243a39f8f9cfcdc4583f5c94fb814f6ba623391c95"
 
 
-@pytest.mark.parametrize("B", [0, 1, 2 ** 44 + 5, 2 ** 100])
-def test_widened_limbs_hold_the_drawn_values(B):
-    # each 30-bit row lands in at most two rows of lb >= 31 bits
-    for lb in range(31, 61):
-        rows = _draw_anchors(random.Random(lb), B, 200)
-        wide = wordproblem._widen_limbs(rows, lb, B)
-        assert len(wide) == max(1, -(-B.bit_length() // lb))
-        assert wide.min() >= 0 and wide.max() < 2 ** lb
-        vals = [0] * wide.shape[1]
-        for row in wide[::-1].tolist():
-            vals = [(v << lb) | x for v, x in zip(vals, row)]
-        assert vals == _anchor_ints(rows), (B, lb)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
        bound=st.sampled_from([1, None, 2 ** 100]))
@@ -719,87 +702,47 @@ class _RecordingRandom(random.Random):
         return out
 
 
-def _candidates(draws, B):
-    """The candidates of _draw_anchors's getrandbits draws, in draw order:
-    K 32-bit words each, limb-major, cut to 30 bits and to the bits of B."""
-    K = max(1, -(-B.bit_length() // 30))
-    widths = [30] * (K - 1) + [B.bit_length() - 30 * (K - 1)]
-    out = []
-    for k, x in draws:
-        words = np.frombuffer(x.to_bytes(k // 8, "little"), dtype="<u4")
-        rows = words.reshape(K, k // (32 * K)).tolist()
-        for col in zip(*rows):
-            v = 0
-            for j in range(K - 1, -1, -1):
-                v = (v << 30) | (col[j] & ((1 << widths[j]) - 1))
-            out.append(v)
-    return out
-
-
-def _anchor_ints(limbs):
+def _anchor_ints(limbs, lb):
     vals = [0] * limbs.shape[1]
     for row in limbs[::-1].tolist():
-        vals = [(v << 30) | x for v, x in zip(vals, row)]
+        vals = [(v << lb) | x for v, x in zip(vals, row)]
     return vals
 
 
 @pytest.mark.parametrize("B", [1, 6, 2 ** 30 - 1, 3 * 2 ** 30 + 1, 2 ** 44,
                                2 ** 60 + 12345, 2 ** 100])
 def test_anchors_are_uniform_on_the_cube(B):
-    n = 100_000
-    g = _RecordingRandom(B % 10007)
-    a = _anchor_ints(_draw_anchors(g, B, n))
-    assert len(a) == n and all(0 <= x <= B for x in a)
-    if B <= 6:  # every value, each as often as the others
-        freq = np.bincount(a, minlength=B + 1) / n
-        assert len(freq) == B + 1 and np.abs(freq - 1 / (B + 1)).max() < 0.01
+    # the cube is [0, 2^b), b = bits(B), which holds [0, B]: B = 6 gives
+    # each of 0..7 with probability 1/8.  lb = 20 spreads the larger
+    # bounds over two to six rows
+    n, cube = 100_000, 2 ** B.bit_length()
+    a = _anchor_ints(_draw_anchors(random.Random(B % 10007), B, n, 20), 20)
+    assert len(a) == n and all(0 <= x < cube for x in a)
+    if cube <= 8:  # every value, each as often as the others
+        freq = np.bincount(a, minlength=cube) / n
+        assert len(freq) == cube and np.abs(freq - 1 / cube).max() < 0.01
     else:
-        octiles = np.bincount([x * 8 // (B + 1) for x in a], minlength=8)
+        octiles = np.bincount([x * 8 // cube for x in a], minlength=8)
         assert np.abs(octiles / n - 1 / 8).max() < 0.01, octiles
-    if B == 3 * 2 ** 30 + 1:
-        # a quarter of the candidates lie above B: they are rejected, and
-        # the components are the other candidates in draw order
-        cands = _candidates(g.draws, B)
-        kept = [c for c in cands if c <= B]
-        assert a == kept[:n] and len(cands) - len(kept) > n // 5
-    again = _draw_anchors(random.Random(B % 10007), B, n)
-    assert _anchor_ints(again) == a
-
-
-def test_anchor_draws_take_one_call_and_redraw_only_the_rest():
-    # the overdraw leaves fewer than m passing candidates about once in
-    # 10^4 calls, near p = 1/2 too; a call then draws again for the rest,
-    # which a first draw of candidates that all lie above B forces here
-    calls = extra = 0
-    for B in (1, 6, 2 ** 30 + 1, 3 * 2 ** 30 + 1, 9 * 5000 ** 3, 2 ** 100):
-        for m in (1, 2, 10, 1000):
-            for seed in range(25):
-                g = _RecordingRandom(seed)
-                _draw_anchors(g, B, m)
-                calls += 1
-                extra += len(g.draws) - 1
-    assert extra <= 2, (extra, calls)
-
-    class Spoiled(_RecordingRandom):
-        def getrandbits(self, k):
-            if not getattr(self, "draws", None):
-                self.draws = [(k, 2 ** k - 1)]
-                return 2 ** k - 1
-            return super().getrandbits(k)
-
-    for B in (6, 3 * 2 ** 30 + 1, 2 ** 100):
-        g = Spoiled(B % 101)
-        a = _anchor_ints(_draw_anchors(g, B, 50))
-        cands = _candidates(g.draws, B)
-        assert len(g.draws) == 2 and a == [c for c in cands if c <= B][:50]
+    again = _draw_anchors(random.Random(B % 10007), B, n, 20)
+    assert _anchor_ints(again, 20) == a
 
 
 def test_anchor_limbs_are_the_getrandbits_words():
-    # B = 2^30 - 1 rejects nothing: component i is bits 32i .. 32i+29
-    raw = random.Random(7).getrandbits(32 * 50)
-    a = _draw_anchors(random.Random(7), 2 ** 30 - 1, 50)
-    assert a.tolist() == [[(raw >> (32 * i)) & (2 ** 30 - 1)
-                           for i in range(50)]]
+    # one getrandbits call of 64 K m bits, read as K rows of m 64-bit words:
+    # each limb is the low lb bits of its word, and the top row keeps only
+    # the bits of B above the lower rows, 101 - 2 * 40 = 21 for B = 2^100
+    for B, lb in ((2 ** 30 - 1, 30), (2 ** 30 - 1, 61), (2 ** 100, 40)):
+        K = -(-B.bit_length() // lb)
+        g = _RecordingRandom(7)
+        a = _draw_anchors(g, B, 50, lb)
+        ((k, raw),) = g.draws
+        assert k == 64 * K * 50
+        words = [(raw >> (64 * i)) & (2 ** 64 - 1) for i in range(K * 50)]
+        top = B.bit_length() - lb * (K - 1)
+        want = [[w & (2 ** (lb if j < K - 1 else top) - 1)
+                 for w in words[50 * j:50 * (j + 1)]] for j in range(K)]
+        assert a.tolist() == want, (B, lb)
 
 
 X1, X2 = parse("x1"), parse("x2")
