@@ -639,6 +639,19 @@ def test_anchor_rows_are_limbs_below_the_cube(B):
         assert rows.min() >= 0 and rows.max() < 2 ** lb
         assert all(0 <= a < 2 ** b for a in _anchor_ints(rows, lb)), lb
 
+@pytest.mark.parametrize("B", [1, 2 ** 44 + 5, 2 ** 100])
+def test_widened_limbs_narrower_than_the_drawn_ones(B):
+    # many generators bring lb below the 30 bits the old draw gave a limb,
+    # and the anchors then spread over up to 101 rows; the joined limbs are
+    # the low bits of the drawn 64-bit words, cut to the bits of B
+    for lb in range(1, 31):
+        g = _RecordingRandom(lb)
+        rows = _draw_anchors(g, B, 50, lb)
+        assert len(rows) == max(1, -(-B.bit_length() // lb))
+        assert rows.min() >= 0 and rows.max() < 2 ** lb
+        assert _anchor_ints(rows, lb) == _drawn_values(g.draws, B, 50, lb), \
+            (B, lb)
+
 
 def _det_label_digest():
     """sha256 over deterministic labels at depths 1-3 for fixed trees of 1
@@ -670,6 +683,18 @@ def test_det_labels_are_pinned():
     # ids dense by np.unique
     assert _det_label_digest() == \
         "5f6f6579ebd01dcf8f02b8243a39f8f9cfcdc4583f5c94fb814f6ba623391c95"
+
+@pytest.mark.parametrize("B", [0, 1, 2 ** 44 + 5, 2 ** 100])
+def test_widened_limbs_hold_the_drawn_values(B):
+    # limbs of lb >= 31 bits up to the 61 that _forms sums: a row holds
+    # the low lb bits of its drawn word, so K rows hold the drawn value
+    for lb in range(31, 62):
+        g = _RecordingRandom(lb)
+        rows = _draw_anchors(g, B, 200, lb)
+        assert len(rows) == max(1, -(-B.bit_length() // lb))
+        assert rows.min() >= 0 and rows.max() < 2 ** lb
+        assert _anchor_ints(rows, lb) == _drawn_values(g.draws, B, 200, lb), \
+            (B, lb)
 
 
 @settings(max_examples=30, deadline=None)
@@ -709,6 +734,19 @@ def _anchor_ints(limbs, lb):
     return vals
 
 
+def _drawn_values(draws, B, m, lb):
+    """The m anchor components that one recorded getrandbits draw gives at
+    limb width lb: row j of component i is the low lb bits of 64-bit word
+    j m + i, the top row cut to the bits of B above the lower rows."""
+    ((k, raw),) = draws
+    b = B.bit_length()
+    K = max(1, -(-b // lb))
+    assert k == 64 * K * m
+    widths = [lb] * (K - 1) + [b - lb * (K - 1)]
+    return [sum(((raw >> (64 * (j * m + i))) & (2 ** widths[j] - 1))
+                << (lb * j) for j in range(K)) for i in range(m)]
+
+
 @pytest.mark.parametrize("B", [1, 6, 2 ** 30 - 1, 3 * 2 ** 30 + 1, 2 ** 44,
                                2 ** 60 + 12345, 2 ** 100])
 def test_anchors_are_uniform_on_the_cube(B):
@@ -726,6 +764,33 @@ def test_anchors_are_uniform_on_the_cube(B):
         assert np.abs(octiles / n - 1 / 8).max() < 0.01, octiles
     again = _draw_anchors(random.Random(B % 10007), B, n, 20)
     assert _anchor_ints(again, 20) == a
+
+
+def test_anchor_draws_take_one_call_and_redraw_only_the_rest():
+    # every candidate on the cube [0, 2^b) is kept, so the rest left to
+    # draw again after the one call is always empty: no bound, count or
+    # width takes a second getrandbits call
+    for B in (1, 6, 2 ** 30 + 1, 3 * 2 ** 30 + 1, 9 * 5000 ** 3, 2 ** 100):
+        for m in (1, 2, 10, 1000):
+            for lb in (1, 20, 61):
+                for seed in range(5):
+                    g = _RecordingRandom(seed)
+                    _draw_anchors(g, B, m, lb)
+                    assert len(g.draws) == 1, (B, m, lb, seed)
+
+    class Spoiled(_RecordingRandom):
+        def getrandbits(self, k):
+            if not getattr(self, "draws", None):
+                self.draws = [(k, 2 ** k - 1)]
+                return 2 ** k - 1
+            return super().getrandbits(k)
+
+    # a first draw of all ones, whose candidates the old rejection draw
+    # threw away above B, gives the top of the cube in every component
+    for B in (6, 3 * 2 ** 30 + 1, 2 ** 100):
+        g = Spoiled(B % 101)
+        a = _anchor_ints(_draw_anchors(g, B, 50, 40), 40)
+        assert len(g.draws) == 1 and a == [2 ** B.bit_length() - 1] * 50
 
 
 def test_anchor_limbs_are_the_getrandbits_words():
