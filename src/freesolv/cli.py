@@ -223,11 +223,14 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
     CPU time of this process (time.process_time), not wall time, so the
     time a loaded host keeps the process off a core does not count.  The
     instances are about n letters, a few above n for wp, so a table up to
-    n = 2^20 needs a max_len above the default guard.  One untimed solve
-    of the first instance comes first, so that no row carries the
+    n = 2^20 needs a max_len above the default guard.  Each solve takes
+    its input Words fresh from the public constructor, which packs their
+    letters; that build is timed apart from the solve, as build_s, so no
+    work leaves the table by moving into construction.  One untimed
+    solve of the first instance comes first, so that no row carries the
     one-time costs of the process (imports, first allocations).
     """
-    def timed(n: int, t: int) -> float:
+    def timed(n: int, t: int) -> tuple[float, float]:
         rng = Random(seed * 1_000_003 + n * 1009 + t)
         inst = bench_instance(problem, n, r, d, rng)
         total = sum(len(w) for w in inst)
@@ -235,20 +238,25 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
                 if cube_exp is not None and mode == "mc" else None)
         run_rng = Random(seed * 1_000_003 + n * 1009 + t + 500_000_001)
         t0 = time.process_time()
+        words = [Word(w.letters, rank=r, _reduced=True) for w in inst]
+        t1 = time.process_time()
         if problem == "wp":
-            word_problem(inst[0], r, d, mode=mode, rng=run_rng,
+            word_problem(words[0], r, d, mode=mode, rng=run_rng,
                          cube_bound=cube, max_len=max_len)
         elif problem == "pow":
-            power_solve(inst[0], inst[1], r, d, mode=mode, rng=run_rng,
+            power_solve(words[0], words[1], r, d, mode=mode, rng=run_rng,
                         cube_bound=cube, max_len=max_len)
         else:
-            conjugacy_solve(inst[0], inst[1], r, d, mode=mode,
+            conjugacy_solve(words[0], words[1], r, d, mode=mode,
                             rng=run_rng, cube_bound=cube, max_len=max_len)
-        return time.process_time() - t0
+        return t1 - t0, time.process_time() - t1
 
     timed(sizes[0], 0)  # the warm-up
-    rows = [{"n": n, "median_s": statistics.median(
-        timed(n, t) for t in range(trials))} for n in sizes]
+    rows = []
+    for n in sizes:
+        build, solve = zip(*(timed(n, t) for t in range(trials)))
+        rows.append({"n": n, "median_s": statistics.median(solve),
+                     "build_s": statistics.median(build)})
     for prev, cur in zip(rows, rows[1:]):
         if cur["n"] == 2 * prev["n"] and prev["median_s"] > 0:
             cur["doubling_ratio"] = cur["median_s"] / prev["median_s"]
@@ -294,11 +302,12 @@ def cmd_bench(args) -> int:
     else:
         print(f"# {table['problem']} mode={table['mode']} r={r} "
               f"d={cfg.degree} seed={cfg.seed}")
-        print(f"{'n':>8} {'median_s':>12} {'doubling':>9}")
+        print(f"{'n':>8} {'median_s':>12} {'build_s':>12} {'doubling':>9}")
         for row in table["rows"]:
             ratio = row.get("doubling_ratio")
             tail = f"{ratio:>9.2f}" if ratio is not None else f"{'-':>9}"
-            print(f"{row['n']:>8} {row['median_s']:>12.5f} {tail}")
+            print(f"{row['n']:>8} {row['median_s']:>12.5f} "
+                  f"{row['build_s']:>12.5f} {tail}")
         print(f"fitted exponent: {table['fitted_exponent']}")
     return EXIT_YES
 

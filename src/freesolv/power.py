@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import Word, commutator
-from .xdigraph import PrefixTree, letter_array
+from .xdigraph import PrefixTree
 from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
                           _dense_ids, _first_nontrivial_depth, word_problem)
 
@@ -53,9 +53,10 @@ def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
     bouquet of loops, in the (source class, generator) edge order of
     SupportChain.numbering_at.  _dense_ids numbers the generators as it
     numbers those edges, by counting while they are dense and by one
-    np.unique otherwise, so the cost follows |u| + |v|, not r.
+    np.unique otherwise, so the cost follows |u| + |v|, not r.  The
+    letters are the words' packed ones, joined.
     """
-    letters = letter_array(u.letters + v.letters)
+    letters = np.concatenate((u.packed, v.packed))
     gens, gen = _dense_ids(np.abs(letters) - 1, max(u.rank, v.rank))
     signs = np.sign(letters)
     cut = len(u)

@@ -39,13 +39,12 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 
 from __future__ import annotations
 
-from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .words import Word
-from .xdigraph import PrefixTree, _longest_agreement
+from .xdigraph import PrefixTree
 
 DEFAULT_MAX_LEN = 1 << 20
 # _dense_ids counts keys in at most this many slots per key
@@ -534,19 +533,20 @@ def _draw_anchors(rng, B: int, m: int, lb: int) -> np.ndarray:
 def _cyclic_core(w: Word) -> Word:
     """w with each leading letter stripped while it inverts the trailing one.
 
-    The stripped length c is the longest common prefix of w and w^-1,
-    below |w|/2 as w is reduced, found by the slice compares of
-    xdigraph._longest_agreement: a compare adds letter i of w to letter
-    n-1-i in C-level steps, so the cost is O(c), and O(1) when w_1 !=
-    w_n^-1.
+    The ends are tested on the letter tuple, so w comes back as it is in
+    O(1) when w_1 != w_n^-1.  Otherwise the stripped length c is where w
+    first differs from w^-1, below |w|/2 as w is reduced (a middle
+    letter never inverts itself, and w_{n/2} w_{n/2+1} does not cancel),
+    found by one compare of the packed letters with their negated
+    reverse, and the core holds slices of both the tuple and the packed
+    letters.
     """
     a, n = w.letters, len(w)
     if n < 2 or a[0] != -a[-1]:
         return w
-    c = _longest_agreement(  # w and w^-1 agree on i..j-1
-        lambda i, j: not any(map(add, a[i:j], a[n - 1 - i:n - 1 - j:-1])),
-        n // 2, 1)
-    return Word._trusted(a[c:n - c], w.rank)
+    p, h = w.packed, (n + 1) // 2
+    c = int(np.argmax(p[:h] != -p[::-1][:h]))
+    return Word._trusted(a[c:n - c], w.rank, p[c:n - c])
 
 
 def _first_nontrivial_depth(chain: SupportChain, path, length: int,

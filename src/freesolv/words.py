@@ -1,14 +1,23 @@
 """Words over the generators x1..xr and their free reduction.
 
-A letter is a nonzero signed integer: +i stands for x_i, -i for x_i^{-1}.
-Words are immutable tuples of letters, always kept freely reduced.
+A letter is a nonzero signed integer: +i stands for x_i, -i for x_i^{-1},
+with |i| < 2^63.  Words are immutable and always kept freely reduced.  A
+Word holds its letters twice: as a tuple of Python ints, which the
+products, inverses and powers work on, and as a read-only int64 array,
+packed, which the solvers read with no conversion.  The public
+constructor (Word(...), free_reduce, parse) packs the letters once and
+checks them on that array; a Word built from other Words (Word._trusted)
+packs them on first read.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from operator import neg
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -20,16 +29,33 @@ def free_reduce(letters: Iterable[int]) -> "Word":
 
     The result is the unique reduced form; reducing twice changes nothing.
     """
+    return Word(letters)
+
+
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """The freely reduced letters, by one stack pass."""
     stack: list[int] = []
     for s in letters:
         s = int(s)
-        if s == 0:
+        if s == 0:  # two 0 letters would cancel before the packed check
             raise ValueError("letter 0 is not a generator")
         if stack and stack[-1] == -s:
             stack.pop()
         else:
             stack.append(s)
-    return Word(tuple(stack), _reduced=True)
+    return tuple(stack)
+
+
+_TOO_LARGE = "letters must be integers of size below 2^63"
+
+
+def _pack(letters: tuple[int, ...]) -> np.ndarray:
+    """The letters as a read-only int64 array, in one C-level step."""
+    try:
+        raw = struct.pack(f"{len(letters)}q", *letters)
+    except struct.error:
+        raise ValueError(_TOO_LARGE) from None
+    return np.frombuffer(raw, dtype=np.int64)
 
 
 def concat_reduced(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -42,38 +68,68 @@ def concat_reduced(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word, with the rank it is considered over."""
+    """A freely reduced word, with the rank it is considered over.
 
-    __slots__ = ("letters", "rank")
+    letters is the tuple of letters and packed the same letters as a
+    read-only int64 array.  The constructor reduces the letters unless
+    _reduced says they are reduced already, packs them (_pack), and checks
+    them on the array: no letter 0, and the rank, by a C-level argmax
+    and argmin.  Words made from valid Words (Word._trusted) skip all of that
+    and pack on the first read of packed.
+    """
+
+    __slots__ = ("letters", "rank", "_packed")
 
     letters: tuple[int, ...]
     rank: int
 
     def __init__(self, letters: Iterable[int] = (), rank: int | None = None,
                  _reduced: bool = False):
-        if not _reduced:
-            letters = free_reduce(letters).letters
-        else:
-            letters = tuple(letters)
-        object.__setattr__(self, "letters", letters)
-        need = max((abs(s) for s in letters), default=1)
+        letters = tuple(letters) if _reduced else _reduce(letters)
+        packed = _pack(letters)
+        need = 1
+        if letters:
+            # argmax and argmin take the least fixed cost per call
+            hi, lo = letters[packed.argmax()], letters[packed.argmin()]
+            if lo == -(1 << 63):  # x_i for i = 2^63 is no int64
+                raise ValueError(_TOO_LARGE)
+            if np.count_nonzero(packed) < len(letters):
+                raise ValueError("letter 0 is not a generator")
+            need = max(hi, -lo)
         if rank is None:
             rank = need
         elif rank < need:
             raise ValueError(f"rank {rank} too small for word using x{need}")
+        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
-    def _trusted(cls, letters: tuple[int, ...], rank: int) -> "Word":
-        """A Word from a reduced letter tuple already valid for rank.
+    def _trusted(cls, letters: tuple[int, ...], rank: int,
+                 packed: np.ndarray | None = None) -> "Word":
+        """A Word from a reduced letter tuple already valid for rank, and
+        its packed letters when the caller has them.
 
         For results built from valid Words (products, inverses, powers,
-        prefixes): no reduction pass and no per-letter rank check.
+        prefixes): no reduction pass and no check of the letters.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
         object.__setattr__(w, "rank", rank)
+        if packed is not None:
+            object.__setattr__(w, "_packed", packed)
         return w
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The letters as a read-only int64 array, packed on first read
+        when the constructor did not pack them."""
+        try:
+            return self._packed
+        except AttributeError:
+            packed = _pack(self.letters)
+            object.__setattr__(self, "_packed", packed)
+            return packed
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Word is immutable")
@@ -140,6 +196,8 @@ def parse(text: str, r: int | None = None) -> Word:
     single ascii letters a..z / A..Z map to x1..x26 and their inverses,
     and "1" is the empty word.  Exponents expand before reduction.
     """
+    if r is not None and r < 1:
+        raise ParseError("rank must be >= 1")
     letters: list[int] = []
     for tok in text.split():
         if tok == "1":
@@ -154,21 +212,22 @@ def parse(text: str, r: int | None = None) -> Word:
             k = 1 if exp_s is None else int(exp_s)
             if k < 0:
                 s, k = -s, -k
+            if k and r is not None and idx > r:
+                raise ParseError(f"generator x{idx} exceeds rank {r}")
             letters.extend([s] * k)
         elif tok.isalpha() and all(c.isascii() for c in tok):
             for c in tok:
-                letters.append(ord(c) - ord("a") + 1 if c.islower()
-                               else -(ord(c) - ord("A") + 1))
+                s = (ord(c) - ord("a") + 1 if c.islower()
+                     else -(ord(c) - ord("A") + 1))
+                if r is not None and abs(s) > r:
+                    raise ParseError(f"generator x{abs(s)} exceeds rank {r}")
+                letters.append(s)
         else:
             raise ParseError(f"malformed token {tok!r}")
-    if r is not None:
-        if r < 1:
-            raise ParseError("rank must be >= 1")
-        too_big = [s for s in letters if abs(s) > r]
-        if too_big:
-            raise ParseError(f"generator x{abs(too_big[0])} exceeds rank {r}")
-    w = free_reduce(letters)
-    return Word(w.letters, rank=r, _reduced=True)
+    try:
+        return Word(letters, rank=r)
+    except ValueError as exc:  # a letter of 2^63 or more
+        raise ParseError(str(exc)) from None
 
 
 def random_reduced_word(rng, length: int, r: int) -> Word:

@@ -129,6 +129,17 @@ def test_bench_table_runs(capsys):
     assert "fitted_exponent" in table
 
 
+def test_bench_json_rows_time_the_build(capsys):
+    # each row gives the CPU time to build its input Words with the public
+    # constructor, which packs their letters, apart from the solve time
+    for problem in ("wp", "pow", "conj"):
+        code, out, _ = run(capsys, "bench", problem, "64,128", "--seed", "2",
+                           "--json")
+        assert code == EXIT_YES
+        rows = json.loads(out)["rows"]
+        assert all(row["build_s"] > 0 for row in rows), (problem, rows)
+
+
 def test_bench_json_names_revision_and_versions(capsys):
     # the JSON table carries what produced it: git HEAD, marked -dirty
     # when tracked files differ (None outside a checkout), and the python

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import form_long, trivial_long
-from freesolv import oracle, power, wordproblem
+from freesolv import oracle, power, wordproblem, words
 from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve
-from freesolv.wordproblem import LengthGuardError, SupportChain
+from freesolv.wordproblem import LengthGuardError, SupportChain, word_problem
 from freesolv.words import Word, commutator, parse, random_reduced_word, \
     random_trivial_word
 from freesolv.xdigraph import PrefixTree
@@ -464,3 +464,37 @@ def test_power_memory_does_not_grow_with_rank():
             tracemalloc.stop()
         assert res == want, (u, v)
         assert peak < 100_000, (u, v, peak)
+
+
+def test_solvers_read_the_packed_letters_of_their_inputs(monkeypatch, rng):
+    # words from the public constructor come packed, so a word problem
+    # packs nothing, and a power problem packs only its certificate, a
+    # product, whose cyclic core slices the certificate's packed letters
+    packs = []
+    pack = words._pack
+
+    def spy(letters):
+        packs.append(letters)
+        return pack(letters)
+
+    def built(w):
+        return Word(w.letters, rank=2, _reduced=True)
+
+    cases = []
+    for d in (2, 3):
+        for _ in range(10):
+            g = random_reduced_word(rng, rng.randrange(0, 6), 2)
+            t = random_trivial_word(rng, 2, d)
+            x = built(random_reduced_word(rng, 5, 2))
+            while not any(_abelianization(x, 2)):
+                x = built(random_reduced_word(rng, 5, 2))
+            cases.append((d, built(g * t * ~g), built(x ** 2 * t), x))
+    monkeypatch.setattr(words, "_pack", spy)
+    for d, w, u, v in cases:
+        for mode in ("det", "mc"):
+            packs.clear()
+            assert word_problem(w, 2, d, mode=mode, rng=random.Random(1))
+            assert packs == []
+            assert power_solve(u, v, 2, d, mode=mode,
+                               rng=random.Random(1)) == PowerResult(2)
+            assert packs == [(u * v ** -2).letters]

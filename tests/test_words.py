@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from freesolv.words import ParseError, commutator, free_reduce, parse
+from freesolv.words import ParseError, Word, commutator, free_reduce, parse
+from freesolv.wordproblem import _cyclic_core
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda s: s != 0)
 
@@ -40,6 +42,15 @@ def test_parse_errors():
         parse("x3", r=2)
     with pytest.raises(ParseError):
         parse("bogus~token")
+    # a generator above r is an error even where reduction cancels it
+    for text in ("x3", "x1 x3 X3", "x1 c", "x2 X3^-2"):
+        with pytest.raises(ParseError, match="generator x3 exceeds rank 2"):
+            parse(text, r=2)
+    assert parse("x3^0 x1", r=2) == parse("x1")
+    with pytest.raises(ParseError, match="rank must be >= 1"):
+        parse("x1", r=0)
+    with pytest.raises(ParseError, match="below 2\\^63"):
+        parse(f"x{1 << 63}")
 
 
 def test_parse_serialize_round_trip():
@@ -68,3 +79,44 @@ def test_word_algebra():
     assert (u ** 0).letters == ()
     assert (u ** -2) == ~(u * u)
     assert commutator(parse("x1"), parse("x2")).letters == (1, 2, -1, -2)
+
+
+def test_constructor_rejects_letters_it_cannot_pack():
+    # a 0 letter is no generator, reduced or not, and a letter must have
+    # size below 2^63, so that x_i and x_i^-1 both fit int64
+    for letters in ((0,), (1, 0, 2), (1, 0, 0, 2)):
+        for reduced in (True, False):
+            with pytest.raises(ValueError, match="letter 0"):
+                Word(letters, rank=2, _reduced=reduced)
+    for big in (1 << 63, -(1 << 63), 1 << 70, -(1 << 70)):
+        for reduced in (True, False):
+            with pytest.raises(ValueError, match="below 2\\^63"):
+                Word((1, big), _reduced=reduced)
+    w = Word(((1 << 63) - 1, -((1 << 63) - 1)), _reduced=True)
+    assert w.rank == (1 << 63) - 1
+
+
+def _packed_matches(w: Word) -> None:
+    p = w.packed
+    assert p.dtype == np.int64
+    assert not p.flags.writeable
+    assert np.array_equal(p, np.array(w.letters, dtype=np.int64))
+    assert w.packed is p  # packed once
+
+
+@given(st.lists(letters, max_size=30), st.lists(letters, max_size=30),
+       st.integers(-3, 3), st.data())
+def test_every_word_carries_its_packed_letters(ls, ms, k, data):
+    u, v = Word(ls), free_reduce(ms)
+    made = [u, v, Word(u.letters, rank=4, _reduced=True),
+            parse(u.serialize(), 4), u * v, ~u, u ** k,
+            u.prefix(data.draw(st.integers(0, len(u)))), commutator(u, v),
+            _cyclic_core(v * u * ~v), _cyclic_core(u)]
+    for w in made:
+        _packed_matches(w)
+    # a core sliced from a packed word shares its buffer
+    g = v * u * ~v
+    assert len(g.packed) == len(g)
+    core = _cyclic_core(g)
+    if len(core) < len(g):
+        assert np.shares_memory(core.packed, g.packed)
