@@ -91,7 +91,7 @@ def _finish(report: dict, cfg: RunConfig, positive: bool) -> int:
 
 def cmd_wp(args) -> int:
     cfg = RunConfig.from_args(args)
-    w = parse(args.word, cfg.rank)
+    w = parse(args.word, cfg.rank, cfg.max_len)
     r = cfg.rank if cfg.rank is not None else w.rank
     rng = Random(cfg.seed)
     t0 = time.perf_counter()
@@ -109,8 +109,8 @@ def cmd_wp(args) -> int:
 
 def cmd_pow(args) -> int:
     cfg = RunConfig.from_args(args)
-    u = parse(args.u, cfg.rank)
-    v = parse(args.v, cfg.rank)
+    u = parse(args.u, cfg.rank, cfg.max_len)
+    v = parse(args.v, cfg.rank, cfg.max_len)
     r = cfg.rank if cfg.rank is not None else max(u.rank, v.rank)
     rng = Random(cfg.seed)
     n = len(u) + len(v)
@@ -129,8 +129,8 @@ def cmd_pow(args) -> int:
 
 def cmd_conj(args) -> int:
     cfg = RunConfig.from_args(args)
-    x = parse(args.x, cfg.rank)
-    y = parse(args.y, cfg.rank)
+    x = parse(args.x, cfg.rank, cfg.max_len)
+    y = parse(args.y, cfg.rank, cfg.max_len)
     r = cfg.rank if cfg.rank is not None else max(x.rank, y.rank)
     n = len(x) + len(y)
     t0 = time.perf_counter()
@@ -337,7 +337,7 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
     are checked both ways (_power_agrees), on exact powers and on pairs
     that are mostly no powers, with v generic or in F', so both the
     exponent-vector path and the support path of power_solve are met.
-    Conjugate pairs z x z^-1 must answer Yes at d = 2, and at d = 3 with
+    Conjugate pairs z x z^-1 must answer Yes at d = 2 and at d = 3, with
     a witness whose Magnus form conjugates x to y.
     """
     bad = 0
@@ -372,26 +372,19 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
             bad += 1
             if verbose:
                 print(f"pow mismatch: {u.serialize()} | {v.serialize()}")
-    for _ in range(100):
-        x = random_reduced_word(rng, rng.randrange(1, 5), 2)
-        z = random_reduced_word(rng, rng.randrange(0, 5), 2)
-        y = z * x * ~z
-        total += 1
-        if not conjugacy_solve(x, y, 2, 2).conjugate:
-            bad += 1
-            if verbose:
-                print(f"conj missed: {x.serialize()} ~ {y.serialize()}")
-    for _ in range(40):
-        x = random_reduced_word(rng, rng.randrange(1, 6), 2)
-        z = random_reduced_word(rng, rng.randrange(0, 5), 2)
-        y = z * x * ~z
-        total += 1
-        res = conjugacy_solve(x, y, 2, 3)
-        if not (res.conjugate and oracle.is_trivial(
-                res.witness * x * ~res.witness * ~y, 2, 3)):
-            bad += 1
-            if verbose:
-                print(f"conj d=3 missed: {x.serialize()} ~ {y.serialize()}")
+    for d, pairs, top in ((2, 100, 5), (3, 40, 6)):
+        for _ in range(pairs):
+            x = random_reduced_word(rng, rng.randrange(1, top), 2)
+            z = random_reduced_word(rng, rng.randrange(0, 5), 2)
+            y = z * x * ~z
+            total += 1
+            res = conjugacy_solve(x, y, 2, d)
+            if not (res.conjugate and oracle.is_trivial(
+                    res.witness * x * ~res.witness * ~y, 2, d)):
+                bad += 1
+                if verbose:
+                    print(f"conj d={d} missed: {x.serialize()} ~ "
+                          f"{y.serialize()}")
     if verbose:
         print(f"selftest: {total} checks, {bad} mismatches")
     return bad

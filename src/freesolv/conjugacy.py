@@ -370,7 +370,7 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
     return _witness_repair(x, y, gamma, graph, r, d, max_len)
 
 
-# -- Cay(A): translates of one flow ----------------------------------------
+# -- Cay(A): hashes of flows, and coded walks -------------------------------
 
 _P = (1 << 61) - 1            # hashes live in F_p, p a Mersenne prime
 _G = 37                       # a primitive root mod _P
@@ -455,18 +455,19 @@ class _FlowHash:
 
 
 class _Coding:
-    """Integer keys for the edges of Cay(Z^m / Z a) on walks of at most n
-    letters, and translations of them.
+    """Integer keys for the edges of Cay(Z^m / Z a) that the walks of one
+    conjugacy test reach, for words x and y of n letters in all.
 
     A vertex is named by the exponent vector in its coset of Z a whose
     pivot entry (the first nonzero one of a, its sign chosen positive)
     lies in [0, a_pivot); with a = 0 every vector names itself.  Its code
     is M times the number with those entries as digits in base B, the
     pivot entry lowest, and the edge x_g from it has key code + g, with M
-    = m + 1 and B a power of two above twice any entry a walk here, a
-    translation by ab(gamma_c) or a repair walk reaches (each is below
-    2 (n + 2)^2).  Codes are linear in the vector, so translating adds a
-    code, and the pivot entry of a key is key // M % B.
+    = m + 1 and B a power of two above twice any entry those walks
+    reach: y's, the rotations', and those of the conjugates gamma_c x
+    gamma_c^-1, which _witness_repair walks too.  Each of their vertices
+    is a vector b with |b|_1 <= n, so each entry of its name is below
+    2 (n + 2)^2.  The pivot entry of a key is key // M % B.
 
     With a = ab(y) it is also Cay(Z^m) as a coset graph of <y> for
     _witness_repair: the vertex coded v at height j is the vector
@@ -521,24 +522,6 @@ class _Coding:
         return Word._trusted(tuple(i if e > 0 else -i for i, e in
                                    enumerate(b, 1) for _ in range(abs(e))),
                              self.m)
-
-    def offset(self, letters) -> tuple[int, int]:
-        """Code and pivot entry of the exponent vector of letters, not
-        reduced: a translation for translate."""
-        b = b_p = 0
-        for s in letters:
-            dv, _, dc = self.moves[s]
-            b, b_p = b + dv, b_p + dc
-        return b, b_p
-
-    def translate(self, flow: dict[int, int], b: int,
-                  b_p: int) -> dict[int, int]:
-        """flow moved by the vector with code b and pivot entry b_p."""
-        if not self.a_p:
-            return {key + b: n for key, n in flow.items()}
-        M, base, a_p, a_code = self.M, self.base, self.a_p, self.a_code
-        return {key + b - (key // M % base + b_p) // a_p * a_code: n
-                for key, n in flow.items()}
 
     def walk(self, letters, keys: list | None = None) -> dict[int, int]:
         """The flow from 0 of the walk that letters spells, by edge key
@@ -671,11 +654,11 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
     y[:i] in S_{r,2}: by the Magnus embedding, when their flows on
     Cay(Z^r) agree.  Such a shift also has the flow of y on Cay(A), so
     the first hit that conjugates is the first flow-equal cut.
-    Otherwise the hit is compared on Cay(A), where the flow of gamma_c x
-    gamma_c^-1 is that of x translated by ab(gamma_c); a match there
-    goes straight to _witness_repair on the coded Cay(Z^r), since the
-    rotations have already shown that gamma_c does not conjugate on the
-    nose.
+    Otherwise gamma_c x gamma_c^-1 is walked on the coded Cay(A), the
+    coset graph at d = 2, and compared with y's flow there, as a trace is
+    at d >= 3; a match goes straight to _witness_repair on the coded
+    Cay(Z^r), since the rotations have already shown that gamma_c does
+    not conjugate on the nose.
 
     At d >= 3 each hit is traced on a SchreierSupport, and a match goes
     to _verified_witness on that support.
@@ -699,7 +682,6 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
     if d == 2:
         plain = _Coding(r, len(xs) + len(ys), ())
         rotated_y = plain.walk(ys[pick:] + ys[:pick])
-        flow_x = None  # walked at the first hit that needs it
     for cut in flow_hash.cuts(pick):
         gamma = y_i * ~x.prefix(cut)
         if d > 2:
@@ -709,11 +691,7 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
         elif plain.walk(xs[cut:] + xs[:cut]) == rotated_y:
             return ConjugacyResult(True, gamma)
         else:
-            if flow_x is None:
-                flow_x = graph.walk(xs)
-            b, b_p = graph.offset(ys[:pick])
-            c, c_p = graph.offset(xs[:cut])
-            if graph.translate(flow_x, b - c, b_p - c_p) != flow_y:
+            if graph.walk((gamma * x * ~gamma).letters) != flow_y:
                 continue
             witness = _witness_repair(x, y, gamma, graph, r, 2, max_len)
         if witness is None:

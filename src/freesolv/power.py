@@ -53,7 +53,7 @@ def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
     bouquet of loops, in the (source class, generator) edge order of
     SupportChain.numbering_at.  _dense_ids numbers the generators as it
     numbers those edges, by counting while they are dense and by one
-    np.unique otherwise, so the cost follows |u| + |v|, not r.  The
+    _dense_rank otherwise, so the cost follows |u| + |v|, not r.  The
     letters are the words' packed ones, joined.
     """
     letters = np.concatenate((u.packed, v.packed))

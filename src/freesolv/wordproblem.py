@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import Word
+from .words import LengthGuardError, Word
 from .xdigraph import PrefixTree
 
 DEFAULT_MAX_LEN = 1 << 20
@@ -52,10 +52,6 @@ _SLOTS_PER_NODE = 8
 # _dense_rank sorts packed keys (value << bits(n)) | index of size below
 # 2^_KEY_BITS
 _KEY_BITS = 63
-
-
-class LengthGuardError(ValueError):
-    """Input exceeds the configured length guard."""
 
 
 def _runs(ranges: np.ndarray, path_start: np.ndarray | None,
@@ -86,10 +82,10 @@ def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
 
     One counting pass (mark the keys in the slots, take the running count,
     read it back), with no sort, while there are at most _SLOTS_PER_NODE
-    slots per key; else one np.unique, so memory stays O(len(keys))
-    whatever slots is.  Both ways give the same ids.  When every slot is
-    used, as the generators of a word at rank 2 mostly are, the keys are
-    their own ids and are returned as they are.
+    slots per key; else one _dense_rank, so memory stays O(len(keys))
+    whatever slots is.  Both give dense ranks in value order, so the same
+    ids.  When every slot is used, as the generators of a word at rank 2
+    mostly are, the keys are their own ids and are returned as they are.
     """
     if 0 < slots <= _SLOTS_PER_NODE * len(keys):
         used = np.zeros(slots, dtype=np.int64)
@@ -100,8 +96,8 @@ def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
         ids = used[keys]
         ids -= 1
         return int(used[-1]), ids
-    values, ids = np.unique(keys, return_inverse=True)
-    return len(values), ids
+    ids = np.empty(len(keys), dtype=np.int64)
+    return (_dense_rank(keys, ids) if len(keys) else 0), ids
 
 
 def _run_sums(x: np.ndarray, first: np.ndarray, out: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from operator import neg
 from typing import Iterable, Iterator
 
@@ -22,6 +23,10 @@ import numpy as np
 
 class ParseError(ValueError):
     """Raised for malformed word text."""
+
+
+class LengthGuardError(ValueError):
+    """Input exceeds the configured length guard."""
 
 
 def free_reduce(letters: Iterable[int]) -> "Word":
@@ -134,6 +139,10 @@ class Word:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the Word, since slot state cannot be set
+        return Word, (self.letters, self.rank, True)
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -189,12 +198,16 @@ def commutator(u: Word, v: Word) -> Word:
 _TOKEN_RE = re.compile(r"^([xX])(\d+)(?:\^(-?\d+))?$")
 
 
-def parse(text: str, r: int | None = None) -> Word:
+def parse(text: str, r: int | None = None,
+          max_len: int | None = None) -> Word:
     """Parse whitespace-separated tokens into a freely reduced Word.
 
     Tokens are "x<i>" / "X<i>" (X = inverse), optionally with "^<k>";
     single ascii letters a..z / A..Z map to x1..x26 and their inverses,
-    and "1" is the empty word.  Exponents expand before reduction.
+    and "1" is the empty word.  Exponents expand before reduction.  The
+    letters are counted before a token expands: LengthGuardError when
+    they reach max_len, the caller's guard (none by default), and
+    ParseError when they pass what a list can hold.
     """
     if r is not None and r < 1:
         raise ParseError("rank must be >= 1")
@@ -214,16 +227,23 @@ def parse(text: str, r: int | None = None) -> Word:
                 s, k = -s, -k
             if k and r is not None and idx > r:
                 raise ParseError(f"generator x{idx} exceeds rank {r}")
-            letters.extend([s] * k)
+            block = [s]
         elif tok.isalpha() and all(c.isascii() for c in tok):
-            for c in tok:
-                s = (ord(c) - ord("a") + 1 if c.islower()
-                     else -(ord(c) - ord("A") + 1))
+            block = [ord(c) - ord("a") + 1 if c.islower()
+                     else -(ord(c) - ord("A") + 1) for c in tok]
+            k = 1
+            for s in block:
                 if r is not None and abs(s) > r:
                     raise ParseError(f"generator x{abs(s)} exceeds rank {r}")
-                letters.append(s)
         else:
             raise ParseError(f"malformed token {tok!r}")
+        n = len(letters) + len(block) * k  # counted before it is built
+        if max_len is not None and n >= max_len:
+            raise LengthGuardError(
+                f"{n} letters by token {tok!r} exceed guard {max_len}")
+        if n > sys.maxsize:
+            raise ParseError(f"exponent too large in token {tok!r}")
+        letters += block * k
     try:
         return Word(letters, rank=r)
     except ValueError as exc:  # a letter of 2^63 or more

@@ -9,7 +9,6 @@ FoldConflict signals a labeling that would unfold it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
@@ -41,9 +40,7 @@ class PrefixTree:
         self._size = 1
         self.blocks: list[tuple[int, int]] = []
         self.paths: list[np.ndarray] = []
-        self._sorted: list[tuple[int, ...]] = []  # the words' letters, sorted
-        self._sorted_packed: list[np.ndarray] = []  # packed, in step
-        self._sorted_paths: list[np.ndarray] = []  # their paths, in step
+        self._packed: list[np.ndarray] = []  # each path's word, packed
         for w in words:
             self.add_word(w)
 
@@ -65,30 +62,26 @@ class PrefixTree:
         a read-only int64 array.
 
         Every node is a prefix of a word already inserted, so w's deepest
-        existing node ends its longest common prefix with one of them, and
-        that longest prefix is shared with a lexicographic neighbour of w
-        among the sorted words.  The path reuses the neighbour's nodes up
-        to there; the rest of w is one fresh branch, appended as a block.
-        Nodes are numbered in insertion order, parents before children.
-        The bisection also finds a word already inserted, and the sorted
-        paths sit beside the sorted words, so a word is never hashed.  The
-        shared prefix is one vectorized mismatch of the packed letters,
-        and the branch's letters are a view of w's, not a copy.
+        existing node ends its longest common prefix with one of them.
+        That prefix is found by one vectorized mismatch of the packed
+        letters per word in the tree (the solvers insert one or two), and
+        a word equal to one of them gets its path back.  The path reuses
+        that word's nodes up to there; the rest of w is one fresh branch,
+        appended as a block.  Nodes are numbered in insertion order,
+        parents before children.  The branch's letters are a view of w's,
+        not a copy.
         """
-        key, packed = w.letters, w.packed
-        at = bisect_left(self._sorted, key)
-        if at < len(self._sorted) and self._sorted[at] == key:
-            return self._sorted_paths[at]
+        packed = w.packed
         j, shared = 0, 0  # the root, shared by all words
-        for i in (at - 1, at):
-            if 0 <= i < len(self._sorted):
-                other = self._sorted_packed[i]
-                both = min(len(packed), len(other))
-                differ = packed[:both] != other[:both]
-                k = int(differ.argmax()) if differ.any() else both
-                if k > j:
-                    j, shared = k, self._sorted_paths[i][:k + 1]
-        start, n = self._size, len(key) - j
+        for other, other_path in zip(self._packed, self.paths):
+            both = min(len(packed), len(other))
+            differ = packed[:both] != other[:both]
+            k = int(differ.argmax()) if differ.any() else both
+            if k == len(packed) == len(other):
+                return other_path
+            if k > j:
+                j, shared = k, other_path[:k + 1]
+        start, n = self._size, len(packed) - j
         path = np.arange(start - 1 - j, start + n, dtype=np.int64)
         path[:j + 1] = shared
         path.flags.writeable = False  # shared with the tree's blocks
@@ -97,9 +90,7 @@ class PrefixTree:
             self._parents.append(path[j:-1])
             self._letters.append(packed[j:])
             self._size += n
-        self._sorted.insert(at, key)
-        self._sorted_packed.insert(at, packed)
-        self._sorted_paths.insert(at, path)
+        self._packed.append(packed)
         self.paths.append(path)
         return path
 

@@ -103,6 +103,18 @@ def test_guard_exit(capsys):
     assert code == EXIT_GUARD and "guard" in err
 
 
+def test_parse_guard_exit(capsys):
+    # parse counts the letters of a token before expanding it, under
+    # --max-len, so a huge exponent trips the guard instead of building
+    # the word (or overflowing)
+    for argv in (("wp", "x1^" + "1" * 31),
+                 ("wp", "x1^3000000", "--max-len", "100"),
+                 ("pow", "x1", "x2^3000000", "--max-len", "100"),
+                 ("conj", "x1^3000000", "x1", "--max-len", "100")):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_GUARD and err.startswith("guard:"), argv
+
+
 def test_pow_guard_exit(capsys):
     # power_solve raises the guard error itself; the CLI maps it to exit 3
     code, _, err = run(capsys, "pow", "--max-len", "4", "x1 x2 x1", "x1")

@@ -590,6 +590,45 @@ def test_hashed_scan_matches_full_scan_property(seed, r, kind):
         _agrees_with_full_scan(a, b, r)
 
 
+def test_torsion_hits_are_walked_and_rejected(monkeypatch):
+    # x = x0 x0 and y = z x0 x0' z^-1, x0' the letters of x0 in another
+    # order, so ab(y) = 2 ab(x0): A = Z^r / Z ab(y) has torsion, which the
+    # hash cannot see.  Hits that fail the rotation check are walked as
+    # gamma_c x gamma_c^-1 on the coded Cay(A), the coding y is walked on
+    # with its edge keys, and some walks differ from y's flow; every
+    # verdict is still the full scan's
+    walks = []
+    walk = conjugacy._Coding.walk
+
+    def spy(self, letters, keys=None):
+        flow = walk(self, letters, keys)
+        walks.append((self, keys is not None, flow))
+        return flow
+
+    monkeypatch.setattr(conjugacy._Coding, "walk", spy)
+    g = random.Random(5)
+    hits = failed = 0
+    for i in range(150):
+        r = 2 + i % 2
+        x0 = random_reduced_word(g, g.randrange(1, 6), r)
+        z = random_reduced_word(g, g.randrange(0, 6), r)
+        shuffled = list(x0.letters)
+        g.shuffle(shuffled)
+        x, y = x0 * x0, z * x0 * Word(shuffled, rank=r) * ~z
+        for a, b in ((x, y), (y, x)):
+            if not (a.letters and b.letters):
+                continue
+            walks.clear()
+            _agrees_with_full_scan(a, b, r)
+            cay = [(coding, flow) for coding, keyed, flow in walks if keyed]
+            for coding, flow_y in cay:
+                for other, keyed, flow in walks:
+                    if other is coding and not keyed:
+                        hits += 1
+                        failed += flow != flow_y
+    assert 0 < failed < hits
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
        kind=st.integers(0, 5), d=st.sampled_from([3, 4]))

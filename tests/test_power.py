@@ -426,7 +426,7 @@ def test_det_answers_are_pinned():
 
 def test_exponent_vectors_are_the_same_counted_or_sorted(monkeypatch):
     # the generators are numbered by counting while they are dense and by
-    # np.unique past wordproblem._SLOTS_PER_NODE slots per letter; both
+    # _dense_rank past wordproblem._SLOTS_PER_NODE slots per letter; both
     # give ab(u) and ab(v) over the generators used, in order
     def vectors(slots_per_letter, u, v):
         monkeypatch.setattr(wordproblem, "_SLOTS_PER_NODE", slots_per_letter)

@@ -1066,7 +1066,7 @@ def test_flow_of_a_path_through_every_node_is_the_gathered_flow():
 @pytest.mark.parametrize("mode", ["det", "mc"])
 def test_numbering_is_the_same_counted_or_sorted(monkeypatch, mode):
     # past _SLOTS_PER_NODE slots per node the keys are numbered by
-    # np.unique instead; the ids, and so the Monte Carlo anchors that
+    # _dense_rank instead; the ids, and so the Monte Carlo anchors that
     # follow them, are the same either way, at low and at high rank
     def numberings(slots_per_node, words, seed):
         monkeypatch.setattr(wordproblem, "_SLOTS_PER_NODE", slots_per_node)
@@ -1084,6 +1084,14 @@ def test_numbering_is_the_same_counted_or_sorted(monkeypatch, mode):
                  for _ in range(g.randrange(1, 4))]
         assert numberings(0, words, seed) == \
             numberings(10 ** 9, words, seed), (seed, r)
+
+
+def test_dense_ids_of_no_keys():
+    # no keys take the sorting branch, with or without slots, and number
+    # nothing
+    for slots in (0, 5):
+        n, ids = wordproblem._dense_ids(np.empty(0, dtype=np.int64), slots)
+        assert n == 0 and ids.tolist() == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,13 @@
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from freesolv.words import ParseError, Word, commutator, free_reduce, parse
+from freesolv.words import (LengthGuardError, ParseError, Word, commutator,
+                            free_reduce, parse)
 from freesolv.wordproblem import _cyclic_core
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda s: s != 0)
@@ -51,6 +56,47 @@ def test_parse_errors():
         parse("x1", r=0)
     with pytest.raises(ParseError, match="below 2\\^63"):
         parse(f"x{1 << 63}")
+
+
+def test_parse_counts_letters_before_expanding():
+    # the guard is checked on the count of letters before reduction, and a
+    # token past it is never built
+    huge = "x1^" + "1" * 31
+    for text in (huge, "x1 x2^3000000", "x2 X1^-3000000"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthGuardError, match="guard 100"):
+                parse(text, max_len=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, text
+    # compact letters count one each; the guard is reached, as a solver's is
+    with pytest.raises(LengthGuardError):
+        parse("abAB", max_len=4)
+    assert parse("abAB", max_len=5).letters == (1, 2, -1, -2)
+    assert parse("x1^3 x1^-3", max_len=7).letters == ()
+    # with no guard, an exponent too large to expand is a parse error
+    with pytest.raises(ParseError, match="exponent too large"):
+        parse(huge)
+    with pytest.raises(ParseError, match="exponent too large"):
+        parse("x1^-" + "9" * 40, r=1)
+
+
+def test_words_pickle_and_copy():
+    # built by the constructor, as a product, and as a cyclic core (whose
+    # packed letters are a slice of its word's)
+    u = Word((1, 2, -1), rank=3)
+    made = [u, u * Word((2, 2)), _cyclic_core(Word((1, 2, 3, -1)))]
+    assert made[2].letters == (2, 3)
+    for w in made:
+        for back in (pickle.loads(pickle.dumps(w)), copy.copy(w),
+                     copy.deepcopy(w)):
+            assert back == w and back.letters == w.letters
+            assert back.rank == w.rank
+            _packed_matches(back)
+            with pytest.raises(AttributeError, match="immutable"):
+                back.rank = 7
 
 
 def test_parse_serialize_round_trip():
