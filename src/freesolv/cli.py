@@ -22,6 +22,11 @@ from random import Random
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import oracle
 from .words import (ParseError, Word, commutator, parse, random_reduced_word,
                     random_trivial_word)
@@ -228,9 +233,17 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
     letters; that build is timed apart from the solve, as build_s, so no
     work leaves the table by moving into construction.  One untimed
     solve of the first instance comes first, so that no row carries the
-    one-time costs of the process (imports, first allocations).
+    one-time costs of the process (imports, first allocations).  Where
+    the resource module exists, each row also gives minflt, the median
+    number of minor page faults of the process during the timed solve:
+    memory the solve took fresh from the kernel.
     """
-    def timed(n: int, t: int) -> tuple[float, float]:
+    def minflt() -> int | None:
+        if resource is None:
+            return None
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def timed(n: int, t: int) -> tuple[float, float, int | None]:
         rng = Random(seed * 1_000_003 + n * 1009 + t)
         inst = bench_instance(problem, n, r, d, rng)
         total = sum(len(w) for w in inst)
@@ -239,6 +252,7 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
         run_rng = Random(seed * 1_000_003 + n * 1009 + t + 500_000_001)
         t0 = time.process_time()
         words = [Word(w.letters, rank=r, _reduced=True) for w in inst]
+        faults = minflt()
         t1 = time.process_time()
         if problem == "wp":
             word_problem(words[0], r, d, mode=mode, rng=run_rng,
@@ -249,14 +263,19 @@ def run_bench(problem: str, sizes: list[int], r: int, d: int, mode: str,
         else:
             conjugacy_solve(words[0], words[1], r, d, mode=mode,
                             rng=run_rng, cube_bound=cube, max_len=max_len)
-        return t1 - t0, time.process_time() - t1
+        t2 = time.process_time()
+        if faults is not None:
+            faults = minflt() - faults
+        return t1 - t0, t2 - t1, faults
 
     timed(sizes[0], 0)  # the warm-up
     rows = []
     for n in sizes:
-        build, solve = zip(*(timed(n, t) for t in range(trials)))
+        build, solve, faults = zip(*(timed(n, t) for t in range(trials)))
         rows.append({"n": n, "median_s": statistics.median(solve),
                      "build_s": statistics.median(build)})
+        if faults[0] is not None:
+            rows[-1]["minflt"] = statistics.median(faults)
     for prev, cur in zip(rows, rows[1:]):
         if cur["n"] == 2 * prev["n"] and prev["median_s"] > 0:
             cur["doubling_ratio"] = cur["median_s"] / prev["median_s"]
@@ -302,12 +321,14 @@ def cmd_bench(args) -> int:
     else:
         print(f"# {table['problem']} mode={table['mode']} r={r} "
               f"d={cfg.degree} seed={cfg.seed}")
-        print(f"{'n':>8} {'median_s':>12} {'build_s':>12} {'doubling':>9}")
+        print(f"{'n':>8} {'median_s':>12} {'build_s':>12} {'minflt':>8} "
+              f"{'doubling':>9}")
         for row in table["rows"]:
             ratio = row.get("doubling_ratio")
             tail = f"{ratio:>9.2f}" if ratio is not None else f"{'-':>9}"
             print(f"{row['n']:>8} {row['median_s']:>12.5f} "
-                  f"{row['build_s']:>12.5f} {tail}")
+                  f"{row['build_s']:>12.5f} {row.get('minflt', '-'):>8} "
+                  f"{tail}")
         print(f"fitted exponent: {table['fitted_exponent']}")
     return EXIT_YES
 

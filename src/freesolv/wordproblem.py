@@ -31,6 +31,20 @@ labels_at, which the solvers never call, gives the dense ranks of the
 values.  A rank keeps the order of the values, so the edge ids are the
 ones that the keys (label of the source, generator) would get.
 
+Scratch space.  Each thread keeps one int64 workspace (_workspace): a few
+rows as wide as the largest tree (or list of steps) it has solved, grown
+when a wider one comes and then reused.  A solve's per-node temporaries
+live there instead of coming fresh from the heap: freed, they let glibc
+hand the top of the heap back to the kernel, and the next solve faults
+those pages in again.  Row 0 holds 0, 1, 2, ..., the index of
+_dense_rank's packed keys and of _refine_det's steps; _dense_rank takes
+rows 1-3 for its key, order and steps; _forms takes the rows from _HELD
+on for the positive terms and its limb rows, once numbering_at(depth - 1),
+which takes the same rows, has returned, and ranks them before it
+returns.  No function returns or keeps a view of the workspace: every
+result is a fresh array, and the workspace holds only the rows of the
+largest solve until the thread ends.
+
 word_problem needs no values at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
 tests each depth k < d that way, so only depths 1..d-1 are refined, and
@@ -39,6 +53,7 @@ in Monte Carlo mode only they are randomized: d = 1 is exact.
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -52,13 +67,37 @@ _SLOTS_PER_NODE = 8
 # _dense_rank sorts packed keys (value << bits(n)) | index of size below
 # 2^_KEY_BITS
 _KEY_BITS = 63
+# the first workspace row that a caller may hold across a _dense_rank or
+# _rank_limbs call; rows 1-3 are _dense_rank's
+_HELD = 4
+
+_local = threading.local()
+
+
+def _workspace(n: int, rows: int) -> np.ndarray:
+    """This thread's int64 workspace, at least rows rows of at least n
+    columns; row 0 holds 0, 1, 2, ... and is only read.
+
+    One block per thread, grown to the widest and the most rows asked for
+    so far and then reused (see the module docstring).  A caller takes
+    its rows after every call that could take the same rows has returned,
+    and never returns or keeps a view of them.  Growing replaces the
+    block, so a view taken before stays valid, but is no longer shared.
+    """
+    block = getattr(_local, "block", None)
+    if block is None or block.shape[1] < n or len(block) < rows:
+        height, width = (0, 0) if block is None else block.shape
+        block = np.empty((max(rows, height), max(n, width)), dtype=np.int64)
+        block[0] = np.arange(block.shape[1])
+        _local.block = block
+    return block
 
 
 def _runs(ranges: np.ndarray, path_start: np.ndarray | None,
           idx: np.ndarray):
     """Sort steps by (range, position), one np.sort of packed keys:
     (order, new), where new[k] says that order[k] is the first step of its
-    range on its path.  idx is np.arange(S); path_start gives each step's
+    range on its path.  idx is 0..S-1; path_start gives each step's
     path by its first step, None when there is one path."""
     sh = len(ranges).bit_length()
     key = ranges << sh
@@ -112,9 +151,15 @@ class SupportChain:
     """Chain of distinguishers over the prefix tree of a word set.
 
     Shared engine for the word, power and conjugacy solvers.  A mode
-    computes node values (_values); the edge numbering of each quotient
-    support graph is a rank of them, computed lazily depth by depth and
-    cached, and so are the Monte Carlo anchors.  The values are not kept.
+    computes node values (_rank_values); the edge numbering of each
+    quotient support graph is a rank of them, computed lazily depth by
+    depth and cached, and so are the Monte Carlo anchors.  The values are
+    not kept: the Monte Carlo forms and the keys of every rank live in
+    the workspace of the calling thread, a few int64 rows as wide as the
+    largest tree it has solved (rows 1-3 for _dense_rank, from _HELD on
+    for _forms; see the module docstring).  They are taken per call and
+    never handed out, so everything a chain returns or caches is a fresh
+    array.
     """
 
     def __init__(self, tree: PrefixTree, mode: str = "det", rng=None,
@@ -136,17 +181,18 @@ class SupportChain:
         # its generator index i - 1 and sign, fixed per chain, and its
         # source node (_tail, built by the deterministic values only)
         letters = tree.letters
-        size = np.abs(letters)
-        self._r_max = int(size.max(initial=1))
+        self._gen = np.abs(letters[1:])
+        self._gen -= 1
+        self._r_max = int(self._gen.max(initial=0)) + 1
         self._tail: np.ndarray | None = None
-        self._gen = size[1:] - 1
         self._dirs = np.sign(letters)
-        self._labels: list[np.ndarray] = [np.zeros(self.V, dtype=np.int64)]
+        self._weights: np.ndarray | None = None
+        self._labels: list[np.ndarray] = []  # per depth 0.., when asked
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._anchors: list[np.ndarray] = []  # Monte Carlo, per depth 1..
         self._lb: int | None = None  # their limb bits, once known
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
-        self._steps: tuple | None = None  # per-step arrays of _refine_det
+        self._steps: tuple | None = None  # per-path arrays of _refine_det
 
     # -- tree traversal ------------------------------------------------
 
@@ -200,8 +246,7 @@ class SupportChain:
                 m, eid[1:] = _dense_ids(self._gen, self._r_max)
             else:
                 G, gens = self.numbering_at(0)[:2]
-                m = _rank_limbs(self._values(depth, source=True)[:, 1:],
-                                self._limb_bits(), eid[1:], (G, gens[1:]))
+                m = self._rank_values(depth, True, eid[1:], (G, gens[1:]))
             self._numberings[depth] = (m, eid, self._dirs)
         return self._numberings[depth]
 
@@ -213,14 +258,20 @@ class SupportChain:
         in float64, exactly, since a flow component is at most the path
         length, below 2^53.  A path through all V nodes visits them in
         index order (the tree is a chain, parents numbered first), so its
-        steps are read off the numbering as they are, with no gather.
+        steps are read off the numbering as they are, with no gather.  The
+        float64 weights are the signs of the letters, converted once per
+        chain, so a call makes no temporary over the nodes; the flow is a
+        fresh array.
         """
-        m, eid, dirs = self.numbering_at(depth)
+        m, eid, _ = self.numbering_at(depth)
+        if self._weights is None:
+            self._weights = self._dirs.astype(np.float64)
         if len(nodes) == self.V:
-            eid, dirs = eid[1:], dirs[1:]
+            eid, weights = eid[1:], self._weights[1:]
         else:
-            eid, dirs = eid[nodes[1:]], dirs[nodes[1:]]
-        return np.bincount(eid, weights=dirs, minlength=m).astype(np.int64)
+            eid, weights = eid[nodes[1:]], self._weights[nodes[1:]]
+        return np.bincount(eid, weights=weights,
+                           minlength=m).astype(np.int64)
 
     # -- refinement ------------------------------------------------------
 
@@ -228,32 +279,35 @@ class SupportChain:
         """Per-node labels at this depth: equal labels mean equal elements.
 
         The labels are the dense ranks 0..C-1 of the node values
-        (_values), cached.  The solvers never ask for them: numbering_at
-        ranks the values at the edges' sources instead.
+        (_rank_values), cached; depth 0 has one label.  The solvers never
+        ask for them: numbering_at ranks the values at the edges' sources
+        instead.  _labels holds the depths built so far.
         """
         while len(self._labels) <= depth:
-            labels = np.empty(self.V, dtype=np.int64)
-            _rank_limbs(self._values(len(self._labels), source=False),
-                        self._limb_bits(), labels)
+            labels = np.zeros(self.V, dtype=np.int64)
+            if self._labels:
+                self._rank_values(len(self._labels), False, labels)
             self._labels.append(labels)
         return self._labels[depth]
 
-    def _values(self, depth: int, source: bool) -> np.ndarray:
-        """The node values at depth >= 1, one column per node, as K rows
-        of limbs (the value is sum_k 2^(lb k) row k): the Monte Carlo forms
-        (_forms), or the deterministic packed flow ids (_refine_det) as
-        one row.  With source, column v holds the value at the source of
-        the edge into v instead (column 0, the root's, is then unused).
+    def _rank_values(self, depth: int, source: bool, out: np.ndarray,
+                     gens: tuple[int, np.ndarray] | None = None) -> int:
+        """Dense ranks into out of the node values at depth >= 1, or with
+        source of the values at the sources of the edges into the nodes
+        1..V-1, paired with gens as _rank_limbs pairs them; returns their
+        number.  The values are the Monte Carlo forms (_forms), K rows of
+        limbs (the value is sum_k 2^(lb k) row k), or the deterministic
+        packed flow ids (_refine_det), one row.
         """
         if self.mode == "mc":
-            return self._forms(depth, source)
+            return self._forms(depth, source, out, gens)
         values = self._refine_det(depth - 1)
         if source:
             if self._tail is None:
                 self._tail = np.where(self.tree.letters > 0,
                                       self.tree.parents, np.arange(self.V))
-            values = values[self._tail]
-        return values[None]
+            values = values[self._tail[1:]]
+        return _rank_limbs(values[None], self._limb_bits(), out, gens)
 
     def _refine_det(self, depth: int) -> np.ndarray:
         """Node values at depth + 1: each node's packed flow id, an exact
@@ -293,6 +347,8 @@ class SupportChain:
         running sum): it ranks nothing, as its packed ids less the zero
         one are the values, the root's being 0.  On several paths the
         steps of a node all carry its value, and reach scatters it there.
+        The index of the steps is the workspace's row 0; the values are a
+        fresh array.
         """
         m, eid, dirs = self.numbering_at(depth)
         nodes, starts = self._euler_tour()
@@ -305,11 +361,10 @@ class SupportChain:
             # step of each step's path
             several = len(starts) > 2
             self._steps = (
-                np.arange(S + 1),
                 np.append(0, nodes) if several else None,
                 np.repeat(starts[:-1], np.diff(starts)) if several else None)
-        steps, reach, path_start = self._steps
-        idx = steps[:S]
+        reach, path_start = self._steps
+        idx = _workspace(S, 1)[0, :S]
         edge = eid[nodes]  # each step's range at the current level
         change = dirs[nodes]  # the change of its id that the step makes
         zero = int(np.bincount(edge).max())
@@ -336,7 +391,7 @@ class SupportChain:
             _run_sums(change, np.maximum.accumulate(np.where(new, idx, 0)),
                       packed[1:])
             fits = (D ** (1 << k) - 1).bit_length() + sh <= _KEY_BITS
-            D = _dense_rank(packed, ranks, fits, steps)
+            D = _dense_rank(packed, ranks, fits)
             # the id of the step at position i is ranks[i + 1]; the one
             # before it on its run is ranks[i], or zero's, ranks[0]
             change[order] = ranks[1:] - ranks[np.where(new, 0, idx)]
@@ -365,11 +420,16 @@ class SupportChain:
                         - max(1, (G - 1).bit_length()))
         return self._lb
 
-    def _forms(self, depth: int, source: bool) -> np.ndarray:
-        """The Monte Carlo forms at depth >= 1, one column per node, as K
-        rows of limbs L_k (the form is sum_k 2^(lb k) L_k), not carried.
+    def _forms(self, depth: int, source: bool, out: np.ndarray,
+               gens: tuple[int, np.ndarray] | None = None) -> int:
+        """Dense ranks into out of the Monte Carlo forms at depth >= 1, by
+        _rank_limbs of their K rows of limbs L_k (the form is sum_k 2^(lb
+        k) L_k), not carried, one column per node; returns their number.
         With source, column v holds the form at the source of the edge
-        into v instead (column 0, the root's, is then unused).
+        into v instead, and only the nodes 1..V-1 are ranked.  The limb
+        rows, and the positive terms of the sources, live in workspace
+        rows from _HELD on, taken after numbering_at(depth - 1) returns,
+        which takes the same rows; the forms are not kept.
 
         With f_v the flow of node v on the depth - 1 quotient graph and a
         the anchor, m components uniform on [0, 2^b), b = bits(B), in edge
@@ -397,17 +457,20 @@ class SupportChain:
         taken before any carry.
         """
         m, eid, dirs = self.numbering_at(depth - 1)
+        lb = self._limb_bits()
         if len(self._anchors) < depth:
-            self._anchors.append(_draw_anchors(
-                self.rng, self.cube_bound, m, self._limb_bits()))
-        V = self.V
-        rows = np.empty((len(self._anchors[depth - 1]), V), dtype=np.int64)
+            self._anchors.append(_draw_anchors(self.rng, self.cube_bound,
+                                               m, lb))
+        anchors, V = self._anchors[depth - 1], self.V
+        top = _HELD + 1 + len(anchors)
+        ws = _workspace(V, top)
+        rows = ws[_HELD + 1:top, :V]
         rows[:, 0] = 0  # the root's form
         edge, sign = eid[1:], dirs[1:]
         blocks = self.tree.blocks[1:]  # the first hangs off the root
         ends = [b for b, _ in blocks[1:]] + [V]
-        positive = np.empty(V - 1, dtype=np.int64) if source else None
-        for a, row in zip(self._anchors[depth - 1], rows):
+        positive = ws[_HELD, :V - 1]
+        for a, row in zip(anchors, rows):
             terms = row[1:]
             # every id is in range; "clip" spares the buffered check
             a.take(edge, out=terms, mode="clip")
@@ -423,7 +486,7 @@ class SupportChain:
                 row[b:e] += shift
             if source:
                 terms -= positive
-        return rows
+        return _rank_limbs(rows[:, 1:] if source else rows, lb, out, gens)
 
 
 def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
@@ -432,7 +495,8 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     gens = (G, gen), of the pairs (integer, gen) in order, gen < G; returns
     their number.
 
-    Carries bring rows 0..K-2 into [0, 2^lb), in place.  Carried limbs in
+    Carries bring rows 0..K-2 into [0, 2^lb), in place, and the keys are
+    built in rows, so rows is overwritten.  Carried limbs in
     any radix order the same integers, so lb changes no rank.  The ranks
     are taken limb by limb from the top: the rank of the top row, then for
     each lower limb the rank of (rank << lb) | L_k, and the generator
@@ -448,12 +512,14 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
         return 0
     K = len(rows)
     for k in range(K - 1):
-        rows[k + 1] += rows[k] >> lb
+        rows[k + 1] += np.right_shift(rows[k], lb, out=out)
         rows[k] &= (1 << lb) - 1
     key = rows[K - 1]
     for k in range(K - 2, -1, -1):
         _dense_rank(key, out)
-        key = (out << lb) | rows[k]
+        out <<= lb
+        key = rows[k]
+        key |= out
     if gens is None:
         return _dense_rank(key, out)
     G, gen = gens
@@ -464,15 +530,17 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     pair = (span * G + G - 1).bit_length()
     if pair + sh > _KEY_BITS and (alone or pair > 63):
         C = _dense_rank(key, out, alone)
-        C, out[:] = _dense_ids(out * G + gen, C * G)
+        key = np.multiply(out, G, out=key)
+        key += gen
+        C, out[:] = _dense_ids(key, C * G)
         return C
     key *= G
     key += gen
     return _dense_rank(key, out, pair + sh <= _KEY_BITS)
 
 
-def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
-                idx: np.ndarray | None = None) -> int:
+def _dense_rank(x: np.ndarray, out: np.ndarray,
+                fits: bool | None = None) -> int:
     """Dense ranks 0..C-1 of the values of x (at least one) into out;
     returns C.
 
@@ -480,28 +548,30 @@ def _dense_rank(x: np.ndarray, out: np.ndarray, fits: bool | None = None,
     stays in (-2^_KEY_BITS, 2^_KEY_BITS), else one argsort; a negative x
     sorts as well, as x << sh keeps its sign.  A caller that knows whether
     |x| < 2^(_KEY_BITS - sh) says so by fits; otherwise x - min(x) is
-    sorted when it fits.  idx, if given, is np.arange(len(x)).
+    sorted when it fits.  The key, the order and the steps between sorted
+    values live in rows 1-3 of the workspace, and the index is row 0; x
+    and out are the caller's.
     """
     n = len(x)
     sh = (n - 1).bit_length()
+    ws = _workspace(n, _HELD)
+    key, order, step = ws[1, :n], ws[2, :n], ws[3, :n]
     if fits is None:
         lo = int(x.min())
         fits = (int(x.max()) - lo).bit_length() + sh <= _KEY_BITS
         if fits:
-            x = x - lo
+            x = np.subtract(x, lo, out=key)
     if fits:
-        key = x << sh
-        key |= np.arange(n) if idx is None else idx
+        np.left_shift(x, sh, out=key)
+        key |= ws[0, :n]
         key.sort()
-        order = key & ((1 << sh) - 1)
+        np.bitwise_and(key, (1 << sh) - 1, out=order)
         key >>= sh
-        srt = key
     else:
         order = np.argsort(x)
-        srt = x[order]
-    step = np.empty(n, dtype=np.int64)
+        x.take(order, out=key, mode="clip")  # unbuffered; ids in range
     step[0] = 0
-    np.not_equal(srt[1:], srt[:-1], out=step[1:])
+    np.not_equal(key[1:], key[:-1], out=step[1:])
     step.cumsum(out=step)
     out[order] = step
     return int(step[-1]) + 1

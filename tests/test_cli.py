@@ -152,6 +152,27 @@ def test_bench_json_rows_time_the_build(capsys):
         assert all(row["build_s"] > 0 for row in rows), (problem, rows)
 
 
+def test_bench_rows_count_minor_faults(monkeypatch, capsys):
+    # each row gives minflt, the median number of minor page faults in its
+    # timed solves, in JSON and as a column of the text table; without
+    # the resource module the field is left out
+    code, out, _ = run(capsys, "bench", "wp", "64,128", "--seed", "2",
+                       "--json")
+    assert code == EXIT_YES
+    assert all(row["minflt"] >= 0 for row in json.loads(out)["rows"])
+    code, out, _ = run(capsys, "bench", "wp", "64,128", "--seed", "2")
+    header, *rows = out.splitlines()[1:3]
+    assert header.split() == ["n", "median_s", "build_s", "minflt",
+                              "doubling"]
+    assert rows[0].split()[3].isdigit()
+    monkeypatch.setattr(cli, "resource", None)
+    code, out, _ = run(capsys, "bench", "wp", "64,128", "--seed", "2",
+                       "--json")
+    assert all("minflt" not in row for row in json.loads(out)["rows"])
+    code, out, _ = run(capsys, "bench", "wp", "64,128", "--seed", "2")
+    assert out.splitlines()[2].split()[3] == "-"
+
+
 def test_bench_json_names_revision_and_versions(capsys):
     # the JSON table carries what produced it: git HEAD, marked -dirty
     # when tracked files differ (None outside a checkout), and the python

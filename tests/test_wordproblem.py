@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 import tracemalloc
 from math import comb, sqrt
 
@@ -558,13 +560,29 @@ def test_mc_word_problem_ranks_once_per_refined_depth(monkeypatch):
             assert calls == {"_dense_rank": d - 1, "_dense_ids": 1}, d
 
 
-def test_mc_forms_shift_the_blocks_the_tree_records(rng):
+def _ranked_forms(monkeypatch, chain, d, source):
+    # the limb rows of the forms at depth d, as _forms hands them to
+    # _rank_limbs (its last call, after those of the lower depths)
+    seen = []
+    rank_limbs = wordproblem._rank_limbs
+
+    def spy(rows, *args):
+        seen.append(rows.tolist())
+        return rank_limbs(rows, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(wordproblem, "_rank_limbs", spy)
+        chain._forms(d, source, np.empty(chain.V - source, dtype=np.int64))
+    return seen[-1]
+
+
+def test_mc_forms_shift_the_blocks_the_tree_records(rng, monkeypatch):
     # PrefixTree.blocks holds each appended block's first node and attach
     # node; the forms shift each later block to start from its attach
     # node, and a block that continues the node before it (nested_words
     # ends with one) keeps the shift before it.  The forms, and the forms
-    # at the edges' sources, are the Python-int forms of the flows, at one,
-    # two and four limbs
+    # at the edges' sources (nodes 1..V-1), are the Python-int forms of
+    # the flows, at one, two and four limbs
     continuing, limbs = 0, set()
     for words in mc_reference_trees(rng):
         tree = PrefixTree(words)
@@ -583,9 +601,9 @@ def test_mc_forms_shift_the_blocks_the_tree_records(rng):
                                  cube_bound=B)
             lb = chain._limb_bits()
             for d in (1, 2):
-                rows = chain._forms(d, source=False).tolist()
+                rows = _ranked_forms(monkeypatch, chain, d, False)
                 limbs.add(len(rows))
-                sources = chain._forms(d, source=True).tolist()
+                sources = _ranked_forms(monkeypatch, chain, d, True)
                 anchor = _anchor_ints(chain._anchors[d - 1], lb)
                 form = [sum(x * a for x, a in
                             zip(chain.flow_vector(d - 1, path).tolist(),
@@ -597,7 +615,7 @@ def test_mc_forms_shift_the_blocks_the_tree_records(rng):
                                enumerate(rows))
 
                 assert [value(rows, v) for v in range(V)] == form, (V, d)
-                assert [value(sources, v) for v in range(1, V)] == \
+                assert [value(sources, v) for v in range(V - 1)] == \
                     [form[tail[v]] for v in range(1, V)], (V, d)
     assert continuing > 0 and limbs == {1, 2, 4}
 
@@ -1174,24 +1192,127 @@ def test_mc_true_implies_same_seed_labels_join_the_ends(bound):
         assert fewer_errors > 0
 
 
+@pytest.mark.parametrize("mode", ["det", "mc"])
+def test_no_result_shares_the_workspace(monkeypatch, mode):
+    # numberings, flows, labels, anchors and the deterministic values are
+    # fresh arrays, never views of a workspace block, and row 0 of the
+    # block still holds 0, 1, 2, ... afterwards
+    blocks = []
+    workspace = wordproblem._workspace
+
+    def spy(n, rows):
+        blocks.append(workspace(n, rows))
+        return blocks[-1]
+
+    monkeypatch.setattr(wordproblem, "_workspace", spy)
+    g = random.Random(4)
+    w = random_trivial_word(g, 2, 2) * random_reduced_word(g, 300, 2)
+    for words in ([w], [w, random_reduced_word(g, 200, 2)]):
+        tree = PrefixTree(words)
+        chain = SupportChain(tree, mode, rng=random.Random(1),
+                             cube_bound=len(tree) ** 3)
+        outs = []
+        for depth in range(4):
+            outs += chain.numbering_at(depth)[1:]
+            outs += [chain.flow_vector(depth, p) for p in tree.paths]
+            outs.append(chain.labels_at(depth))
+            if mode == "det":
+                outs.append(chain._refine_det(depth))
+        outs += chain._anchors
+        assert blocks and outs
+        assert not any(np.shares_memory(out, block)
+                       for out in outs for block in blocks)
+        block = blocks[-1]
+        assert block[0].tolist() == list(range(block.shape[1]))
+
+
+def test_threads_solve_as_one_thread_does():
+    # each thread has its own workspace: three threads that solve words of
+    # 2^14 letters and more at once, exactly and by Monte Carlo, get the
+    # answers and the Monte Carlo labels that one thread gets alone
+    g = random.Random(12)
+    w = _mc_memory_word()
+    no = w * commutator(C, commutator(parse("x1 x1"), parse("x2")))
+    v = random_reduced_word(g, 1 << 13, 2)
+    u = v * random_trivial_word(g, 2, 3) * v  # v^2 in S_{2,3}
+
+    def labels(seed):
+        chain = SupportChain(PrefixTree([no]), "mc", rng=random.Random(seed),
+                             cube_bound=len(no) ** 3)
+        return hashlib.sha256(chain.labels_at(3).tobytes()).hexdigest()
+
+    jobs = [lambda: word_problem(w, 2, 3),
+            lambda: word_problem(no, 2, 3),
+            lambda: word_problem(no, 2, 3, mode="mc", rng=random.Random(5)),
+            lambda: word_problem(w, 2, 3, mode="mc", rng=random.Random(5)),
+            lambda: power_solve(u, v, 2, 3).k,
+            lambda: power_solve(u, v, 2, 3, mode="mc",
+                                rng=random.Random(6)).k,
+            lambda: labels(7)]
+    want = [job() for job in jobs]
+    assert want[:2] == [True, False] and want[4] == 2
+    got: dict[int, list] = {}
+
+    def worker(t):
+        order = [(t + i) % len(jobs) for i in range(len(jobs))]
+        got[t] = [(i, jobs[i]()) for i in order + order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(got) == 3
+    for answers in got.values():
+        assert [want[i] for i, _ in answers] == [a for _, a in answers]
+
+
+def _traced_peak(solve, fresh_thread=True):
+    # the peak of traced allocations while solve() runs, above what was
+    # traced before; in a fresh thread by default, whose workspace starts
+    # empty, so that its growth is counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if fresh_thread:
+            t = threading.Thread(target=solve)
+            t.start()
+            t.join(timeout=60)
+            assert not t.is_alive()
+        else:
+            solve()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _mc_memory_word():
+    g = random.Random(3)
+    w = Word((), rank=2)
+    while len(w) < 1 << 14:
+        w = w * random_trivial_word(g, 2, 3)
+    return w
+
+
 def test_word_problem_memory_is_linear():
     # a 16k-letter word of F^(2) refined to depth 3 stays within 10 MB of
     # traced allocations (an intern table of tuples needs over twice that),
     # at rank 2, at rank 8, where the edge numbering has 8 generator slots
     # per class, and at rank 4096, where class x generator slots would
-    # take 512 MB
+    # take 512 MB; in a fresh thread, so the workspace's rows count
     for r in (2, 8, 4096):
         g = random.Random(3)
         w = Word((), rank=r)
         while len(w) < 1 << 14:
             w = w * random_trivial_word(g, r, 2)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            SupportChain(PrefixTree([w]), "det").labels_at(3)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(
+            lambda: SupportChain(PrefixTree([w]), "det").labels_at(3))
         assert peak < 10 * 2 ** 20, (r, peak)
 
 
@@ -1199,16 +1320,35 @@ def test_mc_word_problem_memory_is_linear():
     # a 16k-letter word of F^(3), decided by Monte Carlo at d = 3, refines
     # depths 1 and 2 within 2.4 MB of traced allocations, the room of
     # about 19 int64 arrays over its nodes: the linear forms are summed
-    # over the nodes in place, with no root-path cover (that took 2.76 MB)
-    g = random.Random(3)
-    w = Word((), rank=2)
-    while len(w) < 1 << 14:
-        w = w * random_trivial_word(g, 2, 3)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert word_problem(w, 2, 3, mode="mc", rng=random.Random(1))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    # over the nodes in place, with no root-path cover (that took 2.76 MB).
+    # In a fresh thread, so the workspace's rows count
+    w = _mc_memory_word()
+    answers = []
+    peak = _traced_peak(lambda: answers.append(
+        word_problem(w, 2, 3, mode="mc", rng=random.Random(1))))
+    assert answers == [True]
     assert peak < 2.4 * 2 ** 20, peak
+
+
+def test_warm_mc_word_problem_allocates_few_node_arrays():
+    # once the thread's workspace holds the rows of a word, a second Monte
+    # Carlo solve of it allocates only what its chain keeps or returns
+    # (the tree's path, the numberings, signs, weights and anchors, the
+    # flows): a traced peak within 10 int64 arrays over the nodes (8.7 at
+    # 16k letters), where the first solve, which grows the workspace,
+    # takes more
+    w = _mc_memory_word()
+    peaks = []
+
+    def solve_twice():
+        for _ in range(2):
+            peaks.append(_traced_peak(lambda: word_problem(
+                w, 2, 3, mode="mc", rng=random.Random(1)),
+                fresh_thread=False))
+
+    t = threading.Thread(target=solve_twice)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(peaks) == 2
+    cold, warm = peaks
+    assert warm < 10 * 8 * len(w) < cold, (cold, warm)
