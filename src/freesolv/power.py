@@ -14,9 +14,11 @@ alone.  For s < d-1 the exponent is certified by one word problem at
 depth d: u = v^q holds exactly when u v^-q = 1, tested directly when
 |u| + |q||v| <= 2(|u| + |v|), and otherwise through [u, v] = 1, which
 with proportional flows implies u = v^q by Malcev's centralizer theorem
-and stays at most 2(|u| + |v|) letters however large |q| is.  The word
+and stays at most 2(|u| + |v|) letters however large |q| is.  The
+certificate u v^-q is joined from the packed letters of u and v
+(words._join, words._join_power), so it makes no letter tuple.  The word
 problem decides on the certificate's cyclic core, which for u = v^q c is
-a conjugate of c.
+a conjugate of c, sliced from the same packed letters.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Word, commutator
+from .words import Word, _join, _join_power, commutator
 from .xdigraph import PrefixTree
 from .wordproblem import (DEFAULT_MAX_LEN, LengthGuardError, SupportChain,
                           _dense_ids, _first_nontrivial_depth, word_problem)
@@ -85,7 +87,10 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     at most 2^-b <= 1/(B + 1), and it succeeds with probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default bound B =
     9(|u|+|v|)^3: the certificate word u v^-q, or [u, v] when u v^-q
-    would be longer, has at most 2(|u|+|v|) letters either way.  Edge ids
+    would be longer, has at most 2(|u|+|v|) letters either way.  u v^-q
+    is joined from the packed letters of u and v, by one vectorized
+    junction compare per product, and reaches the word problem as a
+    packed-built Word that makes no letter tuple.  Edge ids
     keyed by the forms at the edges' sources merge two true edges only
     when those forms collide at the same generator, as labels of the
     forms would, so the bound holds as it did over labels.  Raises
@@ -149,7 +154,8 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     # the shorter certificate: u v^-q = 1 is the claim itself, and [u, v]
     # = 1 implies it (Malcev) in at most 2n letters whatever |q| is
     if len(u) + abs(q) * len(v) <= 2 * n:
-        check = u * v ** -q
+        check = Word._trusted(None, max(u.rank, v.rank),
+                              _join(u.packed, _join_power(v.packed, -q)))
     else:
         check = commutator(u, v)
     if not word_problem(check, r, d, mode=mode, rng=rng,

@@ -599,20 +599,22 @@ def _draw_anchors(rng, B: int, m: int, lb: int) -> np.ndarray:
 def _cyclic_core(w: Word) -> Word:
     """w with each leading letter stripped while it inverts the trailing one.
 
-    The ends are tested on the letter tuple, so w comes back as it is in
-    O(1) when w_1 != w_n^-1.  Otherwise the stripped length c is where w
-    first differs from w^-1, below |w|/2 as w is reduced (a middle
+    The ends are tested on the packed letters, so w comes back as it is
+    in O(1) when w_1 != w_n^-1.  Otherwise the stripped length c is where
+    w first differs from w^-1, below |w|/2 as w is reduced (a middle
     letter never inverts itself, and w_{n/2} w_{n/2+1} does not cancel),
     found by one compare of the packed letters with their negated
-    reverse, and the core holds slices of both the tuple and the packed
-    letters.
+    reverse.  The core is a Word built from a slice of the packed letters
+    (Word._trusted(None, ...)), so it makes no letter tuple unless one is
+    read.
     """
-    a, n = w.letters, len(w)
-    if n < 2 or a[0] != -a[-1]:
+    p = w.packed
+    n = len(p)
+    if n < 2 or p[0] != -p[-1]:
         return w
-    p, h = w.packed, (n + 1) // 2
+    h = (n + 1) // 2
     c = int(np.argmax(p[:h] != -p[::-1][:h]))
-    return Word._trusted(a[c:n - c], w.rank, p[c:n - c])
+    return Word._trusted(None, w.rank, p[c:n - c])
 
 
 def _first_nontrivial_depth(chain: SupportChain, path, length: int,

@@ -27,6 +27,16 @@ def conjugation_verified(z: Word, x: Word, y: Word, r: int, d: int) -> bool:
     return lhs == form_long(y, r, d)
 
 
+def letters_built(w: Word) -> bool:
+    """Whether w holds its letter tuple, read from the slot alone, so that
+    a Word built from packed letters does not build it to answer."""
+    try:
+        Word.letters.__get__(w)
+    except AttributeError:
+        return False
+    return True
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import form_long, trivial_long
+from conftest import form_long, letters_built, trivial_long
 from freesolv import oracle, power, wordproblem, words
 from freesolv.power import FAIL, PowerResult, member_of_cyclic, power_solve
 from freesolv.wordproblem import LengthGuardError, SupportChain, word_problem
@@ -467,15 +467,20 @@ def test_power_memory_does_not_grow_with_rank():
 
 
 def test_solvers_read_the_packed_letters_of_their_inputs(monkeypatch, rng):
-    # words from the public constructor come packed, so a word problem
-    # packs nothing, and a power problem packs only its certificate, a
-    # product, whose cyclic core slices the certificate's packed letters
-    packs = []
-    pack = words._pack
+    # words from the public constructor come packed, so neither a word
+    # problem nor a power problem packs anything: the certificate u v^-2
+    # is joined from the packed letters of u and v, and its cyclic core
+    # is a slice of them, and no letter tuple of the certificate is built
+    packs, checks = [], []
+    pack, solve = words._pack, power.word_problem
 
     def spy(letters):
         packs.append(letters)
         return pack(letters)
+
+    def spy_solve(w, *args, **kwargs):
+        checks.append(w)
+        return solve(w, *args, **kwargs)
 
     def built(w):
         return Word(w.letters, rank=2, _reduced=True)
@@ -490,11 +495,16 @@ def test_solvers_read_the_packed_letters_of_their_inputs(monkeypatch, rng):
                 x = built(random_reduced_word(rng, 5, 2))
             cases.append((d, built(g * t * ~g), built(x ** 2 * t), x))
     monkeypatch.setattr(words, "_pack", spy)
+    monkeypatch.setattr(power, "word_problem", spy_solve)
     for d, w, u, v in cases:
         for mode in ("det", "mc"):
             packs.clear()
+            checks.clear()
             assert word_problem(w, 2, d, mode=mode, rng=random.Random(1))
             assert packs == []
             assert power_solve(u, v, 2, d, mode=mode,
                                rng=random.Random(1)) == PowerResult(2)
-            assert packs == [(u * v ** -2).letters]
+            assert packs == []
+            (check,) = checks
+            assert not letters_built(check)
+            assert check == u * v ** -2 and letters_built(check)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from freesolv.words import (LengthGuardError, ParseError, Word, commutator,
-                            free_reduce, parse)
+from conftest import letters_built
+from freesolv.words import (LengthGuardError, ParseError, Word, _join,
+                            _join_power, commutator, free_reduce, parse)
 from freesolv.wordproblem import _cyclic_core
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda s: s != 0)
@@ -83,15 +84,38 @@ def test_parse_counts_letters_before_expanding():
         parse("x1^-" + "9" * 40, r=1)
 
 
+def _certificate(u: Word, v: Word, q: int) -> Word:
+    """u v^-q joined from the packed letters, as power_solve builds it."""
+    return Word._trusted(None, max(u.rank, v.rank),
+                         _join(u.packed, _join_power(v.packed, -q)))
+
+
+def _packed_built_matches(w: Word, want: Word) -> None:
+    """w, built from packed letters, is want without building its tuple
+    until it is compared."""
+    assert not letters_built(w)
+    assert len(w) == len(want) and w.rank == want.rank
+    assert not w.packed.flags.writeable
+    assert not letters_built(w)
+    assert hash(w) == hash(want) and w == want and want == w
+    assert w.letters == want.letters and letters_built(w)
+
+
 def test_words_pickle_and_copy():
-    # built by the constructor, as a product, and as a cyclic core (whose
-    # packed letters are a slice of its word's)
-    u = Word((1, 2, -1), rank=3)
-    made = [u, u * Word((2, 2)), _cyclic_core(Word((1, 2, 3, -1)))]
+    # built by the constructor, as a product, as a cyclic core (whose
+    # packed letters are a slice of its word's), and from packed letters
+    # alone: certificates u v^-q, with v not cyclically reduced, one that
+    # cancels to the empty word, and a core of one
+    u, v = Word((1, 2, -1), rank=3), Word((2, 1, 1, -2))
+    made = [u, u * Word((2, 2)), _cyclic_core(Word((1, 2, 3, -1))),
+            _certificate(u, v, -3), _certificate(v ** 2, v, 2),
+            _cyclic_core(_certificate(Word((2, 1)), v, 1))]
     assert made[2].letters == (2, 3)
+    assert made[4].letters == () and made[5].letters == (2, -1)
     for w in made:
         for back in (pickle.loads(pickle.dumps(w)), copy.copy(w),
                      copy.deepcopy(w)):
+            assert type(back) is Word
             assert back == w and back.letters == w.letters
             assert back.rank == w.rank
             _packed_matches(back)
@@ -158,6 +182,21 @@ def test_every_word_carries_its_packed_letters(ls, ms, k, data):
             parse(u.serialize(), 4), u * v, ~u, u ** k,
             u.prefix(data.draw(st.integers(0, len(u)))), commutator(u, v),
             _cyclic_core(v * u * ~v), _cyclic_core(u)]
+    # u v^-q joined from packed letters, with v not cyclically reduced and
+    # u = v^q at times, where it cancels to the empty word, and its core
+    z = free_reduce(data.draw(st.lists(letters, max_size=6)))
+    y, q = z * v * ~z, data.draw(st.integers(-5, 5))
+    x = y ** q if data.draw(st.booleans()) else u
+    want = x * y ** -q
+    cert = _certificate(x, y, q)
+    core, letters_of = _cyclic_core(cert), list(want.letters)
+    while len(letters_of) > 1 and letters_of[0] == -letters_of[-1]:
+        letters_of = letters_of[1:-1]
+    _packed_built_matches(core, Word(letters_of, rank=want.rank))
+    if core is not cert:
+        _packed_built_matches(cert, want)
+    assert cert == want
+    made += [cert, core]
     for w in made:
         _packed_matches(w)
     # a core sliced from a packed word shares its buffer
