@@ -16,13 +16,13 @@ made from one of them builds the other on its first read:
   makes its tuple on the first read of letters, and its len() reads the
   array.  The power solver joins its certificate u v^-q this way from the
   packed letters of u and v (_join, _join_power), and the word problem
-  slices its cyclic core from them, so a solve on packed words makes no
-  letter tuple.
+  slices its cyclic core from the packed letters of its word, so neither
+  makes a letter tuple.
 
 The lazy tuple lives on a private subclass, _PackedWord, not on Word: a
-__getattr__ fallback on Word itself slowed every plain read, w.letters
-from 10.8 to 39.6 ns and len(w) from 80 to 114 ns, which the many short
-words of conjugacy pay for.  Short words keep the tuple operators, since
+__getattr__ fallback on Word itself slowed every plain read (timeit),
+w.letters from 10.8 to 39.6 ns and len(w) from 80 to 114 ns, which the
+many short words of conjugacy pay for.  Short words keep the tuple operators, since
 numpy's fixed cost per call outweighs their letters.
 """
 

@@ -111,7 +111,8 @@ def test_words_pickle_and_copy():
             _certificate(u, v, -3), _certificate(v ** 2, v, 2),
             _cyclic_core(_certificate(Word((2, 1)), v, 1))]
     assert made[2].letters == (2, 3)
-    assert made[4].letters == () and made[5].letters == (2, -1)
+    assert made[3] == u * v ** 3 and made[4].letters == ()
+    assert made[5].letters == (2, -1)
     for w in made:
         for back in (pickle.loads(pickle.dumps(w)), copy.copy(w),
                      copy.deepcopy(w)):
