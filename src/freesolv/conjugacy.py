@@ -26,7 +26,8 @@ S_{r,d-1} onto Cay(A) and pushes walks and their flows forward, so a cut
 whose shift has the flow of y at depth d-1 is a hash hit, and the first
 hit that matches is the first matching cut of a scan of every cut.  The
 hits are traced on a support, built lazily, that finds cosets with the
-exact cyclic-membership solver.
+exact cyclic-membership solver; the test that finds an edge's coset also
+gives its shift, the power of y the edge crosses.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 
 from .words import Word, concat_reduced
 from .wordproblem import DEFAULT_MAX_LEN, LengthGuardError, word_problem
+# power_solve is unused here; benchmark/layers.py patches it (ROADMAP item 2)
 from .power import member_of_cyclic, power_solve
 
 
@@ -88,15 +90,17 @@ class SchreierSupport:
     Tracing follows existing edges for free and only locates cosets on
     missing ones.
 
-    One coset table holds, per vertex v, its representative rep(v) and
-    that word's exponent vector, and, per edge (u, s) to v, the shift j
-    with rep(u) x_s = y^j rep(v) in S_{r,d-1}.  The shift is 0 on an edge
-    that created its target and is computed once, on first use, for an
-    edge that closes onto an existing coset; (v, -s) gets -j.
+    The coset table holds, per vertex v, its representative rep(v) and
+    that word's exponent vector.  The edge table out maps each traced
+    edge (u, s) to (v, j), its target and its shift, with rep(u) x_s =
+    y^j rep(v) in S_{r,d-1}, and (v, -s) to (u, -j).  Both come from
+    locating v once: j is 0 on an edge that created its target, read off
+    the exponent vectors where the key decides, and otherwise the k of
+    the membership test g q^-1 = y^k that matched, which the memo keeps.
 
-    The membership and shift calls take words the support builds, so
-    they are guarded by a limit that follows from max_len, the guard
-    the solver's input passed (|y| < max_len), not by the default one.
+    The membership calls take words the support builds, so they are
+    guarded by a limit that follows from max_len, the guard the solver's
+    input passed (|y| < max_len), not by the default one.
     A call pairs y with g q^-1, where g = rep(u) x_s for a traced edge
     (u, s) and q is the rep of an existing vertex.  With R the longest
     rep so far (longest), such a pair has at most 2 R + 1 + |y| < 2 R + 1
@@ -117,8 +121,7 @@ class SchreierSupport:
         self.memo: dict = {}
         self.reps: list[tuple[int, ...]] = [()]
         self.vecs: list[tuple[int, ...]] = [(0,) * r]
-        self.out: dict[tuple[int, int], int] = {}
-        self.shifts: dict[tuple[int, int], int | None] = {}
+        self.out: dict[tuple[int, int], tuple[int, int]] = {}
         self._ab_y = _exponent_vector(y.letters, r)
         self._pivot = next((i for i, c in enumerate(self._ab_y) if c), None)
         self.buckets: dict[tuple, list[int]] = {self._bucket_key((0,) * r):
@@ -142,60 +145,50 @@ class SchreierSupport:
         return vec
 
     def _locate_or_add(self, letters: tuple[int, ...],
-                       vec: tuple[int, ...]) -> int:
-        """Vertex of the coset <y> * letters, creating it if unseen."""
+                       vec: tuple[int, ...]) -> tuple[int, int]:
+        """Vertex v of the coset <y> * letters, creating it if unseen, and
+        the shift j with letters = y^j rep(v) in S_{r,d-1}."""
         bucket = self.buckets.setdefault(self._bucket_key(vec), [])
         if bucket and self.depth <= 1:
-            return bucket[0]  # the key is the coset itself
+            # the key is the coset itself: y = 1 at depth 0, and at depth 1
+            # letters and rep(q) differ by j ab(y) in Z^r
+            q, p = bucket[0], self._pivot
+            if self.depth == 0 or p is None:
+                return q, 0
+            return q, (vec[p] - self.vecs[q][p]) // self._ab_y[p]
         for q in bucket:
             gq = Word._trusted(concat_reduced(
                 letters, tuple(-s for s in reversed(self.reps[q]))), self.r)
             if member_of_cyclic(gq, self.y, self.r, self.depth, memo=self.memo,
                                 max_len=self._limit()):
-                return q
+                # the memo keeps the k with g q^-1 = y^k
+                return q, self.memo[gq.letters, self.y.letters, self.r,
+                                    self.depth]
         v = len(self.reps)
         self.reps.append(letters)
         self.longest = max(self.longest, len(letters))
         self.vecs.append(vec)
         bucket.append(v)
-        return v
+        return v, 0
 
-    def _step(self, u: int, s: int) -> int:
-        tgt = self.out.get((u, s))
-        if tgt is not None:
-            return tgt
+    def arc(self, u: int, s: int) -> tuple[int, int]:
+        """Target v of the edge (u, s) and its shift j: rep(u) x_s =
+        y^j rep(v) in S_{r,d-1}.  A missing edge is located once, with
+        its shift, and stored both ways: (v, -s) leads to (u, -j)."""
+        edge = self.out.get((u, s))
+        if edge is not None:
+            return edge
         p = self.reps[u]
         nxt = p[:-1] if p and p[-1] == -s else p + (s,)
-        created = len(self.reps)
-        tgt = self._locate_or_add(nxt, _moved(self.vecs[u], s))
-        back = self.out.get((tgt, -s))
-        if back is not None and back != u:
+        v, j = self._locate_or_add(nxt, _moved(self.vecs[u], s))
+        if (v, -s) in self.out:
             raise AssertionError("the support lost foldedness")
-        self.out[(u, s)] = tgt
-        self.out[(tgt, -s)] = u
-        if tgt == created:  # rep(u) x_s reduces to rep(tgt) itself
-            self.shifts[(u, s)] = self.shifts[(tgt, -s)] = 0
-        return tgt
-
-    def arc(self, u: int, s: int) -> tuple[int, int | None]:
-        """Target v of the edge (u, s) and its shift j: rep(u) x_s =
-        y^j rep(v) in S_{r,d-1}.  A closing edge gets j once, from one
-        exact power problem; j is None only if the support put two
-        cosets in one vertex, an internal fault that _witness_repair
-        reports."""
-        v = self._step(u, s)
-        if (u, s) not in self.shifts:
-            g = concat_reduced(concat_reduced(self.reps[u], (s,)),
-                               tuple(-c for c in reversed(self.reps[v])))
-            j = power_solve(Word._trusted(g, self.r), self.y,
-                            self.r, self.depth, mode="det",
-                            max_len=self._limit()).k
-            self.shifts[(u, s)] = j
-            self.shifts[(v, -s)] = None if j is None else -j
-        return v, self.shifts[(u, s)]
+        self.out[(u, s)] = v, j
+        self.out[(v, -s)] = u, -j
+        return v, j
 
     def _limit(self) -> int:
-        """The guard of a membership or shift call (see the class)."""
+        """The guard of a membership call (see the class)."""
         return self.max_len + 2 * self.longest + 1
 
     def lift(self, v: int, j: int) -> Word:
@@ -215,7 +208,7 @@ class SchreierSupport:
         path = [0]
         flow: dict[tuple[int, int], int] = {}
         for s in w.letters:
-            nxt = self._step(v, s)
+            nxt = self.arc(v, s)[0]
             key = (v, s) if s > 0 else (nxt, -s)
             val = flow.get(key, 0) + (1 if s > 0 else -1)
             if val:
@@ -269,14 +262,12 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
     """
     w = gamma * x * ~gamma
 
-    def cayley_flow(u: Word) -> dict[tuple[int, int, int], int] | None:
+    def cayley_flow(u: Word) -> dict[tuple[int, int, int], int]:
         """Flow of u on Cay(S_{r,d-1}) keyed (coset, height, letter)."""
         flow: dict[tuple[int, int, int], int] = {}
         v = height = 0
         for s in u.letters:
             nxt, j = graph.arc(v, s)
-            if j is None:
-                return None  # the coset bookkeeping was wrong
             key = (v, height, s) if s > 0 else (nxt, height + j, -s)
             val = flow.get(key, 0) + (1 if s > 0 else -1)
             if val:
@@ -286,12 +277,8 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
             v, height = nxt, height + j
         return flow
 
-    fy = cayley_flow(y)
-    fw = cayley_flow(w)
-    if fy is None or fw is None:
-        return None
-    delta = dict(fy)
-    for k, v in fw.items():
+    delta = cayley_flow(y)
+    for k, v in cayley_flow(w).items():
         delta[k] = delta.get(k, 0) - v
 
     # h(v, J, c) = sum of delta over (v, j, c) with j <= J; orbit totals

@@ -81,16 +81,20 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
 
     Deterministic mode is exact.  Monte Carlo mode randomizes only the
     labels of depths 1..d-1 (triviality is read off flows, see
-    _first_nontrivial_depth), so it is exact at d = 1.  It is unbiased
-    (errors both ways are possible).  Its anchors are uniform on
+    _first_nontrivial_depth), so it is exact at d = 1.  Its errors
+    depend on the branch.  In the generic case q is exact and only the
+    certificate's word problem is random, which is false-biased, so the
+    one error is a Fail pair reported as Found(q).  When u or v lies in
+    F', a probe reads a flow on a coarser quotient, where a nonzero flow
+    is nonzero on the true graph, so it can only overstate a depth; that
+    can give a wrong Found(1), Found(0) or Fail, and with the probes
+    right only a Found can be wrong.  Its anchors are uniform on
     [0, 2^b)^m, b = bits(B), so two distinct flows meet with probability
     at most 2^-b <= 1/(B + 1), and it succeeds with probability at least
     (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default bound B =
     9(|u|+|v|)^3: the certificate word u v^-q, or [u, v] when u v^-q
-    would be longer, has at most 2(|u|+|v|) letters either way.  u v^-q
-    is joined from the packed letters of u and v, by one vectorized
-    junction compare per product, and reaches the word problem as a
-    packed-built Word that makes no letter tuple.  Edge ids
+    would be longer, has at most 2(|u|+|v|) letters either way (it is
+    joined from packed letters, see the module docstring).  Edge ids
     keyed by the forms at the edges' sources merge two true edges only
     when those forms collide at the same generator, as labels of the
     forms would, so the bound holds as it did over labels.  Raises
@@ -171,16 +175,16 @@ def member_of_cyclic(g: Word, y: Word, r: int, d: int, mode: str = "det",
     """Is g in the cyclic subgroup <y> of S_{r,d}?
 
     Results are memoized on the freely reduced g when a table is passed;
-    conjugacy reuses one table across its many membership queries.
+    conjugacy reuses one table across its many membership queries.  It
+    keeps the k with g = y^k, or None (k = 0 is falsy: test `is None`).
     max_len guards |g| + |y| as in power_solve.
     """
     if memo is not None:
         key = (g.letters, y.letters, r, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    res = power_solve(g, y, r, d, mode=mode, rng=rng,
-                      cube_bound=cube_bound, max_len=max_len).found
+        if key in memo:
+            return memo[key] is not None
+    k = power_solve(g, y, r, d, mode=mode, rng=rng, cube_bound=cube_bound,
+                    max_len=max_len).k
     if memo is not None:
-        memo[key] = res
-    return res
+        memo[key] = k
+    return k is not None

@@ -169,7 +169,7 @@ def tree_diameter(tree: PrefixTree) -> int:
 def schreier_graph(sup) -> XDigraph:
     """The traced part of a SchreierSupport's coset graph, as an X-digraph."""
     edges = set()
-    for (u, s), tgt in sup.out.items():
+    for (u, s), (tgt, _) in sup.out.items():
         edges.add((u, tgt, s) if s > 0 else (tgt, u, -s))
     return XDigraph(len(sup.reps), 0, edges)
 

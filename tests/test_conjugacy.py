@@ -266,7 +266,9 @@ def test_conjugacy_symmetric_property(seed, kind, d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_schreier_partition_is_exact_membership(monkeypatch, rng, d):
     # the coset key decides alone at depth d-1 = 1; at depth 2 the
-    # membership loop still separates the cosets inside one key
+    # membership loop still separates the cosets inside one key.  Every
+    # edge (u, s) -> (v, j) has rep(u) x_s = y^j rep(v) in S_{r,d-1}, and
+    # its reverse holds (u, -j)
     calls = []
     member = conjugacy.member_of_cyclic
 
@@ -300,6 +302,11 @@ def test_schreier_partition_is_exact_membership(monkeypatch, rng, d):
             checked += 1
         if d == 3:
             assert calls
+        for (u, s), (v, j) in sup.out.items():
+            rep_u, rep_v = (Word(sup.reps[i], rank=2) for i in (u, v))
+            assert word_problem(y ** j * rep_v * ~(rep_u * Word([s], rank=2)),
+                                2, d - 1)
+            assert sup.out[(v, -s)] == (u, -j)
     assert checked > 100
 
 
@@ -825,11 +832,12 @@ def test_check_words_get_limits_from_max_len(monkeypatch):
 
 @pytest.mark.parametrize("guard", [None, 1 << 22])
 def test_support_calls_get_limits_from_max_len(monkeypatch, guard):
-    # SchreierSupport's membership and shift calls take words it builds,
-    # so each gets max_len + 2 R + 1, R its longest rep at the call: above
-    # the call's |g| + |y|, and from max_len, not the default guard, both
-    # for the tightest max_len and for one above the default.  The pairs
-    # need repair at d = 3, so both kinds of call occur
+    # SchreierSupport's membership calls take words it builds, so each
+    # gets max_len + 2 R + 1, R its longest rep at the call: above the
+    # call's |g| + |y|, and from max_len, not the default guard, both for
+    # the tightest max_len and for one above the default.  The pairs need
+    # repair at d = 3, whose heights come from the membership tests, so
+    # conjugacy makes no power_solve call of its own
     calls, supports = [], []
     init = SchreierSupport.__init__
 
@@ -863,7 +871,7 @@ def test_support_calls_get_limits_from_max_len(monkeypatch, guard):
             for name, size, limit, longest in calls:
                 assert size < limit == max_len + 2 * longest + 1
                 kinds.add(name)
-    assert kinds == {"member_of_cyclic", "power_solve"}
+    assert kinds == {"member_of_cyclic"}  # zero power_solve calls
 
 
 def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,

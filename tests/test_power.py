@@ -92,15 +92,59 @@ def test_depth_case_split():
     assert power_solve(C, Word(()), 2, 1) == PowerResult(1)
 
 
-def test_member_of_cyclic():
+def test_member_of_cyclic(monkeypatch):
     y = parse("x1 x2")
     assert member_of_cyclic(y * y, y, 2, 2)
     assert member_of_cyclic(Word(()), y, 2, 2)
     assert not member_of_cyclic(parse("x1"), y, 2, 2)
+    # the memo keeps the exponent k with g = y^k, or None for a non-member
     memo = {}
     assert member_of_cyclic(~y, y, 2, 2, memo=memo)
-    assert memo  # result cached
+    assert memo[((~y).letters, y.letters, 2, 2)] == -1
+    assert not member_of_cyclic(parse("x1"), y, 2, 2, memo=memo)
+    assert memo[(parse("x1").letters, y.letters, 2, 2)] is None
+    calls = []
+    solve = power.power_solve
+    monkeypatch.setattr(power, "power_solve",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
     assert member_of_cyclic(~y, y, 2, 2, memo=memo)
+    assert not member_of_cyclic(parse("x1"), y, 2, 2, memo=memo)
+    assert not calls  # repeats are answered from the memo
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("B", [0, 1, 10])
+def test_mc_generic_errs_only_by_found(d, B):
+    # with ab(u) and ab(v) both nonzero, q is exact and only the
+    # certificate's word problem is random, and that is false-biased: a
+    # pair u = v^k comes back Found(k) at any cube bound, and the one error
+    # is a Fail pair u c (c nontrivial in F^(d-1)) reported as Found(q).
+    # At B = 0 every label merges, so each Fail pair errs
+    g = random.Random(100 * d + B)
+    found = wrong = 0
+    for _ in range(25):
+        v = random_reduced_word(g, g.randrange(2, 8), 2)
+        if not any(power._exponent_vectors(v, v)[0]):
+            continue
+        k = g.choice([-3, -2, -1, 1, 2, 3])
+        u = v ** k * random_trivial_word(g, 2, d, conjugator_len=2,
+                                         factors=1)
+        bad = u * random_trivial_word(g, 2, d - 1, conjugator_len=2,
+                                      factors=1)
+        assert power_solve(u, v, 2, d).k == k
+        if power_solve(bad, v, 2, d).found:
+            continue
+        for seed in range(5):
+            found += 1
+            assert power_solve(u, v, 2, d, mode="mc", rng=random.Random(seed),
+                               cube_bound=B).k == k
+            res = power_solve(bad, v, 2, d, mode="mc",
+                              rng=random.Random(seed), cube_bound=B)
+            assert res in (FAIL, PowerResult(k))
+            wrong += res.found
+    assert found > 100
+    if B == 0:
+        assert wrong == found
 
 
 def test_mc_agreement(rng):
