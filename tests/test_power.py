@@ -118,8 +118,8 @@ def test_mc_generic_errs_only_by_found(d, B):
     # with ab(u) and ab(v) both nonzero, q is exact and only the
     # certificate's word problem is random, and that is false-biased: a
     # pair u = v^k comes back Found(k) at any cube bound, and the one error
-    # is a Fail pair u c (c nontrivial in F^(d-1)) reported as Found(q).
-    # At B = 0 every label merges, so each Fail pair errs
+    # is a Fail pair u c (c in F^(d-1), kept when the exact answer is Fail)
+    # reported as Found(q).  At B = 0 every label merges, so each one errs
     g = random.Random(100 * d + B)
     found = wrong = 0
     for _ in range(25):
