@@ -358,18 +358,24 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
     are checked both ways (_power_agrees), on exact powers and on pairs
     that are mostly no powers, with v generic or in F', so both the
     exponent-vector path and the support path of power_solve are met.
+    Every word and power problem at d = 2 is also solved in Monte Carlo
+    mode at cube bound 1, where random anchors would merge nearly every
+    class: at rank 2 depth 1 is exact, so d = 2 must be, and any
+    disagreement with the oracle counts as a mismatch.
     Conjugate pairs z x z^-1 must answer Yes at d = 2 and at d = 3, with
     a witness whose Magnus form conjugates x to y.
     """
     bad = 0
     total = 0
+    mc = {"mode": "mc", "rng": Random(1), "cube_bound": 1}
     for w in oracle.reduced_words(2, max_len):
-        for d in (1, 2):
+        for d, how in ((1, {}), (2, {}), (2, mc)):
             total += 1
-            if word_problem(w, 2, d) != oracle.is_trivial(w, 2, d):
+            if word_problem(w, 2, d, **how) != oracle.is_trivial(w, 2, d):
                 bad += 1
                 if verbose:
-                    print(f"wp mismatch: {w.serialize()} d={d}")
+                    print(f"wp mismatch: {w.serialize()} d={d} "
+                          f"{how.get('mode', 'det')}")
     rng = Random(20240601)
     for i in range(400):
         kind = i % 4
@@ -388,11 +394,13 @@ def run_selftest(max_len: int = 6, verbose: bool = True) -> int:
                  if i % 8 == 3 else
                  commutator(random_reduced_word(rng, 2, 2),
                             random_reduced_word(rng, 1, 2)))
-        total += 1
-        if not _power_agrees(u, v, power_solve(u, v, 2, 2)):
-            bad += 1
-            if verbose:
-                print(f"pow mismatch: {u.serialize()} | {v.serialize()}")
+        for how in ({}, mc):
+            total += 1
+            if not _power_agrees(u, v, power_solve(u, v, 2, 2, **how)):
+                bad += 1
+                if verbose:
+                    print(f"pow mismatch: {u.serialize()} | {v.serialize()} "
+                          f"{how.get('mode', 'det')}")
     for d, pairs, top in ((2, 100, 5), (3, 40, 6)):
         for _ in range(pairs):
             x = random_reduced_word(rng, rng.randrange(1, top), 2)
@@ -430,10 +438,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="PRNG seed (default: OS entropy, echoed in output)")
     p.add_argument("--cube-exp", type=int, default=None,
                    help="mc mode: anchor bound B = (input letters)^EXP "
-                        "instead of the solver default; each depth draws "
-                        "its anchors once, uniform on [0, 2^bits(B)), which "
-                        "holds [0, B], so two distinct flows meet with "
-                        "probability at most 2^-bits(B) <= 1/(B+1)")
+                        "instead of the solver default; each depth from 2 "
+                        "on draws its anchors once, uniform on "
+                        "[0, 2^bits(B)), which holds [0, B], so two "
+                        "distinct flows meet with probability at most "
+                        "2^-bits(B) <= 1/(B+1); depth 1 takes an exact code "
+                        "of the prefix abelianizations wherever it fits in "
+                        "62 bits (always at rank <= 2), so d <= 2 is exact")
     p.add_argument("--trials", type=int, default=1,
                    help="Monte Carlo wp and pow: solves per answer, "
                         "combined (any False for wp, the majority for "

@@ -79,28 +79,40 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     SupportChain is built only when u or v lies in F' and its depth
     decides the answer.
 
-    Deterministic mode is exact.  Monte Carlo mode randomizes only the
-    labels of depths 1..d-1 (triviality is read off flows, see
-    _first_nontrivial_depth), so it is exact at d = 1.  Its errors
-    depend on the branch.  In the generic case q is exact and only the
-    certificate's word problem is random, which is false-biased, so the
-    one error is a Fail pair reported as Found(q).  When u or v lies in
-    F', a probe reads a flow on a coarser quotient, where a nonzero flow
-    is nonzero on the true graph, so it can only overstate a depth; that
-    can give a wrong Found(1), Found(0) or Fail, and with the probes
-    right only a Found can be wrong.  Its anchors are uniform on
-    [0, 2^b)^m, b = bits(B), so two distinct flows meet with probability
-    at most 2^-b <= 1/(B + 1), and it succeeds with probability at least
-    (1 - 1/(|u|+|v|))^(1 + log3(|u|+|v|)) at the default bound B =
-    9(|u|+|v|)^3: the certificate word u v^-q, or [u, v] when u v^-q
-    would be longer, has at most 2(|u|+|v|) letters either way (it is
-    joined from packed letters, see the module docstring).  Edge ids
-    keyed by the forms at the edges' sources merge two true edges only
-    when those forms collide at the same generator, as labels of the
-    forms would, so the bound holds as it did over labels.  Raises
-    LengthGuardError when |u|+|v| >= max_len, like word_problem; the guard
-    also keeps the packed (range, position) sort keys of the refinement
-    engines far below 2^63.
+    Deterministic mode is exact.  Monte Carlo mode numbers depth 1 by the
+    exact code of the prefix abelianizations wherever it fits (always at
+    r <= 2 while n = |u| + |v| < 2^29, see SupportChain._abelian_ids) and
+    randomizes only the labels of depths 2..d-1 (triviality is read off
+    flows, see _first_nontrivial_depth), so it is exact at d <= 2.  Its
+    errors depend on the branch.  In the generic case q is exact and only
+    the certificate's word problem is random, which is false-biased, so
+    the one error is a Fail pair reported as Found(q).  When u or v lies
+    in F', a probe reads a flow on a coarser quotient, where a nonzero
+    flow is nonzero on the true graph, so it can only overstate a depth;
+    that can give a wrong Found(1), Found(0) or Fail, and with the probes
+    right only a Found can be wrong (a flow of v at s = t that vanishes
+    on the coarser quotient counts as an overstated t, and gives Fail).
+    Its anchors are uniform on [0, 2^b)^m, b = bits(B), so two distinct
+    flows meet with probability at most 2^-b <= 1/(B + 1).  The probes'
+    chain has at most n + 1 nodes and the certificate's at most 2n + 1:
+    the certificate word u v^-q, or [u, v] when u v^-q would be longer,
+    has at most 2n letters either way (it is joined from packed letters,
+    see the module docstring).  An answer is
+    wrong only when a random depth of one of them merges two nodes with
+    distinct flows, so at any B with probability at most
+
+      (d - 2) (C(n + 1, 2) + C(2n + 1, 2)) / (B + 1)
+        = (d - 2) n (5n + 3) / (2 (B + 1)),
+
+    below (d - 2) / (2n) at the default bound B = 9n^3.  Only depths
+    below log3(2n) are refined, so at most log3(2n) - 2 of the d - 2 are
+    reached; where the depth-1 code does not fit, depth 1 is random too
+    and each d - 2 reads d - 1.  Edge ids keyed by the forms at the
+    edges' sources merge two true edges only when those forms collide at
+    the same generator, as labels of the forms would, so the bound holds
+    as it did over labels.  Raises LengthGuardError when |u|+|v| >=
+    max_len, like word_problem; the guard also keeps the packed (range,
+    position) sort keys of the refinement engines far below 2^63.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")
@@ -148,7 +160,11 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     # pins k and the flows rule out every other candidate
     nz = np.flatnonzero(pv)
     if len(nz) == 0:
-        raise AssertionError("pi_v = 0 would mean v = 1 at depth s+1")
+        # only a Monte Carlo flow at s >= 2 vanishes: v's probe stopped at
+        # s by its length alone (3^(s+1) > |v|), and the coarser quotient
+        # merged its flow to zero, as a probe that read it would have
+        # overstated t; that probe would give s < t, a Fail
+        return FAIL
     q = int(pu[nz[0]]) // int(pv[nz[0]])
     if not np.array_equal(pu, q * pv):
         return FAIL

@@ -18,12 +18,19 @@ is only a way to compute the node values:
     [0, B]^m, trading a small one-sided error for vectorized integer
     work: equal flows never split, and two distinct flows meet with
     probability at most 2^-b <= 1/(B + 1) (Schwartz-Zippel).  The forms
-    are running sums over the tree's nodes in index order, with no
-    root-path cover, in anchor limbs of lb bits, so that every sum and key
-    stays an exact int64 for any cube bound; below about 2^15 letters
-    |w|^3 fits one limb.  One getrandbits call of the caller's
+    are running sums over the tree's nodes in index order (_path_sums),
+    with no root-path cover, in anchor limbs of lb bits, so that every
+    sum and key stays an exact int64 for any cube bound; below about 2^15
+    letters |w|^3 fits one limb.  One getrandbits call of the caller's
     random.Random per refinement draws the anchors as those limbs, so a
     seed fixes every Monte Carlo output whatever the numpy version.
+    Depth 1 is the exception: its values are the prefix abelianizations,
+    vectors in Z^G for the G generators the tree uses, and wherever G
+    (bits(V - 1) + 1) <= 62 for the V nodes (always at rank <= 2 below
+    2^30 letters) they get an exact code (_abelian_ids), one running sum
+    of powers of two numbered by counting, with no anchors and no sort.
+    Its ids and labels are the deterministic ones, so Monte Carlo mode
+    randomizes only depths 2 and up there.
 
 The rest is shared.  numbering_at numbers the next quotient edges by one
 dense rank of edge keys (value at the edge's source, generator), and
@@ -41,14 +48,16 @@ _dense_rank's packed keys and of _refine_det's steps; _dense_rank takes
 rows 1-3 for its key, order and steps; _forms takes the rows from _HELD
 on for the positive terms and its limb rows, once numbering_at(depth - 1),
 which takes the same rows, has returned, and ranks them before it
-returns.  No function returns or keeps a view of the workspace: every
-result is a fresh array, and the workspace holds only the rows of the
-largest solve until the thread ends.
+returns; _abelian_ids takes the rows of a one-limb _forms.  No function
+returns or keeps a view of the workspace: every result is a fresh array,
+and the workspace holds only the rows of the largest solve until the
+thread ends.
 
 word_problem needs no values at depth d: w = 1 in S_{r,d} iff the flow
 of w on the depth-(d-1) quotient graph is zero, one np.bincount.  It
 tests each depth k < d that way, so only depths 1..d-1 are refined, and
-in Monte Carlo mode only they are randomized: d = 1 is exact.
+in Monte Carlo mode only depths 2..d-1 are randomized where the depth-1
+code fits (1..d-1 where it does not): d <= 2 is exact there.
 """
 
 from __future__ import annotations
@@ -157,9 +166,9 @@ class SupportChain:
     not kept: the Monte Carlo forms and the keys of every rank live in
     the workspace of the calling thread, a few int64 rows as wide as the
     largest tree it has solved (rows 1-3 for _dense_rank, from _HELD on
-    for _forms; see the module docstring).  They are taken per call and
-    never handed out, so everything a chain returns or caches is a fresh
-    array.
+    for _forms and _abelian_ids; see the module docstring).  They are
+    taken per call and never handed out, so everything a chain returns or
+    caches is a fresh array.
     """
 
     def __init__(self, tree: PrefixTree, mode: str = "det", rng=None,
@@ -189,7 +198,8 @@ class SupportChain:
         self._weights: np.ndarray | None = None
         self._labels: list[np.ndarray] = []  # per depth 0.., when asked
         self._numberings: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._anchors: list[np.ndarray] = []  # Monte Carlo, per depth 1..
+        # Monte Carlo, by the depth of the quotient graph they weight
+        self._anchors: dict[int, np.ndarray] = {}
         self._lb: int | None = None  # their limb bits, once known
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
         self._steps: tuple | None = None  # per-path arrays of _refine_det
@@ -297,9 +307,16 @@ class SupportChain:
         1..V-1, paired with gens as _rank_limbs pairs them; returns their
         number.  The values are the Monte Carlo forms (_forms), K rows of
         limbs (the value is sum_k 2^(lb k) row k), or the deterministic
-        packed flow ids (_refine_det), one row.
+        packed flow ids (_refine_det), one row.  At depth 1 a Monte Carlo
+        chain takes the exact code of _abelian_ids instead wherever G
+        (bits(V - 1) + 1) <= 62, G the generators the tree uses: only an
+        exact code over a random one, never a size threshold between two
+        equal ways.
         """
         if self.mode == "mc":
+            G = self.numbering_at(0)[0]
+            if depth == 1 and G * ((self.V - 1).bit_length() + 1) <= 62:
+                return self._abelian_ids(source, out, gens)
             return self._forms(depth, source, out, gens)
         values = self._refine_det(depth - 1)
         if source:
@@ -430,6 +447,8 @@ class SupportChain:
         rows, and the positive terms of the sources, live in workspace
         rows from _HELD on, taken after numbering_at(depth - 1) returns,
         which takes the same rows; the forms are not kept.
+        _rank_values asks for them at depth 1 only where the exact code
+        of _abelian_ids does not fit.
 
         With f_v the flow of node v on the depth - 1 quotient graph and a
         the anchor, m components uniform on [0, 2^b), b = bits(B), in edge
@@ -439,54 +458,120 @@ class SupportChain:
 
         where a_k are the K limbs of lb bits (_limb_bits) of a, as
         _draw_anchors draws them the first time a depth's forms are
-        needed.  Equal flows never split.  Distinct flows f != f' meet only
-        when <f - f', a> = 0, a linear equation in a with a nonzero
+        needed, kept in _anchors under depth - 1.  Each limb is one
+        _path_sums.  Equal flows never split.  Distinct flows f != f' meet
+        only when <f - f', a> = 0, a linear equation in a with a nonzero
         coefficient, so with probability at most 2^-b <= 1/(B + 1)
-        (Schwartz 1980; Zippel 1979).  The edge into node v
-        moves its parent's flow by s in one component, s the edge's sign,
-        so the limb L_k = <f_v, a_k> is its parent's plus c_v = s
-        a_k[edge].  The PrefixTree numbers parents before children in
-        blocks, each node of a block but the first a child of the node
-        before it, so one running sum over the nodes 1..V-1 in index order
-        gives every limb of the first block; each later block, in block
-        order, is then shifted to start from its attach node (a block that
-        continues the node before it keeps the shift of the block before).
-        A word_problem tree is one block, a power_solve probe tree at most
-        two.  The edge's source is the parent for x_i and v itself for
-        x_i^-1, so its limb is L_k - max(c_v, 0) either way, as a >= 0,
-        taken before any carry.
+        (Schwartz 1980; Zippel 1979).
         """
-        m, eid, dirs = self.numbering_at(depth - 1)
+        m, eid = self.numbering_at(depth - 1)[:2]
         lb = self._limb_bits()
-        if len(self._anchors) < depth:
-            self._anchors.append(_draw_anchors(self.rng, self.cube_bound,
-                                               m, lb))
+        if depth - 1 not in self._anchors:
+            self._anchors[depth - 1] = _draw_anchors(self.rng,
+                                                     self.cube_bound, m, lb)
         anchors, V = self._anchors[depth - 1], self.V
         top = _HELD + 1 + len(anchors)
         ws = _workspace(V, top)
         rows = ws[_HELD + 1:top, :V]
-        rows[:, 0] = 0  # the root's form
-        edge, sign = eid[1:], dirs[1:]
-        blocks = self.tree.blocks[1:]  # the first hangs off the root
-        ends = [b for b, _ in blocks[1:]] + [V]
-        positive = ws[_HELD, :V - 1]
+        positive = ws[_HELD, :V - 1] if source else None
         for a, row in zip(anchors, rows):
-            terms = row[1:]
-            # every id is in range; "clip" spares the buffered check
-            a.take(edge, out=terms, mode="clip")
-            terms *= sign
-            if source:
-                np.maximum(terms, 0, out=positive)
-            terms.cumsum(out=terms)
-            # row[b - 1] holds the raw sum before block b plus the shift of
-            # the block before it, so the new shift is row[attach] - raw
-            shift = 0
-            for (b, attach), e in zip(blocks, ends):
-                shift += int(row[attach]) - int(row[b - 1])
-                row[b:e] += shift
-            if source:
-                terms -= positive
+            self._path_sums(a, eid, row, positive)
         return _rank_limbs(rows[:, 1:] if source else rows, lb, out, gens)
+
+    def _abelian_ids(self, source: bool, out: np.ndarray,
+                     gens: tuple[int, np.ndarray] | None = None) -> int:
+        """Dense ranks into out of the depth-1 values, or with source of
+        those at the edges' sources paired with gens, as _forms ranks
+        them, from an exact code of the values: no anchors and no sort.
+        Returns their number.
+
+        The depth-1 value of node v is its flow f_v on the bouquet of the
+        G loops that the tree uses, its prefix abelianization, whose
+        entries lie in (-V, V).  With b = bits(V - 1) + 1, _rank_values
+        takes this code when G b <= 62.  The sum <f_v, a> at a_g = 2^(b (G
+        - 1 - g)) (_path_sums, as a limb of the forms), plus 2^(b - 1) in
+        every digit, holds the G digits f_v[g] + 2^(b - 1) in [1, 2^b),
+        generator 0 the most significant.  Each digit less its minimum is
+        packed again in mixed radix by its span, in the same order, so the
+        code keeps the lexicographic order of the flows, which the
+        deterministic values keep: the labels and edge ids are the
+        deterministic ones.  A digit moves by at most 1 per edge of the
+        tree path between its least and its greatest node, so its span is
+        at most V <= 2^(b - 1), and the codes, paired with gens as
+        _rank_limbs pairs them, lie in [0, slots), slots < 2^(G b);
+        _dense_ids numbers them by counting while they are dense.  The
+        sums and the digit being read take two workspace rows, as a
+        one-limb _forms does; the code is built in out.
+        """
+        G, eid = self.numbering_at(0)[:2]
+        V = self.V
+        b = (V - 1).bit_length() + 1
+        ws = _workspace(V, _HELD + 2)
+        digit, sums = ws[_HELD, :V], ws[_HELD + 1, :V]
+        units = np.left_shift(1, b * np.arange(G - 1, -1, -1))
+        self._path_sums(units, eid, sums, digit[:V - 1] if source else None)
+        if source:
+            sums, digit = sums[1:], digit[1:]
+        sums += sum(1 << (b * g + b - 1) for g in range(G))
+        out.fill(0)
+        slots = 1
+        for g in range(G):
+            np.right_shift(sums, b * (G - 1 - g), out=digit)
+            digit &= (1 << b) - 1
+            lo = int(digit.min())
+            span = int(digit.max()) - lo + 1
+            digit -= lo
+            out *= span
+            out += digit
+            slots *= span
+        if gens is not None:
+            out *= gens[0]
+            out += gens[1]
+            slots *= gens[0]
+        C, ids = _dense_ids(out, slots)
+        if ids is not out:
+            out[:] = ids
+        return C
+
+    def _path_sums(self, a: np.ndarray, eid: np.ndarray, row: np.ndarray,
+                   positive: np.ndarray | None = None) -> None:
+        """row[v] = <f_v, a> for every node v, f_v its flow on the quotient
+        graph that eid numbers and a a weight per quotient edge; with
+        positive (V - 1 columns, overwritten), row[v] for v >= 1 is the sum
+        at the source of the edge into v instead.
+
+        The edge into node v moves its parent's flow by s in one
+        component, s the edge's sign, so <f_v, a> is its parent's plus
+        c_v = s a[edge].  The PrefixTree numbers parents before children
+        in blocks, each node of a block but the first a child of the node
+        before it, so one running sum over the nodes 1..V-1 in index order
+        gives every sum of the first block; each later block, in block
+        order, is then shifted to start from its attach node (a block that
+        continues the node before it keeps the shift of the block before).
+        A word_problem tree is one block, a power_solve probe tree at most
+        two.  The edge's source is the parent for x_i and v itself for
+        x_i^-1, so its sum is row[v] - max(c_v, 0) either way, as a >= 0.
+        The raw running sum is at most the sum of all |c_v|, so it stays
+        exact wherever the sums do.
+        """
+        row[0] = 0  # the root's
+        terms = row[1:]
+        # every id is in range; "clip" spares the buffered check
+        a.take(eid[1:], out=terms, mode="clip")
+        terms *= self._dirs[1:]
+        if positive is not None:
+            np.maximum(terms, 0, out=positive)
+        terms.cumsum(out=terms)
+        # row[b - 1] holds the raw sum before block b plus the shift of the
+        # block before it, so the new shift is row[attach] - raw
+        blocks = self.tree.blocks[1:]  # the first hangs off the root
+        ends = [b for b, _ in blocks[1:]] + [self.V]
+        shift = 0
+        for (b, attach), e in zip(blocks, ends):
+            shift += int(row[attach]) - int(row[b - 1])
+            row[b:e] += shift
+        if positive is not None:
+            terms -= positive
 
 
 def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
@@ -644,16 +729,23 @@ def word_problem(w: Word, r: int, d: int, mode: str = "det", rng=None,
     still come from the input w; the 3^d > |core| shortcut and the prefix
     tree take the core.  w = 1 in S_{r,d} iff its flows on the depth-k
     quotient graphs, k < d, are zero (_first_nontrivial_depth).
-    Deterministic mode is always correct.  Monte Carlo mode randomizes
-    only depths 1..d-1, so it is exact at d = 1.  It is false-biased:
-    trivial words always come back True.  Its anchors are uniform on
-    [0, 2^b)^m, b = bits(B), so two distinct flows meet with probability
-    at most 2^-b <= 1/(B + 1), and a nontrivial word is reported False
-    with probability at least (1 - 1/|w|)^(d-1) at the default B (d - 1 <
-    log3 |w| once 3^d <= |w|), a bound that a core of at most |w| letters
-    only helps.  Two true edges share an id only when their sources' forms
-    collide at the same generator, as labels of those forms would merge
-    the sources, so numbering the edges with no labels keeps the bound.
+    Deterministic mode is always correct.  Monte Carlo mode refines
+    depth 1 by an exact code of the prefix abelianizations wherever G
+    (bits(|core|) + 1) <= 62 for the G <= r generators the core uses,
+    which holds at r <= 2 below 2^30 letters, and randomizes only depths
+    2..d-1; so it is exact at d <= 2.  Where the code does not fit, depth
+    1 is random too and each d - 2 below reads d - 1.  It is
+    false-biased: trivial words always come back True.  Its anchors are
+    uniform on [0, 2^b)^m, b = bits(B), so two distinct flows meet with
+    probability at most 2^-b <= 1/(B + 1).  A wrong True needs some
+    random depth to merge two of the |core| + 1 prefixes with distinct
+    flows, so it has probability at most (d - 2) C(|core| + 1, 2) / (B +
+    1) at any B, and a nontrivial word is reported False with probability
+    at least (1 - 1/|w|)^(d-2) at the default B (d - 2 < log3 |w| once
+    3^d <= |w|).  Two true edges share an id only when their sources'
+    forms collide at the same generator, as labels of those forms would
+    merge the sources, so numbering the edges with no labels keeps the
+    bound.
     """
     if r < 1 or d < 0:
         raise ValueError("need r >= 1 and d >= 0")

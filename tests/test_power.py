@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from math import comb, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,7 +121,9 @@ def test_mc_generic_errs_only_by_found(d, B):
     # certificate's word problem is random, and that is false-biased: a
     # pair u = v^k comes back Found(k) at any cube bound, and the one error
     # is a Fail pair u c (c in F^(d-1), kept when the exact answer is Fail)
-    # reported as Found(q).  At B = 0 every label merges, so each one errs
+    # reported as Found(q).  At d = 2 the certificate's only refined
+    # depth, 1, takes the exact code, so every answer is exact at any B;
+    # at d = 3 and B = 0 every depth-2 label merges, so each one errs
     g = random.Random(100 * d + B)
     found = wrong = 0
     for _ in range(25):
@@ -143,8 +147,125 @@ def test_mc_generic_errs_only_by_found(d, B):
             assert res in (FAIL, PowerResult(k))
             wrong += res.found
     assert found > 100
-    if B == 0:
+    if d == 2:
+        assert wrong == 0
+    elif B == 0:
         assert wrong == found
+
+
+def _mc_power_families(g, d):
+    """(family, u, v) pairs at depth d, four kinds in turn: ab(u) and
+    ab(v) nonzero (the generic branch); u in F' with v generic; and u, v
+    in F', v in F' or in F^(d-1), so that s = t = 1 or s = t = d - 1.
+    u differs from v^k by a word of F^(d-1) or F^(d), or lies in F^(j),
+    so about half the pairs are Fail pairs."""
+    i = 0
+    while True:
+        i += 1
+        k = g.choice([-2, -1, 1, 2])
+        if i % 4 < 2:  # v generic
+            v = random_reduced_word(g, g.randrange(2, 6), 2)
+            if not power._exponent_vectors(v, v)[0].any():
+                continue
+            if i % 4 == 0:
+                yield "generic", v ** k * random_trivial_word(
+                    g, 2, d - g.randrange(2), conjugator_len=1,
+                    factors=1), v
+            else:
+                yield "u in F'", random_trivial_word(
+                    g, 2, g.randrange(1, d + 1), conjugator_len=1,
+                    factors=1), v
+        else:
+            level = 1 if i % 4 == 2 else d - 1
+            v = random_trivial_word(g, 2, level, conjugator_len=1, factors=1)
+            yield "both in F'", v ** k * random_trivial_word(
+                g, 2, g.randrange(level, d + 1), conjugator_len=1,
+                factors=1), v
+
+
+def _probe_depths(u, v, d, mode, seed=0, B=None):
+    """The triviality depths (s, t) that power_solve reads for u and v of
+    F', from a chain with its mode and seed, which draws the anchors in
+    the order the solver does.  When t = s < d and v's flow at s vanishes
+    on the Monte Carlo quotient, t reads d + 1: the solver counts that as
+    an overstated t."""
+    tree = PrefixTree([u, v])
+    chain = SupportChain(tree, mode, rng=random.Random(seed), cube_bound=B)
+    u_path, v_path = tree.paths[0], tree.paths[-1]
+    s = power._first_nontrivial_depth(chain, u_path, len(u), d)
+    t = power._first_nontrivial_depth(chain, v_path, len(v), d)
+    if s == t < d:
+        chain.flow_vector(s, u_path)
+        if not chain.flow_vector(s, v_path).any():
+            t = d + 1
+    return s, t
+
+
+@pytest.mark.parametrize("B", [1, 30000])
+def test_mc_power_error_rate_within_union_bound(B):
+    # 2,000 seeded Monte Carlo calls at d = 3, where only depth 2 is
+    # random, on pairs that reach each branch (_mc_power_families).  The
+    # probes' chain has at most n + 1 nodes and the certificate's at most
+    # 2n + 1, n = |u| + |v|, so a call errs with probability at most
+    # (d - 2) (C(n + 1, 2) + C(2n + 1, 2)) / (B + 1); the share of wrong
+    # answers stays within the mean of that bound plus three binomial
+    # standard deviations wherever the bound is below 1.  Every wrong
+    # answer is of a kind the docstring allows: in the generic branch a
+    # Fail pair reported as Found(q), q the ratio of the exponent vectors;
+    # with u in F' and v generic, a Fail pair reported as Found(0); with
+    # both in F', a probe that overstates a depth (they never understate
+    # one) or else a wrong Found.  At B = 1 every family errs
+    d = 3
+    g = random.Random(d)
+    families = _mc_power_families(g, d)
+    calls = 0
+    wrong = {"generic": 0, "u in F'": 0, "both in F'": 0}
+    bound = 0.0
+    while calls < 2000:
+        family, u, v = next(families)
+        exact = power_solve(u, v, 2, d)
+        n = len(u) + len(v)
+        if family == "both in F'":
+            s, t = _probe_depths(u, v, d, "det")
+        for _ in range(10):
+            calls += 1
+            bound += (d - 2) * (comb(n + 1, 2) + comb(2 * n + 1, 2)) / (B + 1)
+            res = power_solve(u, v, 2, d, mode="mc", rng=random.Random(calls),
+                              cube_bound=B)
+            if family == "both in F'":
+                s2, t2 = _probe_depths(u, v, d, "mc", calls, B)
+                assert s2 >= s and t2 >= t, (s, t, s2, t2)
+                if res != exact:
+                    assert res.found or (s2, t2) != (s, t)
+            elif res != exact:
+                pu, pv = power._exponent_vectors(u, v)
+                nz = np.flatnonzero(pv)[0]
+                q = int(pu[nz]) // int(pv[nz]) if family == "generic" else 0
+                assert exact == FAIL and res == PowerResult(q), family
+            wrong[family] += res != exact
+    p = bound / calls
+    if p < 1:
+        assert sum(wrong.values()) / calls <= \
+            p + 3 * sqrt(p * (1 - p) / calls), (wrong, p)
+    if B == 1:
+        assert all(wrong.values()), wrong
+
+
+def test_mc_vanishing_flow_of_v_gives_fail():
+    # v lies in F'' and its probe stops at t = 2 by its length alone (20 <
+    # 27 letters); at B = 1 the depth-2 quotient that seed 252 draws reads
+    # u's flow as nonzero, so s = t = 2, and merges v's flow to zero.  The
+    # solve counts that as an overstated t and answers Fail, the exact
+    # answer here, instead of dividing by a zero flow
+    u = parse("x1 x2 X1 X1 X2 x1 x1 x1 x2 X1 X2 X1 X1 x2 x1 x1 x1 X2 X1 x2 "
+              "X1 x2 x2 x2 x1 X2 x1 X2 X1 X2 X2 x1 x2 X1 x2 x1 x2 X1 x2 X1 "
+              "X2 X2 X2 x1 x1 X2 X1 X1")
+    v = parse("x1 x1 x2 X1 X1 X1 X2 x1 x1 x2 x1 X2 X1 X1 X1 x2 x1 x1 X2 X1")
+    assert _probe_depths(u, v, 3, "det") == (2, 2)
+    assert _probe_depths(u, v, 3, "mc", 252, 1) == (2, 4)
+    assert power_solve(u, v, 2, 3) == FAIL
+    assert power_solve(u, v, 2, 3, mode="mc", rng=random.Random(252),
+                       cube_bound=1) == FAIL
 
 
 def test_mc_agreement(rng):

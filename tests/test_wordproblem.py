@@ -139,16 +139,19 @@ def test_mc_agreement_rate(rng):
     assert agree / n >= 0.95
 
 
-@pytest.mark.parametrize("d, B", [(2, 100), (3, 1000)])
+@pytest.mark.parametrize("d, B", [(2, 100), (3, 1000), (4, 30000)])
 def test_mc_error_rate_within_union_bound(d, B):
     # 2,000 seeded Monte Carlo calls on words of F^(d-1) that the exact
-    # mode certifies nontrivial in S_{2,d}.  Each depth 1..d-1 draws a new
-    # anchor, and each pair of the |w| + 1 prefixes with distinct flows
-    # shares a label with probability at most 1/(B + 1), so a call errs
-    # with probability at most (d - 1) C(|w| + 1, 2) / (B + 1).  The share
-    # of wrong True answers stays within the mean of that bound plus a
-    # sampling margin of three binomial standard deviations.  At these
-    # small bounds some calls do merge distinct classes
+    # mode certifies nontrivial in S_{2,d}.  Depth 1 takes its exact code
+    # (two generators always fit), and each depth 2..d-1 draws a new
+    # anchor: each pair of the |w| + 1 prefixes with distinct flows shares
+    # a label with probability at most 1/(B + 1), so a call errs with
+    # probability at most (d - 2) C(|w| + 1, 2) / (B + 1).  The share of
+    # wrong True answers stays within the mean of that bound plus a
+    # sampling margin of three binomial standard deviations.  At d = 2
+    # every call gives the exact answer and no class merges; at d >= 3,
+    # at these small bounds, some calls do merge distinct classes, never
+    # at depth 1
     g = random.Random(d)
     calls = wrong = merged = 0
     bound = 0.0
@@ -162,13 +165,17 @@ def test_mc_error_rate_within_union_bound(d, B):
             calls += 1
             wrong += word_problem(w, 2, d, mode="mc",
                                   rng=random.Random(calls), cube_bound=B)
-            bound += (d - 1) * comb(len(w) + 1, 2) / (B + 1)
+            bound += (d - 2) * comb(len(w) + 1, 2) / (B + 1)
             # the chain word_problem refines, from the same seed; labels
             # are dense, so fewer classes show in the largest label
             mc = SupportChain(tree, "mc", rng=random.Random(calls),
                               cube_bound=B)
+            assert mc.labels_at(1).tolist() == exact.labels_at(1).tolist()
             merged += any(mc.labels_at(k).max() < exact.labels_at(k).max()
                           for k in range(1, d))
+    if d == 2:
+        assert wrong == merged == bound == 0
+        return
     p = bound / calls
     assert p < 1
     assert merged > 0
@@ -421,11 +428,13 @@ def mc_reference_trees(rng):
 
 def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
                                                             rng):
-    # the engine ranks <f_v, a>, the signed distance of the flow f_v from
-    # the hyperplane a^perp times |a|, in K = ceil(bits(B) / lb) limbs of
-    # lb = 61 - bits(V - 1) bits for the V nodes: bounds on both sides of
-    # 2^lb and 2^(2 lb) run it on 1, 2 and 3 limbs, against Python-int
-    # forms, on trees of one block and of nested blocks
+    # depth 1 takes the exact code of the prefix abelianizations, with the
+    # deterministic labels, and draws no anchors.  Above it the engine
+    # ranks <f_v, a>, the signed distance of the flow f_v from the
+    # hyperplane a^perp times |a|, in K = ceil(bits(B) / lb) limbs of lb =
+    # 61 - bits(V - 1) bits for the V nodes: bounds on both sides of 2^lb
+    # and 2^(2 lb) run depths 2 and 3 on 1, 2 and 3 limbs, against
+    # Python-int forms, on trees of one block and of nested blocks
     widths = []
     draw = wordproblem._draw_anchors
 
@@ -444,14 +453,17 @@ def test_mc_labels_rank_direct_distances_across_limb_counts(monkeypatch,
         assert {v for p in tree.paths for v in p} == set(range(V))
         paths = [root_path(tree, v) for v in range(V)]
         lb = 61 - (V - 1).bit_length()
+        exact = SupportChain(tree, "det").labels_at(1).tolist()
         for B in (1, V ** 3, 2 ** lb - 1, 2 ** lb, 2 ** (2 * lb) - 1,
                   2 ** (2 * lb), 2 ** 59 + 7, 2 ** 75 + 1, 2 ** 100):
             widths.clear()
             seed = B % 1009
             chain = SupportChain(tree, "mc", rng=random.Random(seed),
                                  cube_bound=B)
+            assert chain.labels_at(1).tolist() == exact, (V, B)
+            assert widths == []
             redraw = random.Random(seed)
-            for d in (1, 2):
+            for d in (2, 3):
                 labels = chain.labels_at(d).tolist()
                 # the engine's anchors, drawn again from the same seed one
                 # depth at a time; the forms are computed here
@@ -495,9 +507,11 @@ def _mc_label_digest():
 
 def test_mc_labels_are_pinned_per_seed():
     # a seed fixes every Monte Carlo output; an engine change that moves
-    # any of them on purpose updates this digest and says so
+    # any of them on purpose updates this digest and says so.  Pinned
+    # again when depth 1 took the exact code: its labels became the
+    # deterministic ones, and depth 2 draws the seed's first anchors
     assert _mc_label_digest() == \
-        "c1bbd027d83bf804160d8891e3498413a1d93016f004c53703cb03c6f444199c"
+        "25f0d267ee9641c21b7cc1f711d95acb012febfe0f7a0495119938097d9df6d1"
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,11 +550,90 @@ def test_mc_numbering_is_the_numbering_of_the_labels_property(
             (mode, k, B)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3, 5]),
+       prefix=st.integers(0, 40),
+       tails=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2)),
+                      min_size=1, max_size=3),
+       bound=st.sampled_from([0, 1, 10 ** 6, 2 ** 100]))
+def test_mc_depth_one_is_the_exact_numbering_property(seed, r, prefix, tails,
+                                                      bound):
+    # where G (bits(V - 1) + 1) <= 62 for the G generators that the tree
+    # uses, Monte Carlo depth 1 is the exact code of the prefix
+    # abelianizations: its edge ids, signs and labels are the
+    # deterministic ones at any cube bound, and it draws no anchors.
+    # Trees of one to three words that share a prefix, words of F' and F''
+    # (trivial at depths 1 and 2) among them
+    g = random.Random(seed)
+    p = random_reduced_word(g, prefix, r)
+    words = [p * (random_reduced_word(g, n, r) if kind == 0
+                  else random_trivial_word(g, r, kind, conjugator_len=1))
+             for n, kind in tails]
+    tree = PrefixTree(words)
+    det = SupportChain(tree, "det")
+    mc = SupportChain(tree, "mc", rng=random.Random(seed), cube_bound=bound)
+    G = det.numbering_at(0)[0]
+    assert G * ((len(tree) - 1).bit_length() + 1) <= 62
+    (m, eid, dirs), (want_m, want, want_dirs) = (mc.numbering_at(1),
+                                                 det.numbering_at(1))
+    assert m == want_m and eid.tolist() == want.tolist()
+    assert dirs.tolist() == want_dirs.tolist()
+    assert mc.labels_at(1).tolist() == det.labels_at(1).tolist()
+    assert mc._anchors == {}
+
+
+def test_mc_depth_one_past_the_fit_draws_anchors():
+    # five generators and V > 2^11 nodes: G (bits(V - 1) + 1) = 65 > 62,
+    # so depth 1 keeps its random forms and draws anchors from the seed.
+    # At the default cube bounds every answer is still the exact one: a
+    # word of F'' and one of F' \ F'', then powers of a word of F'
+    g = random.Random(11)
+    yes = Word((), rank=5)
+    while len(wordproblem._cyclic_core(yes)) <= 2 ** 11:
+        yes = yes * random_trivial_word(g, 5, 2)
+    no = yes * commutator(parse("x1 x2"), parse("x3 x5 x4"))
+    for w in (yes, no):
+        tree = PrefixTree([wordproblem._cyclic_core(w)])
+        chain = SupportChain(tree, "mc", rng=random.Random(1),
+                             cube_bound=len(w) ** 3)
+        assert chain.numbering_at(0)[0] == 5 and len(tree) > 2 ** 11 + 1
+        chain.numbering_at(1)
+        assert list(chain._anchors) == [0]
+        for d in (2, 3):
+            for seed in range(3):
+                assert word_problem(w, 5, d, mode="mc",
+                                    rng=random.Random(seed)) == \
+                    word_problem(w, 5, d), (d, seed)
+    v = commutator(random_reduced_word(g, 600, 5),
+                   random_reduced_word(g, 500, 5))
+    for u in (v * v, v * v * v * no):
+        for seed in range(3):
+            assert power_solve(u, v, 5, 3, mode="mc",
+                               rng=random.Random(seed)) == \
+                power_solve(u, v, 5, 3), seed
+
+
+@pytest.mark.parametrize("mode", ["det", "mc"])
+def test_empty_tree_numbers_nothing(mode):
+    # a tree of no letters, no words or the empty word, numbers no edge
+    # at any depth and labels its root 0; Monte Carlo depth 1 takes the
+    # exact code, with no anchors
+    for words in ([], [Word(())]):
+        chain = SupportChain(PrefixTree(words), mode, rng=random.Random(1),
+                             cube_bound=10)
+        for k in range(3):
+            m, eid, dirs = chain.numbering_at(k)
+            assert m == 0 and eid.tolist() == [0] and dirs.tolist() == [0]
+            assert chain.labels_at(k).tolist() == [0]
+        assert 0 not in chain._anchors
+
+
 def test_mc_word_problem_ranks_once_per_refined_depth(monkeypatch):
     # a one-limb Monte Carlo word_problem at depth d numbers the
-    # generators by _dense_ids at depth 0 and then each depth 1..d-1 by one
-    # _dense_rank of edge keys: no labels, and no counting pass after depth
-    # 0.  Words of F^(d) keep a zero flow, so every depth is reached
+    # generators by _dense_ids at depth 0, the exact depth-1 keys by
+    # counting them in one more _dense_ids, and then each depth 2..d-1 by
+    # one _dense_rank of edge keys: no labels, and no counting pass after
+    # depth 1.  Words of F^(d) keep a zero flow, so every depth is reached
     calls = {"_dense_rank": 0, "_dense_ids": 0}
     for name in calls:
         def wrapped(*args, _name=name, _orig=getattr(wordproblem, name),
@@ -557,7 +650,7 @@ def test_mc_word_problem_ranks_once_per_refined_depth(monkeypatch):
         for seed in range(3):
             calls.update({name: 0 for name in calls})
             assert word_problem(w, 2, d, mode="mc", rng=random.Random(seed))
-            assert calls == {"_dense_rank": d - 1, "_dense_ids": 1}, d
+            assert calls == {"_dense_rank": d - 2, "_dense_ids": 2}, d
 
 
 def _ranked_forms(monkeypatch, chain, d, source):
@@ -1218,7 +1311,7 @@ def test_no_result_shares_the_workspace(monkeypatch, mode):
             outs.append(chain.labels_at(depth))
             if mode == "det":
                 outs.append(chain._refine_det(depth))
-        outs += chain._anchors
+        outs += chain._anchors.values()
         assert blocks and outs
         assert not any(np.shares_memory(out, block)
                        for out in outs for block in blocks)
