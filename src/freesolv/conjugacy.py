@@ -17,7 +17,10 @@ in it, no shift matches and the answer is No after one pass over each
 word.  Otherwise only the cuts with chi(b_c) H(F_x) = H(F_y) are
 compared exactly.  The hash steers work and never decides a Yes, so
 answers never depend on its constants: a collision costs one extra
-comparison.
+comparison.  It works in F_p, p = 1073741789 the largest prime below
+2^30, so the Horner products of its per-letter loops stay below 2^60;
+the field changes only which cuts reach the exact test, each through a
+spurious hit of chance about 1/p per cut.
 
 At d >= 3 the same hash sieves the cuts.  Conjugate elements of S_{r,d}
 are conjugate in S_{r,2}, so a differing invariant is an exact No at any
@@ -359,10 +362,10 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
 
 # -- Cay(A): hashes of flows, and coded walks -------------------------------
 
-_P = (1 << 61) - 1            # hashes live in F_p, p a Mersenne prime
-_G = 37                       # a primitive root mod _P
-_G_INV = 2181202846553494278  # 37^-1 mod _P
-_RHO = 0x2545F4914F6CDD1D     # generator x_s weighs rho_s = _RHO^s mod _P
+_P = 1073741789               # hashes live in F_p, the largest prime < 2^30
+_G = 663608922                # a primitive root mod _P, far from 0 and 1
+_G_INV = 98920561             # _G^-1 mod _P
+_RHO = 833529759              # generator x_s weighs rho_s = _RHO^s mod _P
 _W = 1 << 21                  # spreads t over the generators at rank >= 3
 
 
@@ -378,6 +381,15 @@ class _FlowHash:
     torsion.  The letter table is a list of length 2m+1 read at the letter
     itself, so -s lands at index 2m+1-s.  _conjugacy_attempt compares
     the cuts the hash lets through exactly.
+
+    The field is F_p for p = _P, the largest prime below 2^30: every
+    element is a one-digit CPython int and every Horner product stays
+    below 2^60.  The field only changes which cuts reach the exact test,
+    each spurious hit with chance about 1/p per cut.  That needs G and
+    G^-1 far from small integers: H is an integer polynomial in them with
+    the flow values as coefficients, so with G = 2 a flow of -2 on the
+    x_s-edge from v and +1 on the one from v', chi(v') = 2 chi(v), would
+    already hash to 0.
     """
 
     def __init__(self, x: Word, y: Word, m: int, ab_y: tuple[int, ...]):

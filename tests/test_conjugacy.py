@@ -910,6 +910,86 @@ def test_forced_hash_collisions_change_only_the_compared_cuts(monkeypatch,
     assert {res.conjugate for res in hashed} == {True, False}
 
 
+def test_hash_field_keeps_every_element_one_digit(monkeypatch, rng):
+    # p is a prime below 2^30 with primitive root G, so every field element
+    # is a one-digit CPython int: the primes q of p - 1 by trial division
+    p = conjugacy._P
+    assert p < 1 << 30
+    assert all(p % q for q in range(2, int(p ** 0.5) + 1))
+    n, primes, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    primes += [n] if n > 1 else []
+    assert all(pow(conjugacy._G, (p - 1) // q, p) != 1 for q in primes)
+    assert conjugacy._G * conjugacy._G_INV % p == 1
+    assert 0 < conjugacy._RHO < p
+    # no root of a + b z with small coefficients, or flows with small
+    # values would hash to 0 (with G = 2: -2 chi(v) + chi(v) G = 0)
+    assert all((a + b * g) % p for g in (conjugacy._G, conjugacy._G_INV)
+               for a in range(-64, 65) for b in range(1, 65))
+    tables = []
+    hashes = conjugacy._FlowHash._hashes
+
+    def spy(w, table):
+        tables.append(table)
+        return hashes(w, table)
+
+    monkeypatch.setattr(conjugacy._FlowHash, "_hashes", staticmethod(spy))
+    for i in range(60):
+        m = 2 + i % 3
+        ab = tuple(rng.choice((0, rng.randrange(-9, 10),
+                               rng.randrange(-10 ** 6, 10 ** 6)))
+                   for _ in range(m))
+        x, y = (random_reduced_word(rng, rng.randrange(0, 20), m)
+                for _ in range(2))
+        tables.clear()
+        fh = conjugacy._FlowHash(x, y, m, ab)
+        assert len(tables) == 2
+        entries = fh.step + [e for entry in tables[0] for e in entry]
+        entries += [fh.h_x, fh.h_y]
+        assert all(0 <= e < 1 << 30 for e in entries), (ab, x, y)
+
+
+def test_answers_and_sieved_cuts_do_not_depend_on_the_field(monkeypatch):
+    # the hash in F_(2^61 - 1), as it once was, and in today's field: the
+    # same verdicts and witnesses, and the same cuts let through
+    compared = []
+    cuts = conjugacy._FlowHash.cuts
+
+    def spy(self, pick):
+        for cut in cuts(self, pick):
+            compared.append(cut)
+            yield cut
+
+    monkeypatch.setattr(conjugacy._FlowHash, "cuts", spy)
+    pairs = _repair_pairs(random.Random(3), 12)
+    g = random.Random(7)
+    pairs += [_hash_pair(g, r, kind) for r in (2, 3) for kind in range(5)
+              for _ in range(6)]
+
+    def solve_all():
+        out = []
+        for d in (2, 3):
+            for x, y in pairs:
+                compared.clear()
+                res = conjugacy_solve(x, y, x.rank, d)
+                out.append((res, tuple(compared)))
+        return out
+
+    today = solve_all()
+    for name, value in (("_P", (1 << 61) - 1), ("_G", 37),
+                        ("_G_INV", 2181202846553494278),
+                        ("_RHO", 0x2545F4914F6CDD1D)):
+        monkeypatch.setattr(conjugacy, name, value)
+    assert solve_all() == today
+    assert {res.conjugate for res, _ in today} == {True, False}
+    assert sum(map(len, (c for _, c in today))) > len(today) // 2
+
+
 def test_coded_walk_is_the_support_trace(rng):
     # the walk on Cay(Z^m / Z ab(y)) with integer keys gives the flow
     # SchreierSupport.trace gives at d = 2, its vertices renamed one to one
