@@ -17,7 +17,7 @@ in it, no shift matches and the answer is No after one pass over each
 word.  Otherwise only the cuts with chi(b_c) H(F_x) = H(F_y) are
 compared exactly.  The hash steers work and never decides a Yes, so
 answers never depend on its constants: a collision costs one extra
-comparison.  It works in F_p, p = 1073741789 the largest prime below
+comparison.  It works in F_p, p = 1073741789, the largest prime below
 2^30, so the Horner products of its per-letter loops stay below 2^60;
 the field changes only which cuts reach the exact test, each through a
 spurious hit of chance about 1/p per cut.
@@ -363,7 +363,7 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
 # -- Cay(A): hashes of flows, and coded walks -------------------------------
 
 _P = 1073741789               # hashes live in F_p, the largest prime < 2^30
-_G = 663608922                # a primitive root mod _P, far from 0 and 1
+_G = 663608922                # a primitive root mod _P, no small integer
 _G_INV = 98920561             # _G^-1 mod _P
 _RHO = 833529759              # generator x_s weighs rho_s = _RHO^s mod _P
 _W = 1 << 21                  # spreads t over the generators at rank >= 3
