@@ -177,8 +177,8 @@ def bench_instance(problem: str, n: int, r: int, d: int, rng: Random):
       on the hash constants).  At d >= 3, c is drawn until it is
       nontrivial in S_{r,d}: x and y are conjugate in S_{r,d-1}, so the
       hash invariant cannot answer, and the solve builds the coset graph
-      of <y> at depth d-1 and traces the cuts the hash lets through on
-      it, the depth-d path.
+      of <y> at depth d-1 and traces on it the cuts the hash lets through
+      that also pass the walk on Cay(A), the depth-d path.
     All families need r >= 2: every commutator in rank 1 is trivial.
     """
     if r < 2:

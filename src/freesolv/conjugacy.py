@@ -5,7 +5,9 @@ y_i x[:c]^{-1} of x, 0 <= c <= |x|, defines the same flow as y on the
 coset graph of <y> in S_{r,d-1}.  At d = 1, Z^r is abelian and equal
 exponent vectors decide.  At every d >= 2 one exact path runs: a hash of
 flows on Cay(A), A = Z^r / Z ab(y), sieves the cuts c, and one loop
-tests the cuts it lets through, in order, on the coset graph itself.
+takes the cuts it lets through, in order.  It walks each on the coded
+Cay(A) and skips it unless that walk is y's; at d >= 3 it then compares
+the cut on the coset graph itself.
 
 At d = 2 the coset graph is Cay(A), and every translation of A is an
 automorphism of it: gamma_c x gamma_c^{-1} has the flow F_x of x
@@ -27,10 +29,14 @@ are conjugate in S_{r,2}, so a differing invariant is an exact No at any
 depth.  The map <y>g -> ab(g) + Z ab(y) sends the coset graph of <y> in
 S_{r,d-1} onto Cay(A) and pushes walks and their flows forward, so a cut
 whose shift has the flow of y at depth d-1 is a hash hit, and the first
-hit that matches is the first matching cut of a scan of every cut.  The
-hits are traced on a support, built lazily, that finds cosets with the
-exact cyclic-membership solver; the test that finds an edge's coset also
-gives its shift, the power of y the edge crosses.
+hit that matches is the first matching cut of a scan of every cut.  For
+the same reason a hit whose walk on Cay(A) differs from y's matches on
+no coset graph, so the loop drops it after that one walk, as at d = 2;
+these are the hits that torsion in A lets through the hash, whose
+character is trivial on it.  Only the hits that pass are traced on a
+support, built lazily, that finds cosets with the exact cyclic-membership
+solver; the test that finds an edge's coset also gives its shift, the
+power of y the edge crosses.
 
 A positive answer also carries a verified witness.  The shift that
 certifies conjugacy need not conjugate x to y on the nose: the leftover
@@ -379,8 +385,11 @@ class _FlowHash:
     and the pivot takes what makes t.ab(y) vanish; with ab(y) = 0, t = w.
     At rank 2 that is t = +-(ab(y)_2, -ab(y)_1), injective on A modulo
     torsion.  The letter table is a list of length 2m+1 read at the letter
-    itself, so -s lands at index 2m+1-s.  _conjugacy_attempt compares
-    the cuts the hash lets through exactly.
+    itself, so -s lands at index 2m+1-s.  At every depth
+    _conjugacy_attempt walks each cut the hash lets through on the coded
+    Cay(A), which names the torsion of A that chi cannot see, and skips
+    it unless that walk is y's; at d >= 3 a trace on the support then
+    compares it exactly.
 
     The field is F_p for p = _P, the largest prime below 2^30: every
     element is a one-digit CPython int and every Horner product stays
@@ -455,7 +464,8 @@ class _FlowHash:
 
 class _Coding:
     """Integer keys for the edges of Cay(Z^m / Z a) that the walks of one
-    conjugacy test reach, for words x and y of n letters in all.
+    conjugacy test reach, for words x and y of n letters in all; the
+    solver builds one with a = ab(y) at every d >= 2.
 
     A vertex is named by the exponent vector in its coset of Z a whose
     pivot entry (the first nonzero one of a, its sign chosen positive)
@@ -466,7 +476,9 @@ class _Coding:
     reach: y's, the rotations', and those of the conjugates gamma_c x
     gamma_c^-1, which _witness_repair walks too.  Each of their vertices
     is a vector b with |b|_1 <= n, so each entry of its name is below
-    2 (n + 2)^2.  The pivot entry of a key is key // M % B.
+    2 (n + 2)^2.  The pivot entry of a key is key // M % B.  At d >= 3
+    the coding walks the same words, y and the hits' conjugates, so the
+    bound holds there unchanged.
 
     With a = ab(y) it is also Cay(Z^m) as a coset graph of <y> for
     _witness_repair: the vertex coded v at height j is the vector
@@ -591,10 +603,12 @@ def conjugacy_solve(x: Word, y: Word, r: int, d: int, mode: str = "det",
     abelianizations answer Yes with the empty witness.  At every d >= 2
     a translation invariant of the flows of x and y on Cay(A), hashed in
     one pass over each word, answers most No pairs outright, and only
-    the cuts whose hashes match are compared exactly (see the module
-    docstring and _conjugacy_attempt): on Cay(A) itself at d = 2, where
-    no coset graph is built and a witness that needs repair is repaired
-    on the coded Cay(Z^m), and by traces on a SchreierSupport at d >= 3.
+    the cuts whose hashes match go on, through one loop at every depth
+    (see the module docstring and _conjugacy_attempt).  Each is walked
+    on the coded Cay(A) and dropped unless the walk is y's.  At d = 2
+    that walk is the exact comparison: no coset graph is built, and a
+    witness that needs repair is repaired on the coded Cay(Z^m).  At
+    d >= 3 only the cuts that pass are traced on a SchreierSupport.
     The hash steers work only, so the answer and the witness never
     depend on its constants.  Raises LengthGuardError when |x|+|y| >=
     max_len, like word_problem and power_solve; the check words the
@@ -645,31 +659,33 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
     nontrivial in S_{r,d}, so that it has a flow there (d >= 2).
 
     Only the cuts flow_hash lets through are looked at, in order; every
-    flow-equal cut is among them (see the module docstring).  The
-    per-cut test depends on the depth.
+    flow-equal cut is among them (see the module docstring).  One loop
+    tests each hit at every depth, cheapest test first:
 
-    At d = 2 a shift conjugates x to y exactly when y_i^-1 gamma_c x
-    gamma_c^-1 y_i, the rotation x[c:] x[:c], equals the rotation y[i:]
-    y[:i] in S_{r,2}: by the Magnus embedding, when their flows on
-    Cay(Z^r) agree.  Such a shift also has the flow of y on Cay(A), so
-    the first hit that conjugates is the first flow-equal cut.
-    Otherwise gamma_c x gamma_c^-1 is walked on the coded Cay(A), the
-    coset graph at d = 2, and compared with y's flow there, as a trace is
-    at d >= 3; a match goes straight to _witness_repair on the coded
-    Cay(Z^r), since the rotations have already shown that gamma_c does
-    not conjugate on the nose.
-
-    At d >= 3 each hit is traced on a SchreierSupport, and a match goes
-    to _verified_witness on that support.
+    1. At d = 2 a shift conjugates x to y exactly when y_i^-1 gamma_c x
+       gamma_c^-1 y_i, the rotation x[c:] x[:c], equals the rotation
+       y[i:] y[:i] in S_{r,2}: by the Magnus embedding, when their flows
+       on Cay(Z^r) agree.  Such a shift also has the flow of y on
+       Cay(A), so the first hit that conjugates is the first flow-equal
+       cut.
+    2. At every depth gamma_c x gamma_c^-1 is walked on the coded Cay(A)
+       and compared with y's walk there.  At d = 2 that is the coset
+       graph; deeper, the coset graph maps onto it, so a hit whose walks
+       differ has no flow match and is skipped before any trace.  This
+       rejects the hits the hash lets through on the torsion of A.
+    3. At d = 2 a match goes straight to _witness_repair on the coded
+       Cay(Z^r), since the rotations have already shown that gamma_c
+       does not conjugate on the nose.
+    4. At d >= 3 a match is traced on a SchreierSupport, and a match
+       there goes to _verified_witness on that support.
     """
     xs, ys = x.letters, y.letters
-    if d == 2:
-        graph = _Coding(r, len(xs) + len(ys), flow_hash.ab_y)
-        keys: list = []
-        flow_y = graph.walk(ys, keys)
-    else:
-        graph = SchreierSupport(y, r, d, max_len=max_len)
-        flow_y, path = graph.y_flow, graph.y_path
+    coded = _Coding(r, len(xs) + len(ys), flow_hash.ab_y)
+    keys: list = []
+    coded_y = flow_y = coded.walk(ys, keys)
+    if d > 2:
+        support = SchreierSupport(y, r, d, max_len=max_len)
+        flow_y, path = support.y_flow, support.y_path
         keys = [(path[i], s) if s > 0 else (path[i + 1], -s)
                 for i, s in enumerate(ys)]
     if not flow_y:
@@ -683,16 +699,17 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
         rotated_y = plain.walk(ys[pick:] + ys[:pick])
     for cut in flow_hash.cuts(pick):
         gamma = y_i * ~x.prefix(cut)
-        if d > 2:
-            if graph.trace(gamma * x * ~gamma)[1] != flow_y:
-                continue
-            witness = _verified_witness(x, y, gamma, graph, r, d, max_len)
-        elif plain.walk(xs[cut:] + xs[:cut]) == rotated_y:
+        if d == 2 and plain.walk(xs[cut:] + xs[:cut]) == rotated_y:
             return ConjugacyResult(True, gamma)
+        w = gamma * x * ~gamma
+        if coded.walk(w.letters) != coded_y:
+            continue
+        if d == 2:
+            witness = _witness_repair(x, y, gamma, coded, r, 2, max_len)
+        elif support.trace(w)[1] == flow_y:
+            witness = _verified_witness(x, y, gamma, support, r, d, max_len)
         else:
-            if graph.walk((gamma * x * ~gamma).letters) != flow_y:
-                continue
-            witness = _witness_repair(x, y, gamma, graph, r, 2, max_len)
+            continue
         if witness is None:
             raise AssertionError("deterministic witness repair failed")
         return ConjugacyResult(True, witness)

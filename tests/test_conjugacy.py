@@ -586,21 +586,50 @@ def _hash_pair(g, r, kind):
     return x, y
 
 
+def _hashed_scan_agrees(seed, r, kind, d):
+    x, y = _hash_pair(random.Random(seed), r, kind)
+    for a, b in ((x, y), (y, x)):
+        _agrees_with_full_scan(a, b, r, d)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
        kind=st.integers(0, 4))
 def test_hashed_scan_matches_full_scan_property(seed, r, kind):
     # random pairs, conjugates, conjugates times a commutator, squares
     # and words of F': the verdict and first shift of tracing every cut
-    x, y = _hash_pair(random.Random(seed), r, kind)
-    for a, b in ((x, y), (y, x)):
-        _agrees_with_full_scan(a, b, r)
+    _hashed_scan_agrees(seed, r, kind, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
+       kind=st.integers(0, 4))
+def test_hashed_scan_matches_full_scan_at_depth3_property(seed, r, kind):
+    # the same pairs at d = 3, where the hits that pass the walk on the
+    # coded Cay(A) are traced on the support: the verdict and first shift
+    # of tracing every cut with no hash and no walk
+    _hashed_scan_agrees(seed, r, kind, 3)
+
+
+def _torsion_pairs():
+    """x = x0 x0 and y = z x0 x0' z^-1, x0' the letters of x0 in another
+    order, 150 draws from Random(5), both orders, with rank r: ab(y) = 2
+    ab(x0), so A = Z^r / Z ab(y) has torsion, which the hash cannot see."""
+    g = random.Random(5)
+    for i in range(150):
+        r = 2 + i % 2
+        x0 = random_reduced_word(g, g.randrange(1, 6), r)
+        z = random_reduced_word(g, g.randrange(0, 6), r)
+        shuffled = list(x0.letters)
+        g.shuffle(shuffled)
+        x, y = x0 * x0, z * x0 * Word(shuffled, rank=r) * ~z
+        for a, b in ((x, y), (y, x)):
+            if a.letters and b.letters:
+                yield a, b, r
 
 
 def test_torsion_hits_are_walked_and_rejected(monkeypatch):
-    # x = x0 x0 and y = z x0 x0' z^-1, x0' the letters of x0 in another
-    # order, so ab(y) = 2 ab(x0): A = Z^r / Z ab(y) has torsion, which the
-    # hash cannot see.  Hits that fail the rotation check are walked as
+    # hits of the torsion pairs that fail the rotation check are walked as
     # gamma_c x gamma_c^-1 on the coded Cay(A), the coding y is walked on
     # with its edge keys, and some walks differ from y's flow; every
     # verdict is still the full scan's
@@ -613,27 +642,57 @@ def test_torsion_hits_are_walked_and_rejected(monkeypatch):
         return flow
 
     monkeypatch.setattr(conjugacy._Coding, "walk", spy)
-    g = random.Random(5)
     hits = failed = 0
-    for i in range(150):
-        r = 2 + i % 2
-        x0 = random_reduced_word(g, g.randrange(1, 6), r)
-        z = random_reduced_word(g, g.randrange(0, 6), r)
-        shuffled = list(x0.letters)
-        g.shuffle(shuffled)
-        x, y = x0 * x0, z * x0 * Word(shuffled, rank=r) * ~z
-        for a, b in ((x, y), (y, x)):
-            if not (a.letters and b.letters):
-                continue
-            walks.clear()
-            _agrees_with_full_scan(a, b, r)
-            cay = [(coding, flow) for coding, keyed, flow in walks if keyed]
-            for coding, flow_y in cay:
-                for other, keyed, flow in walks:
-                    if other is coding and not keyed:
-                        hits += 1
-                        failed += flow != flow_y
+    for a, b, r in _torsion_pairs():
+        walks.clear()
+        _agrees_with_full_scan(a, b, r)
+        cay = [(coding, flow) for coding, keyed, flow in walks if keyed]
+        for coding, flow_y in cay:
+            for other, keyed, flow in walks:
+                if other is coding and not keyed:
+                    hits += 1
+                    failed += flow != flow_y
     assert 0 < failed < hits
+
+
+def test_torsion_hits_at_depth3_are_walked_before_any_trace(monkeypatch):
+    # the torsion pairs at d = 3: each hit is walked on the coded Cay(A)
+    # first, some walks differ from y's, and a hit is traced on the
+    # support only right after a walk equal to y's; every verdict is still
+    # the full scan's, which traces every cut
+    events = []
+    walk, trace = conjugacy._Coding.walk, SchreierSupport.trace
+
+    def spy_walk(self, letters, keys=None):
+        flow = walk(self, letters, keys)
+        events.append(("y" if keys is not None else "walk", tuple(letters),
+                       flow))
+        return flow
+
+    def spy_trace(self, w):
+        events.append(("trace", w.letters, None))
+        return trace(self, w)
+
+    monkeypatch.setattr(conjugacy._Coding, "walk", spy_walk)
+    monkeypatch.setattr(SchreierSupport, "trace", spy_trace)
+    failed = traced = 0
+    for a, b, r in _torsion_pairs():
+        events.clear()
+        conjugacy_solve(a, b, r, 3)
+        solve = list(events)
+        _agrees_with_full_scan(a, b, r, 3)
+        coded_y = [flow for kind, _, flow in solve if kind == "y"]
+        if not coded_y:
+            continue  # settled before the shift loop
+        # the support's constructor traces y itself
+        assert [e[0] for e in solve[:2]] == ["y", "trace"]
+        for prev, (kind, letters, flow) in zip(solve[1:], solve[2:]):
+            failed += kind == "walk" and flow != coded_y[0]
+            if kind == "trace":
+                traced += 1
+                assert prev == ("walk", letters, coded_y[0]), \
+                    (a.serialize(), b.serialize())
+    assert failed > 0 and traced > 0
 
 
 @settings(max_examples=40, deadline=None)
