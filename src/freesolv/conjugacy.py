@@ -232,11 +232,11 @@ class SchreierSupport:
 # -- witness construction --------------------------------------------------
 
 
-def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
-                    max_len: int) -> Word | None:
+def _witness_repair(x: Word, y: Word, gamma: Word, w: Word, graph, r: int,
+                    d: int, max_len: int) -> Word | None:
     """Turn a flow-equality shift gamma into a genuine conjugator.
 
-    gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
+    w = gamma x gamma^-1 agrees with y on the Schreier graph of <y>, so their
     difference flow delta on Cay(S_{r,d-1}) sums to zero along every
     <y>-orbit of edges.  Cayley edges are coordinatized as (coset vertex,
     height, letter) where g = y^height * rep(coset): graph.arc(v, s) gives
@@ -269,7 +269,6 @@ def _witness_repair(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
     Returns None when the premise fails, which only a faulty coset graph
     can cause: the caller raises AssertionError on it.
     """
-    w = gamma * x * ~gamma
 
     def cayley_flow(u: Word) -> dict[tuple[int, int, int], int]:
         """Flow of u on Cay(S_{r,d-1}) keyed (coset, height, letter)."""
@@ -358,12 +357,13 @@ def _verified_witness(x: Word, y: Word, gamma: Word, graph, r: int, d: int,
 
     Used at d >= 3, where no cheaper test has already ruled gamma out.  The
     shifts gamma have at most n = |x| + |y| < max_len letters, so the
-    check word has fewer than 3 max_len.
+    check word w y^-1 has fewer than 3 max_len; the repair takes the same
+    w = gamma x gamma^-1.
     """
-    if word_problem(gamma * x * ~gamma * ~y, r, d, mode="det",
-                    max_len=3 * max_len):
+    w = gamma * x * ~gamma
+    if word_problem(w * ~y, r, d, mode="det", max_len=3 * max_len):
         return gamma
-    return _witness_repair(x, y, gamma, graph, r, d, max_len)
+    return _witness_repair(x, y, gamma, w, graph, r, d, max_len)
 
 
 # -- Cay(A): hashes of flows, and coded walks -------------------------------
@@ -705,7 +705,7 @@ def _conjugacy_attempt(x: Word, y: Word, r: int, d: int,
         if coded.walk(w.letters) != coded_y:
             continue
         if d == 2:
-            witness = _witness_repair(x, y, gamma, coded, r, 2, max_len)
+            witness = _witness_repair(x, y, gamma, w, coded, r, 2, max_len)
         elif support.trace(w)[1] == flow_y:
             witness = _verified_witness(x, y, gamma, support, r, d, max_len)
         else:

@@ -48,23 +48,22 @@ class PowerResult:
 FAIL = PowerResult(None)
 
 
-def _exponent_vectors(u: Word, v: Word) -> tuple[np.ndarray, np.ndarray]:
-    """ab(u) and ab(v) over the generators that u and v use, in order.
+def _exponent_vectors(u: Word, v: Word) -> np.ndarray:
+    """ab(u) and ab(v), rows of one int64 array, over the generators used.
 
     These are the flows of u and v on the depth-0 quotient graph, the
     bouquet of loops, in the (source class, generator) edge order of
-    SupportChain.numbering_at.  _dense_ids numbers the generators as it
-    numbers those edges, by counting while they are dense and by one
-    _dense_rank otherwise, so the cost follows |u| + |v|, not r.  The
-    letters are the words' packed ones, joined.
+    SupportChain.numbering_at.  _dense_ids numbers the G generators as it
+    numbers those edges, so the cost follows |u| + |v|, not r.  One
+    unweighted np.bincount of the joined packed letters counts each (word,
+    sign, generator) at id gen + G [inverse] + 2 G [in v].
     """
     letters = np.concatenate((u.packed, v.packed))
-    gens, gen = _dense_ids(np.abs(letters) - 1, max(u.rank, v.rank))
-    signs = np.sign(letters)
-    cut = len(u)
-    return tuple(np.bincount(gen[part], weights=signs[part],
-                             minlength=gens).astype(np.int64)
-                 for part in (slice(0, cut), slice(cut, None)))
+    G, gen = _dense_ids(np.abs(letters) - 1, max(u.rank, v.rank))
+    gen += G * (letters < 0)
+    gen[len(u):] += 2 * G
+    counts = np.bincount(gen, minlength=4 * G).reshape(2, 2, G)
+    return counts[:, 0] - counts[:, 1]
 
 
 def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
@@ -127,8 +126,8 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     if mode == "mc":
         B = cube_bound if cube_bound is not None else 9 * n ** 3
     pu, pv = _exponent_vectors(u, v)
-    if pu.any():
-        if not pv.any():
+    if np.count_nonzero(pu):
+        if not np.count_nonzero(pv):
             return FAIL  # s = 0 < d, while t >= d or 0 < t < d
         s = 0
     else:
@@ -136,7 +135,7 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
         # and so is t when v lies in F' too; u goes first, which fixes
         # the order in which Monte Carlo labels draw from rng
         s = d if len(u) == 0 else None
-        t = 0 if pv.any() else (d if len(v) == 0 else None)
+        t = 0 if np.count_nonzero(pv) else (d if len(v) == 0 else None)
         if s is None or t is None:
             tree = PrefixTree([u, v])
             chain = SupportChain(tree, mode=mode, rng=rng, cube_bound=B)
@@ -158,7 +157,7 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
     # s = t < d: on the depth-s support both flows are circulations, and
     # u = v^k in S_{r,s+1} iff pi_u = k pi_v, so one nonzero edge of pi_v
     # pins k and the flows rule out every other candidate
-    nz = np.flatnonzero(pv)
+    nz = pv.nonzero()[0]
     if len(nz) == 0:
         # only a Monte Carlo flow at s >= 2 vanishes: v's probe stopped at
         # s by its length alone (3^(s+1) > |v|), and the coarser quotient
@@ -166,7 +165,7 @@ def power_solve(u: Word, v: Word, r: int, d: int, mode: str = "det",
         # overstated t; that probe would give s < t, a Fail
         return FAIL
     q = int(pu[nz[0]]) // int(pv[nz[0]])
-    if not np.array_equal(pu, q * pv):
+    if np.count_nonzero(pu - q * pv):
         return FAIL
     if s == d - 1:
         # u, v lie in the abelian F^(d-1)/F^(d): [u, v] = 1, flows decide

@@ -62,6 +62,7 @@ code fits (1..d-1 where it does not): d <= 2 is exact there.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Sequence
 
@@ -138,7 +139,7 @@ def _dense_ids(keys: np.ndarray, slots: int) -> tuple[int, np.ndarray]:
     if 0 < slots <= _SLOTS_PER_NODE * len(keys):
         used = np.zeros(slots, dtype=np.int64)
         used[keys] = 1
-        used.cumsum(out=used)
+        np.add.accumulate(used, out=used)
         if used[-1] == slots:
             return slots, keys
         ids = used[keys]
@@ -152,7 +153,7 @@ def _run_sums(x: np.ndarray, first: np.ndarray, out: np.ndarray) -> None:
     """Running sums of x restarted at each run, into out; first[i] is the
     index where i's run starts.  The running sum over all of x may wrap
     mod 2^64, but its differences within a run are exact."""
-    x.cumsum(out=out)
+    np.add.accumulate(x, out=out)
     out -= (out - x)[first]
 
 
@@ -192,7 +193,7 @@ class SupportChain:
         letters = tree.letters
         self._gen = np.abs(letters[1:])
         self._gen -= 1
-        self._r_max = int(self._gen.max(initial=0)) + 1
+        self._r_max = int(np.maximum.reduce(self._gen, initial=0)) + 1
         self._tail: np.ndarray | None = None
         self._dirs = np.sign(letters)
         self._weights: np.ndarray | None = None
@@ -214,13 +215,14 @@ class SupportChain:
         no tour any more; benchmark/layers.py wraps this method by name,
         so a rename must change both.  Every node of a PrefixTree is a
         prefix of one of its words, so these paths cover the tree with
-        down-steps only.  Path i, without its root, is
-        nodes[starts[i]:starts[i + 1]].
+        down-steps only.  Path i, without its root, is nodes[starts[i]:
+        starts[i + 1]], starts a list; a lone path is a view, not a copy.
         """
         if self._paths is None:
             paths = [p[1:] for p in self.tree.paths]
-            starts = np.cumsum([0] + [len(p) for p in paths])
-            self._paths = (np.concatenate([starts[:0], *paths]), starts)
+            nodes = (paths[0] if len(paths) == 1 else
+                     np.concatenate([np.empty(0, np.int64), *paths]))
+            self._paths = nodes, [0, *itertools.accumulate(map(len, paths))]
         return self._paths
 
     # -- quotient edge numbering ----------------------------------------
@@ -324,7 +326,7 @@ class SupportChain:
                 self._tail = np.where(self.tree.letters > 0,
                                       self.tree.parents, np.arange(self.V))
             values = values[self._tail[1:]]
-        return _rank_limbs(values[None], self._limb_bits(), out, gens)
+        return _rank_limbs(values[None], 0, out, gens)  # one row: no limbs
 
     def _refine_det(self, depth: int) -> np.ndarray:
         """Node values at depth + 1: each node's packed flow id, an exact
@@ -373,30 +375,28 @@ class SupportChain:
         if S == 0:
             return np.zeros(self.V, dtype=np.int64)
         if self._steps is None:
-            # a one-path tree has nodes 1..V-1 in order; on several paths,
-            # the node of each packed id (the root's first) and the first
-            # step of each step's path
-            several = len(starts) > 2
-            self._steps = (
-                np.append(0, nodes) if several else None,
-                np.repeat(starts[:-1], np.diff(starts)) if several else None)
+            # on several paths, the node of each packed id (the root's
+            # first) and the first step of each step's path; one path has
+            # the nodes 1..V-1 in order and needs neither
+            self._steps = ((np.append(0, nodes),
+                            np.repeat(starts[:-1], np.diff(starts)))
+                           if len(starts) > 2 else (None, None))
         reach, path_start = self._steps
         idx = _workspace(S, 1)[0, :S]
         edge = eid[nodes]  # each step's range at the current level
         change = dirs[nodes]  # the change of its id that the step makes
-        zero = int(np.bincount(edge).max())
-        D = 2 * zero + 1
-        sh = S.bit_length()
+        D = 2 * int(np.maximum.reduce(np.bincount(edge))) + 1
+        cap = (1 << _KEY_BITS) >> S.bit_length()  # D^(2^k) <= cap fits
         left = max(m - 1, 0).bit_length()  # levels above the current one
         # packed ids less the zero one's, which is packed[0] = 0
         packed = np.zeros(S + 1, dtype=np.int64)
         ranks = np.empty(S + 1, dtype=np.int64)
         while True:
             k = min(left, 1)
-            while (k < left and (D ** (2 << k) - 1).bit_length() + sh
-                   <= _KEY_BITS):
-                k += 1
-            weight = np.array([D ** j for j in range((1 << k) - 1, -1, -1)])
+            top = D ** (1 << k)
+            while k < left and top * top <= cap:
+                k, top = k + 1, top * top
+            weight = D ** np.arange((1 << k) - 1, -1, -1)
             left -= k
             if not left:  # edge < 2^k: the top pass
                 change *= weight[edge]
@@ -405,16 +405,15 @@ class SupportChain:
             edge >>= k
             order, new = _runs(edge, path_start, idx)
             change = change[order]
-            _run_sums(change, np.maximum.accumulate(np.where(new, idx, 0)),
-                      packed[1:])
-            fits = (D ** (1 << k) - 1).bit_length() + sh <= _KEY_BITS
-            D = _dense_rank(packed, ranks, fits)
+            first = idx * new  # a run's first position there, else 0
+            _run_sums(change, np.maximum.accumulate(first), packed[1:])
+            D = _dense_rank(packed, ranks, top <= cap)
             # the id of the step at position i is ranks[i + 1]; the one
             # before it on its run is ranks[i], or zero's, ranks[0]
-            change[order] = ranks[1:] - ranks[np.where(new, 0, idx)]
+            change[order] = ranks[1:] - ranks[idx - first]
         # the top pass: one range, whose runs are the paths in step order
         if path_start is None:
-            change.cumsum(out=packed[1:])
+            np.add.accumulate(change, out=packed[1:])
             return packed
         _run_sums(change, path_start, packed[1:])
         values = np.empty(self.V, dtype=np.int64)
@@ -518,8 +517,8 @@ class SupportChain:
         for g in range(G):
             np.right_shift(sums, b * (G - 1 - g), out=digit)
             digit &= (1 << b) - 1
-            lo = int(digit.min())
-            span = int(digit.max()) - lo + 1
+            lo = int(np.minimum.reduce(digit))
+            span = int(np.maximum.reduce(digit)) - lo + 1
             digit -= lo
             out *= span
             out += digit
@@ -561,7 +560,7 @@ class SupportChain:
         terms *= self._dirs[1:]
         if positive is not None:
             np.maximum(terms, 0, out=positive)
-        terms.cumsum(out=terms)
+        np.add.accumulate(terms, out=terms)
         # row[b - 1] holds the raw sum before block b plus the shift of the
         # block before it, so the new shift is row[attach] - raw
         blocks = self.tree.blocks[1:]  # the first hangs off the root
@@ -608,8 +607,8 @@ def _rank_limbs(rows: np.ndarray, lb: int, out: np.ndarray,
     if gens is None:
         return _dense_rank(key, out)
     G, gen = gens
-    lo = int(key.min())
-    span, sh = int(key.max()) - lo, (len(key) - 1).bit_length()
+    lo = int(np.minimum.reduce(key))
+    span, sh = int(np.maximum.reduce(key)) - lo, (len(key) - 1).bit_length()
     key -= lo
     alone = span.bit_length() + sh <= _KEY_BITS
     pair = (span * G + G - 1).bit_length()
@@ -642,8 +641,8 @@ def _dense_rank(x: np.ndarray, out: np.ndarray,
     ws = _workspace(n, _HELD)
     key, order, step = ws[1, :n], ws[2, :n], ws[3, :n]
     if fits is None:
-        lo = int(x.min())
-        fits = (int(x.max()) - lo).bit_length() + sh <= _KEY_BITS
+        lo = int(np.minimum.reduce(x))
+        fits = (int(np.maximum.reduce(x)) - lo).bit_length() + sh <= _KEY_BITS
         if fits:
             x = np.subtract(x, lo, out=key)
     if fits:
@@ -657,7 +656,7 @@ def _dense_rank(x: np.ndarray, out: np.ndarray,
         x.take(order, out=key, mode="clip")  # unbuffered; ids in range
     step[0] = 0
     np.not_equal(key[1:], key[:-1], out=step[1:])
-    step.cumsum(out=step)
+    np.add.accumulate(step, out=step)
     out[order] = step
     return int(step[-1]) + 1
 
@@ -712,7 +711,8 @@ def _first_nontrivial_depth(chain: SupportChain, path, length: int,
     nonzero on the image is nonzero on the true graph too.
     """
     for i in range(1, cap + 1):
-        if 0 < length < 3 ** i or chain.flow_vector(i - 1, path).any():
+        if 0 < length < 3 ** i or np.count_nonzero(
+                chain.flow_vector(i - 1, path)):
             return i - 1
     return cap
 

@@ -101,7 +101,8 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a
     m = min(len(a), len(b))
     differ = a[::-1][:m] != -b[:m]
-    k = int(differ.argmax()) if differ.any() else m
+    k = int(differ.argmax())
+    k = k if differ[k] else m
     out = np.concatenate((a[:len(a) - k], b[k:]))
     out.flags.writeable = False
     return out

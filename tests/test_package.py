@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import freesolv
@@ -21,6 +24,22 @@ def test_public_surface_is_the_solvers():
         assert getattr(freesolv, name) is not None, name
     # the selftest oracle stays importable beside them
     assert importlib.import_module("freesolv.oracle").magnus_form
+
+
+def test_import_loads_neither_cli_nor_oracle():
+    # a fresh interpreter compiles every module that `import freesolv`
+    # loads when no bytecode is cached, so the CLI and the selftest oracle
+    # load only when asked for
+    src = str(Path(freesolv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, freesolv; print(' '.join(m for m in sys.modules "
+            "if m.startswith('freesolv')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    loaded = set(out.split())
+    assert "freesolv.wordproblem" in loaded
+    assert not loaded & {"freesolv.cli", "freesolv.oracle"}
 
 
 def test_benchmark_tracer_reaches_every_layer(monkeypatch):

@@ -599,10 +599,20 @@ def test_exponent_vectors_are_the_same_counted_or_sorted(monkeypatch):
 
     g = random.Random(9)
     for r in (1, 2, 5, 300, 2 ** 40):
-        for _ in range(8):
-            u = random_reduced_word(g, g.randrange(0, 30), min(r, 6))
-            v = random_reduced_word(g, g.randrange(0, 30), min(r, 6))
-            u, v = (Word([s * (r // min(r, 6)) for s in w.letters], rank=r)
+        top = min(r, 6)
+        pairs = [(random_reduced_word(g, g.randrange(0, 30), top),
+                  random_reduced_word(g, g.randrange(0, 30), top))
+                 for _ in range(8)]
+        # what a count by signed ids can get wrong: an empty word, a word
+        # of inverse letters only, and a generator that only v uses, the
+        # first or the last of those used
+        a, e = random_reduced_word(random.Random(r), 12, top), Word(())
+        inverse = Word([-top, -1] * 3)
+        pairs += [(e, a), (a, e), (e, e), (inverse, a), (a, inverse),
+                  (Word([top] * 2), Word([1, -top])),
+                  (Word([1, 1]), Word([-1, top] * 2))]
+        for u, v in pairs:
+            u, v = (Word([s * (r // top) for s in w.letters], rank=r)
                     for w in (u, v))
             used = sorted({abs(s) for s in u.letters + v.letters})
             want = [[sum((s > 0) - (s < 0) for s in w.letters if abs(s) == i)
